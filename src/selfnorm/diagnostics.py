@@ -78,9 +78,16 @@ def modulus_of_continuity(path: ProcessPath, delta: float, grid_refinement: int 
     if grid_refinement < 1:
         raise ParameterDomainError(f"grid_refinement must be >= 1, got {grid_refinement}")
     npts = grid_refinement * path.n
-    grid = np.arange(npts + 1) / npts
-    y = y_path(path, grid)
-    w = int(np.floor(delta * npts + 1e-9))
+    return _max_oscillation(y_path(path, np.arange(npts + 1) / npts), delta)
+
+
+def _max_oscillation(y: np.ndarray, delta: float) -> float:
+    """Largest max-minus-min of y over windows of delta times its len(y) - 1 mesh steps.
+
+    y holds a path on an evenly spaced grid of [0, 1]; this is the modulus of
+    continuity once the grid is evaluated, so one grid serves every delta.
+    """
+    w = int(np.floor(delta * (y.size - 1) + 1e-9))
     if w < 1:
         return 0.0
     size = w + 1

@@ -9,6 +9,10 @@ class DegenerateSampleError(ValueError):
     """An all-zero sample reached an operation that needs V > 0."""
 
 
+class NonFiniteSampleError(ValueError):
+    """A replication drew, or computed from its draws, a value that is not finite."""
+
+
 class InternalConsistencyError(RuntimeError):
     """A deterministic identity failed beyond numerical tolerance."""
 

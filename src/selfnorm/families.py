@@ -12,7 +12,8 @@ uniform matrix per variate), so for a fixed stream the first m variates of a
 size-n sample equal the size-m sample. That prefix property is what makes
 statistics smooth along an n-grid under common random numbers. StudentT is
 the one exception: its chi-square part uses rejection sampling with variable
-draw counts, so only same-n determinism holds there.
+draw counts, so only same-n determinism holds there. `FamilySpec.prefix_coherent`
+declares which kinds hold the prefix property.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 FAMILY_KINDS = ("SymStable", "SymPareto", "Gaussian", "StudentT")
+# kinds whose samplers consume a fixed number of uniforms per variate
+_PREFIX_COHERENT_KINDS = ("SymStable", "SymPareto", "Gaussian")
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,11 @@ class FamilySpec:
             raise ParameterDomainError(f"Gaussian fixes alpha = 2, got {a}")
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ParameterDomainError(f"scale must be positive, got {self.scale}")
+
+    @property
+    def prefix_coherent(self) -> bool:
+        """Whether a length-m sample is the prefix of the length-n sample of the same stream."""
+        return self.kind in _PREFIX_COHERENT_KINDS
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,10 @@ configuration (excluding workers). Replication j always draws from the
 per-replication stream (master_seed, j); results land in a slot array by
 replication index and are aggregated in index order, so any worker count
 produces identical bytes.
+
+Each replication is drawn once per call, at the largest n, and serves every
+n of the grid and every scan that shares its seed (the three scans of a
+regime_map cell); one process pool serves the whole call.
 """
 from __future__ import annotations
 
@@ -20,9 +24,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import darling_ratio, max_ratio, modulus_of_continuity, sum_sq_ratio
-from .errors import ConfigError, MissingStatisticsError, ParameterDomainError
-from .families import FamilySpec, sample_family
+from ._files import write_text_atomic
+# modulus_of_continuity is not called here, but stays bound like every other
+# layer function, so the benchmark's tracer (perfbench/tracing.py) finds it
+from .diagnostics import (  # noqa: F401
+    _max_oscillation,
+    darling_ratio,
+    max_ratio,
+    modulus_of_continuity,
+    sum_sq_ratio,
+)
+from .errors import ConfigError, MissingStatisticsError, NonFiniteSampleError, ParameterDomainError
+from .families import FamilySpec, SampleBatch, sample_family
 from .limits import (
     ReferenceLaw,
     brownian_functional_oracle,
@@ -117,6 +130,8 @@ class ExperimentConfig:
         object.__setattr__(self, "master_seed", int(self.master_seed))
         if self.experiment not in EXPERIMENT_KINDS:
             raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {self.experiment!r}")
+        if self.experiment == "fdd_covariance" and self.reps < 2:
+            raise ConfigError(f"fdd_covariance estimates covariances and needs reps >= 2, got {self.reps}")
         ts = tuple(float(t) for t in self.t_grid)
         if len(ts) == 0 or any(not 0.0 < t <= 1.0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
             raise ConfigError(f"t_grid must be increasing reals in (0, 1], got {ts}")
@@ -209,51 +224,105 @@ def report_payload(report: ExperimentReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# per-replication statistics
+# per-replication kernel
+#
+# A cell is a tuple of configs that differ only in `experiment`: the scans
+# run on the same replications. Replication j of a cell is drawn once, from
+# SeededStream(master_seed, j) at the largest n, and every n reads its
+# length-n prefix (the families' prefix property); a family without that
+# property is drawn again at each n. Every scan of the cell is computed on
+# each prefix.
+
+# scans that read the interpolated path Y_{n,p}
+_PATH_KINDS = ("degenerate_scan", "fdd_covariance", "tightness_scan")
 
 
-def _rep_stats(config: ExperimentConfig, n: int, rep: int) -> tuple[float, ...]:
-    stream = SeededStream(config.master_seed, rep)
-    batch = sample_family(config.family, stream, n)
+def _scan_stats(config: ExperimentConfig, batch: SampleBatch, path) -> tuple[float, ...]:
     kind = config.experiment
     if kind == "degenerate_scan":
-        path = ProcessPath(batch, config.p)
         return (y_at(path, 1.0), sum_sq_ratio(batch, config.family.alpha))
     if kind == "ek_functionals":
         ek = ek_functionals(batch, config.p)
         return (ek.max_sn, ek.max_abs_sn, ek.mean_sq, ek.mean_abs)
     if kind == "fdd_covariance":
-        path = ProcessPath(batch, config.p)
         return tuple(float(v) for v in y_path(path, config.t_grid))
     if kind == "tightness_scan":
-        path = ProcessPath(batch, config.p)
-        oms = tuple(modulus_of_continuity(path, d) for d in config.delta_grid)
+        # one evaluation of the path on the node grid serves every delta
+        y = y_path(path, np.arange(batch.n + 1) / batch.n)
+        oms = tuple(_max_oscillation(y, d) for d in config.delta_grid)
         return (darling_ratio(batch), max_ratio(batch, config.p), *oms)
     # chf_compare: the pair (S_n / n^{1/a}, V^p / n^{p/a}), scaled before
     # summing so heavy-tailed powers cannot overflow
-    xs = batch.values / float(n) ** (1.0 / config.family.alpha)
+    xs = batch.values / float(batch.n) ** (1.0 / config.family.alpha)
     return (float(np.sum(xs)), float(np.sum(np.abs(xs) ** config.p)))
 
 
-def _chunk_stats(config: ExperimentConfig, n: int, lo: int, hi: int) -> list[tuple[float, ...]]:
-    return [_rep_stats(config, n, rep) for rep in range(lo, hi)]
+def _rep_stats(cell: tuple[ExperimentConfig, ...], rep: int) -> list[list[tuple[float, ...]]]:
+    """Statistics of one replication, indexed [n][scan]."""
+    config = cell[0]
+    stream = SeededStream(config.master_seed, rep)
+    full = sample_family(config.family, stream, config.n_grid[-1]) \
+        if config.family.prefix_coherent else None
+    needs_path = any(c.experiment in _PATH_KINDS for c in cell)
+    out = []
+    for n in config.n_grid:
+        if full is None:
+            batch = sample_family(config.family, stream, n)
+        else:
+            batch = SampleBatch(values=full.values[:n], spec=full.spec, n=n)
+        if not np.isfinite(batch.values).all():
+            raise _non_finite(config, rep, n, "draw")
+        path = ProcessPath(batch, config.p) if needs_path else None
+        stats = [_scan_stats(c, batch, path) for c in cell]
+        bad = [c.experiment for c, row in zip(cell, stats) if not all(map(math.isfinite, row))]
+        if bad:
+            raise _non_finite(config, rep, n, f"statistic in {', '.join(bad)}")
+        out.append(stats)
+    return out
 
 
-def _compute_slots(config: ExperimentConfig, n: int) -> np.ndarray:
-    reps, workers = config.reps, config.workers
+def _non_finite(config: ExperimentConfig, rep: int, n: int, what: str) -> NonFiniteSampleError:
+    return NonFiniteSampleError(
+        f"replication {rep} at n={n} ({config.family.kind}, alpha={config.family.alpha:g}, "
+        f"seed {config.master_seed}): non-finite {what}")
+
+
+def _block_stats(cell: tuple[ExperimentConfig, ...], lo: int, hi: int) -> list:
+    return [_rep_stats(cell, rep) for rep in range(lo, hi)]
+
+
+def _arrays(cell: tuple[ExperimentConfig, ...], rows: list) -> list[list[np.ndarray]]:
+    # [scan][n] -> (reps, statistics) array from rows indexed [rep][n][scan]
+    return [[np.array([rep[i][k] for rep in rows]) for i in range(len(cell[0].n_grid))]
+            for k in range(len(cell))]
+
+
+def _cell_slots(cells: list[tuple[ExperimentConfig, ...]]) -> list[list[list[np.ndarray]]]:
+    """Replication statistics as [cell][scan][n] -> (reps, statistics) arrays.
+
+    The cells of one call share reps and workers; one process pool serves
+    them all, each cell split into one contiguous block of replications per
+    worker. Each cell's rows become arrays as soon as they are read, so the
+    Python rows of the whole call are never held at once.
+    """
+    reps, workers = cells[0][0].reps, cells[0][0].workers
     if workers == 1 or reps < 2 * workers:
-        return np.array(_chunk_stats(config, n, 0, reps))
-    slots: list = [None] * reps
+        return [_arrays(cell, _block_stats(cell, 0, reps)) for cell in cells]
     bounds = [round(i * reps / workers) for i in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            (lo, hi, pool.submit(_chunk_stats, config, n, lo, hi))
-            for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
-        ]
-        for lo, hi, fut in futures:
-            slots[lo:hi] = fut.result()
-    return np.array(slots)
+        pending = [[pool.submit(_block_stats, cell, lo, hi)
+                    for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+                   for cell in cells]
+        out = []
+        try:
+            for index, cell in enumerate(cells):
+                futures, pending[index] = pending[index], None  # a read future holds its rows
+                out.append(_arrays(cell, [rep for fut in futures for rep in fut.result()]))
+        except BaseException:
+            # one failed block fails the call: drop the blocks not yet started
+            pool.shutdown(cancel_futures=True)
+            raise
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -337,37 +406,31 @@ def _load_ek_oracles(oracle_dir) -> dict[str, ReferenceLaw]:
     return {kind: load_oracle(oracle_path(base, kind)) for kind in ("G3", "G4")}
 
 
-def run_experiment(config: ExperimentConfig, thresholds: dict | None = None,
-                   oracle_dir=None) -> ExperimentReport:
-    """Run reps x n_grid replications and aggregate per the experiment kind."""
-    t0 = time.perf_counter()
-    if thresholds is None:
-        thresholds = load_default_thresholds()
-    oracles = None
-    if config.experiment == "ek_functionals":
-        oracles = _load_ek_oracles(oracle_dir)  # fail fast before sampling
+def _check_chf(config: ExperimentConfig) -> None:
     if config.experiment == "chf_compare":
         tail_constants(config.family)  # rejects light-tailed families
         if not config.p > config.family.alpha:
             raise ParameterDomainError(
                 f"chf_compare needs p > alpha, got p={config.p}, alpha={config.family.alpha}")
 
+
+def _report(config: ExperimentConfig, slots: list[np.ndarray], thresholds: dict,
+            oracles: dict[str, ReferenceLaw] | None, wall_clock_s: float) -> ExperimentReport:
     rows: list[AggregateRow] = []
     prev_tail: np.ndarray | None = None
-    for n in config.n_grid:
-        slots = _compute_slots(config, n)
-        rows.extend(_aggregate_rows(config, n, slots, oracles))
+    for n, n_slots in zip(config.n_grid, slots):
+        rows.extend(_aggregate_rows(config, n, n_slots, oracles))
         if config.experiment == "tightness_scan":
             if prev_tail is not None:
                 rows.append(AggregateRow(
                     n=n, statistic="darling_ks_prev", reps=config.reps,
-                    value=ks_two_sample(prev_tail[:, 0], slots[:, 0]),
+                    value=ks_two_sample(prev_tail[:, 0], n_slots[:, 0]),
                     stderr=_ks_crit(config.reps) * math.sqrt(2.0)))
                 rows.append(AggregateRow(
                     n=n, statistic="mr_ks_prev", reps=config.reps,
-                    value=ks_two_sample(prev_tail[:, 1], slots[:, 1]),
+                    value=ks_two_sample(prev_tail[:, 1], n_slots[:, 1]),
                     stderr=_ks_crit(config.reps) * math.sqrt(2.0)))
-            prev_tail = slots
+            prev_tail = n_slots
 
     if config.experiment in REGIME_SCAN_KINDS:
         decision = decide_regime(rows, thresholds)
@@ -379,8 +442,35 @@ def run_experiment(config: ExperimentConfig, thresholds: dict | None = None,
         aggregates=tuple(rows),
         regime_decision=decision,
         draw_count=config.reps * sum(config.n_grid),
-        wall_clock_s=time.perf_counter() - t0,
+        wall_clock_s=wall_clock_s,
     )
+
+
+def _run_cells(cells: list[tuple[ExperimentConfig, ...]], thresholds: dict | None,
+               oracle_dir) -> list[list[ExperimentReport]]:
+    """Validate, sample once per replication, aggregate: one report per (cell, scan).
+
+    wall_clock_s of every report is the time of the whole call.
+    """
+    t0 = time.perf_counter()
+    if thresholds is None:
+        thresholds = load_default_thresholds()
+    configs = [c for cell in cells for c in cell]
+    oracles = None
+    if any(c.experiment == "ek_functionals" for c in configs):
+        oracles = _load_ek_oracles(oracle_dir)  # fail fast before sampling
+    for c in configs:
+        _check_chf(c)
+    slots = _cell_slots(cells)
+    wall = time.perf_counter() - t0
+    return [[_report(c, s, thresholds, oracles, wall) for c, s in zip(cell, cell_slots)]
+            for cell, cell_slots in zip(cells, slots)]
+
+
+def run_experiment(config: ExperimentConfig, thresholds: dict | None = None,
+                   oracle_dir=None) -> ExperimentReport:
+    """Run reps x n_grid replications and aggregate per the experiment kind."""
+    return _run_cells([(config,)], thresholds, oracle_dir)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +559,24 @@ def decide_regime(aggregates, thresholds: dict) -> str:
 
 
 def _fmt(x) -> str:
-    return "" if x is None else repr(float(x))
+    if x is None:
+        return ""
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x!r} cannot be written to a report")
+    return repr(float(x))
 
 
 def write_report(report: ExperimentReport, format: str, path) -> None:
-    """CSV (one row per (n, statistic)) or JSON (full payload), byte-deterministic."""
+    """CSV (one row per (n, statistic)) or JSON (full payload), byte-deterministic.
+
+    A non-finite value raises ValueError instead of being written; the file
+    is replaced atomically, so a failed write leaves any previous file whole.
+    """
     if format not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {format!r}")
     if format == "json":
-        text = json.dumps(report_payload(report), sort_keys=True, separators=(",", ":")) + "\n"
+        text = json.dumps(report_payload(report), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False) + "\n"
     else:
         cfg = report.config
         header = "run_id,experiment,family,alpha,p,n,statistic,value,stderr,reps,seed"
@@ -490,8 +589,7 @@ def write_report(report: ExperimentReport, format: str, path) -> None:
             )))
         text = "\n".join(lines) + "\n"
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text_atomic(path, text)
     except OSError as exc:
         raise OSError(f"failed to write report to {path}: {exc}") from exc
 
@@ -533,44 +631,40 @@ def _cell_config(base: ExperimentConfig, alpha: float, p: float, seed: int,
                    experiment=experiment or base.experiment)
 
 
-def sweep(base: ExperimentConfig, alpha_list, p_list, thresholds: dict | None = None,
-          oracle_dir=None) -> tuple[ExperimentReport, ...]:
-    """Cartesian product of runs; cell seeds derived from the base seed and index."""
+def _grid(alpha_list, p_list) -> list[tuple[float, float]]:
     alphas = tuple(float(a) for a in alpha_list)
     ps = tuple(float(p) for p in p_list)
     if not alphas or not ps:
         raise ConfigError("alpha_list and p_list must be nonempty")
-    reports = []
-    for idx, (alpha, p) in enumerate((a, p) for a in alphas for p in ps):
-        cfg = _cell_config(base, alpha, p, derive_seed(base.master_seed, idx))
-        reports.append(run_experiment(cfg, thresholds, oracle_dir))
-    return tuple(reports)
+    return [(a, p) for a in alphas for p in ps]
+
+
+def sweep(base: ExperimentConfig, alpha_list, p_list, thresholds: dict | None = None,
+          oracle_dir=None) -> tuple[ExperimentReport, ...]:
+    """Cartesian product of runs; cell seeds derived from the base seed and index."""
+    cells = [(_cell_config(base, alpha, p, derive_seed(base.master_seed, idx)),)
+             for idx, (alpha, p) in enumerate(_grid(alpha_list, p_list))]
+    return tuple(r for (r,) in _run_cells(cells, thresholds, oracle_dir))
 
 
 def regime_map(base: ExperimentConfig, alpha_list, p_list, thresholds: dict | None = None,
                oracle_dir=None) -> tuple[tuple[ExperimentReport, ...], dict]:
-    """Run all three regime scans per cell (same cell seed) and classify jointly.
+    """Run all three regime scans per cell on shared replications and classify jointly.
 
-    Returns (reports, matrix) with matrix[(alpha, p)] in
-    {degenerate, brownian, not_tight, inconclusive}.
+    The scans of a cell use the cell seed, so they read the same draws: each
+    replication is drawn once and feeds all three. Returns (reports, matrix)
+    with matrix[(alpha, p)] in {degenerate, brownian, not_tight, inconclusive}.
     """
-    alphas = tuple(float(a) for a in alpha_list)
-    ps = tuple(float(p) for p in p_list)
-    if not alphas or not ps:
-        raise ConfigError("alpha_list and p_list must be nonempty")
+    grid = _grid(alpha_list, p_list)
     if thresholds is None:
         thresholds = load_default_thresholds()
-    reports: list[ExperimentReport] = []
-    matrix: dict[tuple[float, float], str] = {}
-    for idx, (alpha, p) in enumerate((a, p) for a in alphas for p in ps):
-        seed = derive_seed(base.master_seed, idx)
-        cell_rows: list[AggregateRow] = []
-        for kind in REGIME_SCAN_KINDS:
-            rep = run_experiment(_cell_config(base, alpha, p, seed, kind), thresholds, oracle_dir)
-            reports.append(rep)
-            cell_rows.extend(rep.aggregates)
-        matrix[(alpha, p)] = decide_regime(cell_rows, thresholds)
-    return tuple(reports), matrix
+    cells = [tuple(_cell_config(base, alpha, p, derive_seed(base.master_seed, idx), kind)
+                   for kind in REGIME_SCAN_KINDS)
+             for idx, (alpha, p) in enumerate(grid)]
+    per_cell = _run_cells(cells, thresholds, oracle_dir)
+    matrix = {cell: decide_regime([row for r in reports for row in r.aggregates], thresholds)
+              for cell, reports in zip(grid, per_cell)}
+    return tuple(r for reports in per_cell for r in reports), matrix
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ for symmetric Paretian tails with Levy density constant r on each side and
 p > alpha. The quadrature splits off the cosine part, which has the exact
 closed form -2 r Cal(a) |u t^(1/a)|^a, integrates the remaining oscillatory
 part over phase-bounded Gauss-Legendre panels with a power substitution at
-the origin, and closes the tails with integration-by-parts asymptotics; a
+the origin (its first panel graded geometrically toward 0 when the
+substituted integrand has a fractional power there), and closes the tails
+with integration-by-parts asymptotics; a
 stationary point of the phase beyond the affordable cutoff gets a window of
 its own. The cutoff is refined until successive estimates agree to the
 requested relative tolerance.
@@ -31,6 +33,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import ndtr
 
+from ._files import write_text_atomic
 from .errors import InternalConsistencyError, OracleMissingError, ParameterDomainError
 from .families import FamilySpec
 from .rng import SeededStream
@@ -188,7 +191,7 @@ _ORACLE_FORMAT = "selfnorm-oracle v1"
 
 
 def save_oracle(law: ReferenceLaw, path) -> None:
-    """Versioned flat text file: header, then sorted (x, cdf) pairs per line."""
+    """Versioned flat text file: header, then sorted (x, cdf) pairs per line; written atomically."""
     if law.table is None or law.meta is None:
         raise ParameterDomainError("only table-backed oracle laws can be saved")
     t = law.table
@@ -199,8 +202,7 @@ def save_oracle(law: ReferenceLaw, path) -> None:
             lines.append(f"# {key}: {law.meta[key]}")
     lines.extend(f"{x!r} {(i + 1) / m!r}" for i, x in enumerate(t.tolist()))
     lines.append("")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+    write_text_atomic(path, "\n".join(lines))
 
 
 def load_oracle(path) -> ReferenceLaw:
@@ -224,6 +226,9 @@ def load_oracle(path) -> ReferenceLaw:
     table = np.array([float(line.split()[0]) for line in raw[body_at:] if line])
     if table.size == 0 or "kind" not in meta:
         raise OracleMissingError(f"{path} is truncated or missing its header")
+    if meta.get("paths") != table.size:
+        raise OracleMissingError(
+            f"{path} holds {table.size} rows but its header declares paths: {meta.get('paths')}")
     return _table_law(meta["kind"], table, meta)
 
 
@@ -346,6 +351,36 @@ def _gl_panels(f, edges: np.ndarray) -> complex:
     y = 0.5 * (a + b) + half * _GL_NODES[None, :]
     vals = f(y)
     return complex((vals * _GL_WEIGHTS[None, :] * half).sum())
+
+
+# at most this many halvings of the first origin panel toward 0, when the
+# substituted integrand carries a fractional power of z there
+_ORIGIN_HALVINGS = 24
+# smallest y = z^m a graded origin node may reach: above it y^(-a-1) stays
+# finite for every a < 2
+_ORIGIN_Y_FLOOR = 1e-100
+
+
+def _origin_edges(top: float, m: int, *exponents: float) -> np.ndarray:
+    """Edges on [0, top] for the substitution y = z^m: 8 even panels, the first
+    graded geometrically unless every power of z near 0 (exponents) is an integer.
+
+    Gauss-Legendre is exact for low-degree polynomials but resolves a
+    fractional power on [0, h] only to a fixed relative error, which no
+    cutoff refinement sees; on the panels [h 2^-(k+1), h 2^-k] the power is
+    smooth, and the part left on [0, h 2^-k] shrinks like 2^-k to the power
+    of the leading exponent plus one, which the choice of m makes at least 2.
+    The depth stops where the smallest node's y = z^m would fall below
+    _ORIGIN_Y_FLOOR.
+    """
+    edges = np.linspace(0.0, top, 9)
+    if all(float(e).is_integer() for e in exponents):
+        return edges
+    node0 = 0.5 * (1.0 + _GL_NODES[0])  # smallest node, as a fraction of its panel
+    depth = math.log2(node0 * edges[1]) - math.log2(_ORIGIN_Y_FLOOR) / m
+    halvings = max(0, min(_ORIGIN_HALVINGS, int(depth)))
+    graded = edges[1] * 0.5 ** np.arange(halvings, 0, -1)
+    return np.concatenate(([0.0], graded, edges[1:]))
 
 
 def _head_edges(y_lo: float, y_hi: float, beta: float, gamma: float, p: float,
@@ -529,8 +564,8 @@ def _j_quad_once(beta: float, gamma: float, alpha: float, p: float,
         y = z**m
         return f(y) * m * z ** (m - 1.0)
 
-    z_edges = np.linspace(0.0, y0 ** (1.0 / m), 9)
-    total = _gl_panels(f_sub, z_edges)
+    # near 0 the integrand is a sum of powers z^(m (j p + 2 k - a) - 1)
+    total = _gl_panels(f_sub, _origin_edges(y0 ** (1.0 / m), m, m * p, m * alpha))
     total += _gl_panels(f, _head_edges(y0, cutoff, beta, gamma, p, phase_step, growth))
 
     # the pure-cosine tail piece is removed exactly (its 2-term expansion
@@ -547,8 +582,8 @@ def _j_quad_once(beta: float, gamma: float, alpha: float, p: float,
         y = z**mh
         return h(y) * mh * z ** (mh - 1.0)
 
-    zh_edges = np.linspace(0.0, y0h ** (1.0 / mh), 9)
-    h_val = _gl_panels(h_sub, zh_edges)
+    # and here of z^(mh (2 k - a) - 1)
+    h_val = _gl_panels(h_sub, _origin_edges(y0h ** (1.0 / mh), mh, mh * alpha))
     h_val += _gl_panels(h, _head_edges(y0h, cutoff, 0.0, gamma, p, phase_step, growth))
     total += _cos_tail_const(alpha) * gamma**alpha + h_val.real - cutoff ** (-alpha) / alpha
 

@@ -47,14 +47,16 @@ def test_different_stream_index_decorrelates(kind):
     assert not np.array_equal(a.values, b.values)
 
 
-@pytest.mark.parametrize("kind", ["SymStable", "SymPareto", "Gaussian"])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_prefix_coherence_along_n(kind):
-    # first m variates of a size-n draw equal the size-m draw (StudentT excluded:
-    # its chi-square rejection sampler has no fixed per-variate draw count)
+    # first m variates of a size-n draw equal the size-m draw exactly where the
+    # family declares it (StudentT does not: its chi-square rejection sampler
+    # has no fixed per-variate draw count)
     spec = FamilySpec(kind=kind, alpha=2.0 if kind == "Gaussian" else 1.2)
     short = sample_family(spec, SeededStream(7, 0), 100)
     long = sample_family(spec, SeededStream(7, 0), 1000)
-    assert np.array_equal(short.values, long.values[:100])
+    assert np.array_equal(short.values, long.values[:100]) == spec.prefix_coherent
+    assert spec.prefix_coherent == (kind != "StudentT")
 
 
 @given(scale=st.floats(0.1, 50.0), seed=st.integers(0, 2**32 - 1))

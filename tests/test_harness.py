@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from selfnorm import (
     ExperimentConfig,
     FamilySpec,
     MissingStatisticsError,
+    NonFiniteSampleError,
     OracleMissingError,
     ParameterDomainError,
     build_oracles,
@@ -24,7 +27,7 @@ from selfnorm import (
     sweep,
     write_report,
 )
-from selfnorm import cli
+from selfnorm import cli, harness
 
 CAUCHY = FamilySpec(kind="SymStable", alpha=1.0)
 
@@ -52,6 +55,7 @@ def config(**over) -> ExperimentConfig:
     dict(delta_grid=()),
     dict(delta_grid=(1.5,)),
     dict(workers=0),
+    dict(experiment="fdd_covariance", reps=1),
 ])
 def test_config_validation(over):
     with pytest.raises(ConfigError):
@@ -130,6 +134,64 @@ def test_ek_runs_against_small_tables(tmp_path):
     assert names == {"ks_max_g1", "ks_max_abs_g2", "ks_mean_sq_g3", "ks_mean_abs_g4"}
 
 
+def test_non_finite_draw_raises_instead_of_labelling():
+    # SymPareto alpha = 0.005 overflows to inf in about 3% of draws; the
+    # per-(scan, n) kernel reported mean_sq_self_norm = NaN, exceedance 0.0
+    # and the label "degenerate"
+    cfg = config(family=FamilySpec(kind="SymPareto", alpha=0.005), p=1.0, n_grid=(200,),
+                 reps=20, master_seed=20260815)
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(NonFiniteSampleError, match=r"replication 0 at n=200 .*non-finite draw"):
+        run_experiment(cfg)
+
+
+def _counting(monkeypatch, name: str) -> list:
+    calls = []
+    original = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind,draws_per_rep", [("SymStable", 1), ("StudentT", 3)])
+def test_one_draw_per_replication_where_prefix_coherent(monkeypatch, kind, draws_per_rep):
+    draws = _counting(monkeypatch, "sample_family")
+    cfg = config(family=FamilySpec(kind=kind, alpha=1.5), n_grid=(50, 100, 200), reps=6)
+    run_experiment(cfg)
+    assert len(draws) == 6 * draws_per_rep
+    if draws_per_rep == 1:
+        assert {n for _, _, n in draws} == {200}
+
+
+def test_regime_map_shares_draws_pool_and_oracles(monkeypatch, tmp_path):
+    build_oracles(out_dir=tmp_path, kinds=("G3", "G4"), paths=300, steps=100)
+    draws = _counting(monkeypatch, "sample_family")
+    loads = _counting(monkeypatch, "load_oracle")
+    pools = []
+
+    class CountedPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    base = config(n_grid=(50, 100), reps=4, workers=2)
+    reports, _ = regime_map(base, (1.0, 1.5), (1.0, 2.0), oracle_dir=tmp_path)
+    assert len(reports) == 12
+    assert len(pools) == 1
+    assert len(loads) == 2
+    # the counter sees only the parent's calls; at workers=1 every draw is local
+    reports1, _ = regime_map(dataclasses.replace(base, workers=1), (1.0, 1.5), (1.0, 2.0),
+                             oracle_dir=tmp_path)
+    assert len(draws) == 4 * 4  # four cells, one draw per replication for three scans
+    blob = lambda r: json.dumps(report_payload(r), sort_keys=True, separators=(",", ":"))
+    assert [blob(r) for r in reports] == [blob(r) for r in reports1]
+
+
 # ---------------------------------------------------------------------------
 # reports on disk
 
@@ -165,6 +227,30 @@ def test_report_files_byte_identical_across_workers(tmp_path):
         write_report(run_experiment(config(workers=1)), fmt, a)
         write_report(run_experiment(config(workers=4)), fmt, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_write_report_rejects_non_finite(tmp_path):
+    r = run_experiment(config())
+    bad = dataclasses.replace(r, aggregates=(dataclasses.replace(r.aggregates[0], value=math.nan),))
+    for fmt in ("json", "csv"):
+        with pytest.raises(ValueError):
+            write_report(bad, fmt, tmp_path / f"r.{fmt}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_report_is_atomic(tmp_path, monkeypatch):
+    dest = tmp_path / "r.json"
+    write_report(run_experiment(config()), "json", dest)
+    before = dest.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        write_report(run_experiment(config(master_seed=1)), "json", dest)
+    assert dest.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == [dest.name]
 
 
 def test_write_report_wraps_os_errors(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from selfnorm import (
     std_normal_law,
     tail_constants,
 )
-from selfnorm.limits import g1_cdf, g2_cdf
+from selfnorm.limits import QuadSpec, _j_closed_w_only, _j_quad, g1_cdf, g2_cdf
 
 # frozen high-precision references for the limiting chf exponent
 # c(u, w) = 2r int (exp(i |w| t^(p/a) y^p) cos(|u| t^(1/a) y) - 1) y^(-a-1) dy,
@@ -77,6 +78,17 @@ def test_chf_invariants(alpha, frac, u, w, t1):
     assert abs(z) <= 1.0 + 1e-12
     assert abs(z - limit_chf(-u, w, alpha, p, tails, t1=t1)) <= 1e-10
     assert abs(np.conj(z) - limit_chf(u, -w, alpha, p, tails, t1=t1)) <= 1e-10
+
+
+def test_fractional_origin_power_resolved():
+    # (p - alpha) m = 0.15 * 14 = 2.1: the substituted integrand behaves like
+    # z^1.1 at the origin; 8 even panels there gave Im j = 7.73136986903,
+    # 4e-9 relative off. With gamma = 1.6e-15 the gamma correction to Im j is
+    # about 1e-11, so the w-only closed form is the reference.
+    alpha, p = 0.30078125, 0.45078125
+    got = _j_quad(1.0, 1.6e-15, alpha, p, QuadSpec()).imag
+    want = _j_closed_w_only(1.0, alpha, p).imag
+    assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_chf_exponent_domain():
@@ -161,6 +173,32 @@ def test_oracle_load_errors(tmp_path):
     truncated.write_text("# selfnorm-oracle v1\n# kind: G3\n")
     with pytest.raises(OracleMissingError):
         load_oracle(truncated)
+
+
+def test_oracle_load_rejects_row_count_mismatch(tmp_path):
+    # a 500-path table cut to 300 rows must not load as a 300-row law
+    dest = tmp_path / "g3_oracle.txt"
+    save_oracle(brownian_functional_oracle("G3", paths=500, steps=50, stream=SeededStream(5)), dest)
+    lines = dest.read_text().splitlines()
+    body_at = next(i for i, line in enumerate(lines) if not line.startswith("# "))
+    dest.write_text("\n".join(lines[:body_at + 300]) + "\n")
+    with pytest.raises(OracleMissingError, match="300 rows"):
+        load_oracle(dest)
+
+
+def test_oracle_save_is_atomic(tmp_path, monkeypatch):
+    dest = tmp_path / "g4_oracle.txt"
+    save_oracle(brownian_functional_oracle("G4", paths=64, steps=50, stream=SeededStream(1)), dest)
+    before = dest.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        save_oracle(brownian_functional_oracle("G4", paths=80, steps=50, stream=SeededStream(2)), dest)
+    assert dest.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == [dest.name]
 
 
 def test_ks_statistic_matches_scipy():
