@@ -16,10 +16,9 @@ closed form -2 r Cal(a) |u t^(1/a)|^a, integrates the remaining oscillatory
 part over phase-bounded Gauss-Legendre panels with a power substitution at
 the origin (its first panel graded geometrically toward 0 when the
 substituted integrand has a fractional power there), and closes the tails
-with integration-by-parts asymptotics; a
-stationary point of the phase beyond the affordable cutoff gets a window of
-its own. The cutoff is refined until successive estimates agree to the
-requested relative tolerance.
+with integration-by-parts asymptotics; a stationary point of the phase
+beyond the affordable cutoff gets a window of its own. The cutoff is refined
+until successive estimates agree to the requested relative tolerance.
 """
 
 from __future__ import annotations

@@ -135,9 +135,9 @@ def test_ek_runs_against_small_tables(tmp_path):
 
 
 def test_non_finite_draw_raises_instead_of_labelling():
-    # SymPareto alpha = 0.005 overflows to inf in about 3% of draws; the
-    # per-(scan, n) kernel reported mean_sq_self_norm = NaN, exceedance 0.0
-    # and the label "degenerate"
+    # about 3% of SymPareto alpha = 0.005 draws overflow to inf; unguarded,
+    # the scan reads mean_sq_self_norm = NaN and exceedance 0.0 (NaN > eps is
+    # False), and the cell is labelled "degenerate"
     cfg = config(family=FamilySpec(kind="SymPareto", alpha=0.005), p=1.0, n_grid=(200,),
                  reps=20, master_seed=20260815)
     with pytest.warns(RuntimeWarning), \
