@@ -1,7 +1,8 @@
-"""Build the Brownian functional oracle tables (G1-G4) used by the test suite.
+"""Build the Brownian functional oracle tables (G2-G4) used by the test suite.
 
 The canonical build (100k paths, 10k steps) takes a few minutes and writes
-plain-text tables that every later run loads instead of re-simulating.
+plain-text tables that every later run loads instead of re-simulating. G1
+(the running maximum) is not built: its closed form is exact.
 """
 
 import argparse

@@ -4,9 +4,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
-from .errors import ConfigError, MissingStatisticsError, OracleMissingError, ParameterDomainError
+from .errors import (
+    ConfigError,
+    DegenerateSampleError,
+    InternalConsistencyError,
+    MissingStatisticsError,
+    NonFiniteSampleError,
+    OracleMissingError,
+    ParameterDomainError,
+)
 from .families import FAMILY_KINDS, FamilySpec
 from .harness import (
     EXPERIMENT_KINDS,
@@ -229,6 +238,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (NonFiniteSampleError, DegenerateSampleError, InternalConsistencyError) as exc:
+        # the run reached a value it cannot vouch for: no trustworthy number
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except BrokenProcessPool as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -150,10 +150,10 @@ def norm_chain(batch: SampleBatch, alpha: float, beta: float) -> NormChain:
     if not 1 <= beta <= 2:
         raise ParameterDomainError(f"beta must lie in [1, 2], got {beta}")
     chain = NormChain(
-        v_alpha=p_norm(batch, alpha).value,
-        v_one=p_norm(batch, 1.0).value,
-        v_beta=p_norm(batch, beta).value,
-        v_two=p_norm(batch, 2.0).value,
+        v_alpha=p_norm(batch, alpha),
+        v_one=p_norm(batch, 1.0),
+        v_beta=p_norm(batch, beta),
+        v_two=p_norm(batch, 2.0),
     )
     vals = np.array(chain)
     slack = 1e-10 * np.maximum(vals[:-1], vals[1:])

@@ -233,16 +233,12 @@ def report_payload(report: ExperimentReport) -> dict:
 # property is drawn again at each n. Every scan of the cell is computed on
 # each prefix.
 
-# scans that read the interpolated path Y_{n,p}
-_PATH_KINDS = ("degenerate_scan", "fdd_covariance", "tightness_scan")
-
-
 def _scan_stats(config: ExperimentConfig, batch: SampleBatch, path) -> tuple[float, ...]:
     kind = config.experiment
     if kind == "degenerate_scan":
         return (y_at(path, 1.0), sum_sq_ratio(batch, config.family.alpha))
     if kind == "ek_functionals":
-        ek = ek_functionals(batch, config.p)
+        ek = ek_functionals(path)
         return (ek.max_sn, ek.max_abs_sn, ek.mean_sq, ek.mean_abs)
     if kind == "fdd_covariance":
         return tuple(float(v) for v in y_path(path, config.t_grid))
@@ -263,7 +259,8 @@ def _rep_stats(cell: tuple[ExperimentConfig, ...], rep: int) -> list[list[tuple[
     stream = SeededStream(config.master_seed, rep)
     full = sample_family(config.family, stream, config.n_grid[-1]) \
         if config.family.prefix_coherent else None
-    needs_path = any(c.experiment in _PATH_KINDS for c in cell)
+    # every scan but chf_compare reads the path Y_{n,p}
+    needs_path = any(c.experiment != "chf_compare" for c in cell)
     out = []
     for n in config.n_grid:
         if full is None:
@@ -680,9 +677,13 @@ def oracle_path(base_dir, kind: str) -> Path:
     return Path(base_dir) / f"{kind.lower()}_oracle.txt"
 
 
-def build_oracles(out_dir=None, kinds=("G1", "G2", "G3", "G4"), paths: int = ORACLE_PATHS,
+def build_oracles(out_dir=None, kinds=("G2", "G3", "G4"), paths: int = ORACLE_PATHS,
                   steps: int = ORACLE_STEPS, seed: int = ORACLE_SEED) -> list[Path]:
-    """Simulate and persist the Brownian functional tables; returns written paths."""
+    """Simulate and persist the Brownian functional tables; returns written paths.
+
+    G1 is not built by default: the statistics compare against its closed
+    form (`g1_law`); pass it in `kinds` to build its table anyway.
+    """
     base = Path(out_dir) if out_dir is not None else default_oracle_dir()
     base.mkdir(parents=True, exist_ok=True)
     written = []

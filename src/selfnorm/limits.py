@@ -40,7 +40,6 @@ from .rng import SeededStream
 __all__ = [
     "ReferenceLaw",
     "TailConstants",
-    "QuadSpec",
     "std_normal_law",
     "scaled_normal_law",
     "g1_cdf",
@@ -306,16 +305,14 @@ def tail_constants(spec: FamilySpec) -> TailConstants:
     return TailConstants(r=float(r), s=float(r))
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Tuning knobs of the oscillatory quadrature behind limit_chf."""
-
-    rel_tol: float = 1e-10
-    phase_per_panel: float = 1.5
-    growth_per_panel: float = 0.25
-    cutoff_floor: float = 12.0
-    ibp_phase_floor: float = 40.0
-    max_refinements: int = 7
+# the oscillatory quadrature behind limit_chf
+_REL_TOL = 1e-10  # agreement of successive refinements
+_PHASE_PER_PANEL = 1.5  # largest phase change across one panel
+_GROWTH_PER_PANEL = 0.25  # largest panel width relative to its left edge
+_CUTOFF_FLOOR = 12.0  # cutoff of the first pass
+_IBP_PHASE_FLOOR = 40.0  # least |phase'| y at the cutoff for the tail expansion
+_MAX_REFINEMENTS = 7  # passes, each doubling the cutoff
+_PANEL_BUDGET = 300_000
 
 
 def _cos_tail_const(alpha: float) -> float:
@@ -382,14 +379,14 @@ def _origin_edges(top: float, m: int, *exponents: float) -> np.ndarray:
     return np.concatenate(([0.0], graded, edges[1:]))
 
 
-def _head_edges(y_lo: float, y_hi: float, beta: float, gamma: float, p: float,
-                phase_step: float, growth: float) -> np.ndarray:
+def _head_edges(y_lo: float, y_hi: float, beta: float, gamma: float, p: float) -> np.ndarray:
     # panel edges keeping both total phase and envelope variation small
     edges = [y_lo]
     y = y_lo
     while y < y_hi:
         dphi = p * beta * y ** (p - 1.0) + gamma
-        step = min(phase_step / dphi, growth * y) if dphi > 0 else growth * y
+        step = min(_PHASE_PER_PANEL / dphi, _GROWTH_PER_PANEL * y) if dphi > 0 \
+            else _GROWTH_PER_PANEL * y
         y = min(y + step, y_hi)
         edges.append(y)
     return np.array(edges)
@@ -432,14 +429,13 @@ def _ibp_tail(coef: complex, sign: float, beta: float, gamma: float,
     return coef * total, abs(coef) * err
 
 
-_PANEL_BUDGET = 300_000
 # largest integration-by-parts expansion parameter, max(1/(y |psi'|),
 # |psi''| / psi'^2), allowed at the edges of the stationary-point window
 _WINDOW_IBP_RATIO = 1e-3
 
 
 def _minus_branch_across(beta: float, gamma: float, alpha: float, p: float, ystat: float,
-                         cutoff: float, phase_step: float, growth: float) -> tuple[complex, float]:
+                         cutoff: float) -> tuple[complex, float]:
     """0.5 int_cutoff^inf e^{i psi} y^(-a-1) dy, psi = beta y^p - gamma y, for cutoff < ystat.
 
     The window [y1, y2] around the stationary point ystat is integrated
@@ -476,7 +472,8 @@ def _minus_branch_across(beta: float, gamma: float, alpha: float, p: float, ysta
         # a panel of width h changes the phase by about |psi'| h + |psi''| h^2 / 2
         d1 = abs(p * beta * y**q - gamma)
         d2 = abs(p * q * beta * y ** (q - 1.0))
-        y = min(y + min(phase_step / (d1 + math.sqrt(0.5 * d2 * phase_step)), growth * y), y2)
+        step = _PHASE_PER_PANEL / (d1 + math.sqrt(0.5 * d2 * _PHASE_PER_PANEL))
+        y = min(y + min(step, _GROWTH_PER_PANEL * y), y2)
         edges.append(y)
 
     def f(y):
@@ -494,8 +491,7 @@ def _minus_branch_across(beta: float, gamma: float, alpha: float, p: float, ysta
 
 
 def _j_quad_once(beta: float, gamma: float, alpha: float, p: float,
-                 phase_step: float, growth: float, cutoff: float,
-                 quad: QuadSpec) -> tuple[complex, float, float]:
+                 cutoff: float) -> tuple[complex, float, float]:
     def f(y):
         # e^(i th) - 1 = -2 sin^2(th/2) + i sin th, cancellation-free near 0
         th = beta * y**p
@@ -522,11 +518,11 @@ def _j_quad_once(beta: float, gamma: float, alpha: float, p: float,
         hump = math.exp(log_hump) if log_hump < 700.0 else math.inf
         scale0 = max(_cos_tail_const(alpha) * gamma**alpha,
                      abs(_j_closed_w_only(beta, alpha, p)), 1e-6)
-        if hump <= 0.01 * quad.rel_tol * scale0 and cutoff < ystat / 4.0:
+        if hump <= 0.01 * _REL_TOL * scale0 and cutoff < ystat / 4.0:
             hump_err = hump
         else:
             through = max(cutoff, 4.0 * ystat)
-            panels = (beta * through**p + 2.0 * gamma * through) / phase_step
+            panels = (beta * through**p + 2.0 * gamma * through) / _PHASE_PER_PANEL
             if panels <= 0.9 * _PANEL_BUDGET:
                 cutoff = through
             else:
@@ -537,14 +533,14 @@ def _j_quad_once(beta: float, gamma: float, alpha: float, p: float,
     while cutoff < 1e12:
         d_plus = p * beta * cutoff ** (p - 1.0) + gamma
         d_minus = abs(p * beta * cutoff ** (p - 1.0) - gamma)
-        if min(d_plus, d_minus) * cutoff >= quad.ibp_phase_floor:
+        if min(d_plus, d_minus) * cutoff >= _IBP_PHASE_FLOOR:
             break
         if across and 2.0 * cutoff > ystat / 4.0:
             break
         cutoff *= 2.0
 
-    n_panels = (beta * cutoff**p + 2.0 * gamma * cutoff) / phase_step \
-        + 2.0 * math.log(max(cutoff, 2.0)) / math.log1p(growth)
+    n_panels = (beta * cutoff**p + 2.0 * gamma * cutoff) / _PHASE_PER_PANEL \
+        + 2.0 * math.log(max(cutoff, 2.0)) / math.log1p(_GROWTH_PER_PANEL)
     if n_panels > _PANEL_BUDGET:
         raise InternalConsistencyError(
             f"oscillatory quadrature needs ~{n_panels:.0f} panels at "
@@ -565,7 +561,7 @@ def _j_quad_once(beta: float, gamma: float, alpha: float, p: float,
 
     # near 0 the integrand is a sum of powers z^(m (j p + 2 k - a) - 1)
     total = _gl_panels(f_sub, _origin_edges(y0 ** (1.0 / m), m, m * p, m * alpha))
-    total += _gl_panels(f, _head_edges(y0, cutoff, beta, gamma, p, phase_step, growth))
+    total += _gl_panels(f, _head_edges(y0, cutoff, beta, gamma, p))
 
     # the pure-cosine tail piece is removed exactly (its 2-term expansion
     # decays too slowly):
@@ -583,13 +579,13 @@ def _j_quad_once(beta: float, gamma: float, alpha: float, p: float,
 
     # and here of z^(mh (2 k - a) - 1)
     h_val = _gl_panels(h_sub, _origin_edges(y0h ** (1.0 / mh), mh, mh * alpha))
-    h_val += _gl_panels(h, _head_edges(y0h, cutoff, 0.0, gamma, p, phase_step, growth))
+    h_val += _gl_panels(h, _head_edges(y0h, cutoff, 0.0, gamma, p))
     total += _cos_tail_const(alpha) * gamma**alpha + h_val.real - cutoff ** (-alpha) / alpha
 
     err = hump_err
     for coef, sign in ((0.5, 1.0), (0.5, -1.0)):
         if across and sign < 0:
-            v, e = _minus_branch_across(beta, gamma, alpha, p, ystat, cutoff, phase_step, growth)
+            v, e = _minus_branch_across(beta, gamma, alpha, p, ystat, cutoff)
         else:
             v, e = _ibp_tail(coef, sign, beta, gamma, alpha, p, cutoff)
         total += v
@@ -620,7 +616,7 @@ def _cross_bound(beta: float, gamma: float, alpha: float, p: float) -> float:
     return head + mid + tail
 
 
-def _j_quad(beta: float, gamma: float, alpha: float, p: float, quad: QuadSpec) -> complex:
+def _j_quad(beta: float, gamma: float, alpha: float, p: float) -> complex:
     # j is homogeneous of degree a: j(beta, gamma) = k^a j(beta / k^p, gamma / k).
     # The cutoff floor and ceiling are sized for phases that turn on by
     # y ~ 1, so slower phases are first rescaled to turn on there (the
@@ -629,10 +625,10 @@ def _j_quad(beta: float, gamma: float, alpha: float, p: float, quad: QuadSpec) -
     k = max(gamma, beta ** (1.0 / p))
     if k < 1.0:
         b = (beta ** (1.0 / p) / k) ** p
-        return k**alpha * _j_quad(b, gamma / k, alpha, p, quad) if b > 0.0 else 0j
+        return k**alpha * _j_quad(b, gamma / k, alpha, p) if b > 0.0 else 0j
     closed = _j_closed_w_only(beta, alpha, p)
     scale = max(abs(closed), _cos_tail_const(alpha) * gamma**alpha, 1e-6)
-    if _cross_bound(beta, gamma, alpha, p) <= 0.1 * quad.rel_tol * scale:
+    if _cross_bound(beta, gamma, alpha, p) <= 0.1 * _REL_TOL * scale:
         # both phases dormant at every reachable cutoff: the cosine factor is
         # 1 to within the bound and the w-only closed form applies
         return closed
@@ -641,18 +637,12 @@ def _j_quad(beta: float, gamma: float, alpha: float, p: float, quad: QuadSpec) -
     # stationary-point clamp and phase-floor loop may have grown or capped
     # it), so the integration-by-parts tail error shrinks geometrically until
     # successive estimates agree
-    cutoff = quad.cutoff_floor
+    cutoff = _CUTOFF_FLOOR
     prev = prev_cutoff = None
-    for _ in range(quad.max_refinements):
-        est, tail_err, cutoff = _j_quad_once(
-            beta, gamma, alpha, p,
-            phase_step=quad.phase_per_panel,
-            growth=quad.growth_per_panel,
-            cutoff=cutoff,
-            quad=quad,
-        )
+    for _ in range(_MAX_REFINEMENTS):
+        est, tail_err, cutoff = _j_quad_once(beta, gamma, alpha, p, cutoff)
         if prev is not None:
-            tol = quad.rel_tol * max(abs(est), _cos_tail_const(alpha) * gamma**alpha, 1e-6)
+            tol = _REL_TOL * max(abs(est), _cos_tail_const(alpha) * gamma**alpha, 1e-6)
             if abs(est - prev) + tail_err <= tol:
                 return est
             if cutoff == prev_cutoff:
@@ -664,12 +654,12 @@ def _j_quad(beta: float, gamma: float, alpha: float, p: float, quad: QuadSpec) -
         prev, prev_cutoff = est, cutoff
         cutoff *= 2.0
     raise InternalConsistencyError(
-        f"chf quadrature did not converge to rel_tol={quad.rel_tol:g} at "
+        f"chf quadrature did not converge to rel_tol={_REL_TOL:g} at "
         f"beta={beta:g}, gamma={gamma:g}, alpha={alpha:g}, p={p:g}")
 
 
 def chf_exponent(u: float, w: float, alpha: float, p: float, tails: TailConstants,
-                 t1: float = 1.0, quad: QuadSpec | None = None) -> complex:
+                 t1: float = 1.0) -> complex:
     """The exponent c(u, w) with chf = exp(c); non-positive real part."""
     alpha = float(alpha)
     p = float(p)
@@ -681,8 +671,6 @@ def chf_exponent(u: float, w: float, alpha: float, p: float, tails: TailConstant
         raise ParameterDomainError("skewed tails (r != s) are not supported")
     if not 0 < t1 <= 1:
         raise ParameterDomainError(f"t1 must lie in (0, 1], got {t1}")
-    if quad is None:
-        quad = QuadSpec()
     r = tails.r
     gamma = abs(float(u)) * t1 ** (1.0 / alpha)
     beta = abs(float(w)) * t1 ** (p / alpha)
@@ -697,7 +685,7 @@ def chf_exponent(u: float, w: float, alpha: float, p: float, tails: TailConstant
         j = 0.5 * (_j_single_freq(beta + gamma, alpha) + _j_single_freq(beta - gamma, alpha)) \
             - 0.5 * (_j_single_freq(gamma, alpha) + _j_single_freq(-gamma, alpha))
     else:
-        j = _j_quad(beta, gamma, alpha, p, quad)
+        j = _j_quad(beta, gamma, alpha, p)
     c = 2.0 * r * (c_cos + j)
     if w < 0:
         c = c.conjugate()
@@ -705,9 +693,9 @@ def chf_exponent(u: float, w: float, alpha: float, p: float, tails: TailConstant
 
 
 def limit_chf(u: float, w: float, alpha: float, p: float, tails: TailConstants,
-              t1: float = 1.0, quad: QuadSpec | None = None) -> complex:
+              t1: float = 1.0) -> complex:
     """Limiting joint chf value exp(c(u, w)); modulus at most 1."""
-    c = chf_exponent(u, w, alpha, p, tails, t1, quad)
+    c = chf_exponent(u, w, alpha, p, tails, t1)
     return complex(np.exp(c))
 
 

@@ -18,8 +18,6 @@ from .errors import DegenerateSampleError, ParameterDomainError
 from .families import SampleBatch
 
 __all__ = [
-    "PartialSumPath",
-    "PNorm",
     "ProcessPath",
     "EKFunctionals",
     "partial_sums",
@@ -31,31 +29,6 @@ __all__ = [
 
 _COMPENSATE_FROM = 100_000
 _BLOCK = 2048
-
-
-@dataclass(frozen=True, eq=False)
-class PartialSumPath:
-    """Prefix sums S_0..S_n with S_0 = 0."""
-
-    sums: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.sums) - 1
-
-
-@dataclass(frozen=True)
-class PNorm:
-    """V_{n,p} = (sum |X_i|^p)^(1/p), with its p-th power kept alongside.
-
-    value_p is the power sum itself, carried separately because downstream
-    statistics use V and V^p interchangeably and recomputing value**p would
-    lose precision.
-    """
-
-    p: float
-    value: float
-    value_p: float
 
 
 def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
@@ -77,8 +50,8 @@ def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def partial_sums(batch: SampleBatch) -> PartialSumPath:
-    """Left-to-right prefix sums of the sample, S_0 = 0 prepended."""
+def partial_sums(batch: SampleBatch) -> np.ndarray:
+    """Left-to-right prefix sums S_0..S_n of the sample, S_0 = 0."""
     x = np.asarray(batch.values, dtype=float)
     if x.size == 0:
         raise ParameterDomainError("cannot build partial sums of an empty batch")
@@ -88,28 +61,10 @@ def partial_sums(batch: SampleBatch) -> PartialSumPath:
         sums[1:] = _compensated_cumsum(x)
     else:
         np.cumsum(x, out=sums[1:])
-    return PartialSumPath(sums=sums)
+    return sums
 
 
-def _rescaled_power_sum(x: np.ndarray, p: float) -> tuple[float, float]:
-    """(max |x|, sum (|x|/max)^p); the building block of every norm here."""
-    ax = np.abs(x)
-    m = float(ax.max())
-    if m == 0.0:
-        return 0.0, 0.0
-    return m, float(((ax / m) ** p).sum())
-
-
-def _pow_or_inf(base: float, expo: float) -> float:
-    # Python ** raises OverflowError past float range; IEEE inf is the right
-    # degradation for norms of extreme heavy-tail draws
-    try:
-        return base**expo
-    except OverflowError:
-        return float("inf")
-
-
-def p_norm(batch: SampleBatch, p: float) -> PNorm:
+def p_norm(batch: SampleBatch, p: float) -> float:
     """V_{n,p} via max-rescaling: V = M (sum (|X_i|/M)^p)^(1/p), M = max|X_i|."""
     p = float(p)
     if not 0 < p <= 2:
@@ -117,26 +72,37 @@ def p_norm(batch: SampleBatch, p: float) -> PNorm:
     x = np.asarray(batch.values, dtype=float)
     if x.size == 0:
         raise ParameterDomainError("cannot take the p-norm of an empty batch")
-    m, s = _rescaled_power_sum(x, p)
+    ax = np.abs(x)
+    m = float(ax.max())
     if m == 0.0:
         # all-zero sample: flagged degenerate value, callers that need V > 0 raise
-        return PNorm(p=p, value=0.0, value_p=0.0)
-    return PNorm(p=p, value=m * _pow_or_inf(s, 1.0 / p), value_p=_pow_or_inf(m, p) * s)
+        return 0.0
+    s = float(((ax / m) ** p).sum())
+    try:
+        return m * s ** (1.0 / p)
+    except OverflowError:
+        # Python ** raises past float range; IEEE inf is the right
+        # degradation for norms of extreme heavy-tail draws
+        return float("inf")
 
 
 @dataclass(frozen=True, eq=False)
 class ProcessPath:
-    """The interpolated process Y_{n,p} for one sample, evaluable on [0,1]."""
+    """The interpolated process Y_{n,p} for one sample, evaluable on [0,1].
+
+    Holds the two reductions every statistic of the path reads: the prefix
+    sums S_0..S_n and the normalizer V_{n,p}.
+    """
 
     batch: SampleBatch
     p: float
     sums: np.ndarray = field(init=False, repr=False)
-    vnp: PNorm = field(init=False, repr=False)
+    v: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sums", partial_sums(self.batch).sums)
-        object.__setattr__(self, "vnp", p_norm(self.batch, self.p))
-        if self.vnp.value == 0.0:
+        object.__setattr__(self, "sums", partial_sums(self.batch))
+        object.__setattr__(self, "v", p_norm(self.batch, self.p))
+        if self.v == 0.0:
             raise DegenerateSampleError("all-zero sample: Y_{n,p} undefined (V = 0)")
 
     @property
@@ -157,7 +123,7 @@ def y_at(path: ProcessPath, t: float) -> float:
     nt = n * t
     k = min(int(nt), n)
     frac = nt - k
-    v = path.vnp.value
+    v = path.v
     if k >= n:
         return float(path.sums[n] / v)
     return float((path.sums[k] + frac * path.batch.values[k]) / v)
@@ -177,7 +143,7 @@ def y_path(path: ProcessPath, grid) -> np.ndarray:
     ks = np.minimum(nt.astype(int), n)
     frac = nt - ks
     xpad = np.concatenate([path.batch.values, [0.0]])  # t = 1 contributes no step
-    return (path.sums[ks] + frac * xpad[ks]) / path.vnp.value
+    return (path.sums[ks] + frac * xpad[ks]) / path.v
 
 
 @dataclass(frozen=True)
@@ -190,12 +156,9 @@ class EKFunctionals:
     mean_abs: float
 
 
-def ek_functionals(batch: SampleBatch, p: float) -> EKFunctionals:
+def ek_functionals(path: ProcessPath) -> EKFunctionals:
     """max, max-abs, mean-square and mean-abs of S_k/V_{n,p} over k = 1..n."""
-    v = p_norm(batch, p)
-    if v.value == 0.0:
-        raise DegenerateSampleError("all-zero sample: functionals undefined (V = 0)")
-    s = partial_sums(batch).sums[1:] / v.value
+    s = path.sums[1:] / path.v
     a = np.abs(s)
     return EKFunctionals(
         max_sn=float(s.max()),

@@ -44,7 +44,7 @@ def verdict(num: int, ok: bool, detail: str):
 
 def _canonical_tables(base) -> bool:
     try:
-        for kind in ("G1", "G2", "G3", "G4"):
+        for kind in ("G2", "G3", "G4"):
             meta = load_oracle(oracle_path(base, kind)).meta
             if (meta["paths"], meta["steps"], meta["master_seed"]) != (
                     ORACLE_PATHS, ORACLE_STEPS, ORACLE_SEED):

@@ -1,7 +1,10 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from selfnorm import (
     sweep,
     write_report,
 )
-from selfnorm import cli, harness
+from selfnorm import cli, diagnostics, harness, process
 
 CAUCHY = FamilySpec(kind="SymStable", alpha=1.0)
 
@@ -145,15 +148,15 @@ def test_non_finite_draw_raises_instead_of_labelling():
         run_experiment(cfg)
 
 
-def _counting(monkeypatch, name: str) -> list:
+def _counting(monkeypatch, name: str, module=harness) -> list:
     calls = []
-    original = getattr(harness, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(harness, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -190,6 +193,46 @@ def test_regime_map_shares_draws_pool_and_oracles(monkeypatch, tmp_path):
     assert len(draws) == 4 * 4  # four cells, one draw per replication for three scans
     blob = lambda r: json.dumps(report_payload(r), sort_keys=True, separators=(",", ":"))
     assert [blob(r) for r in reports] == [blob(r) for r in reports1]
+
+
+def test_one_reduction_per_replication_and_n(monkeypatch, tmp_path):
+    # the path's prefix sums and V_{n,p} serve every scan of the cell,
+    # ek_functionals included
+    build_oracles(out_dir=tmp_path, kinds=("G3", "G4"), paths=300, steps=100)
+    sums = _counting(monkeypatch, "partial_sums", process)
+    norms = _counting(monkeypatch, "p_norm", process)
+    base = config(n_grid=(50, 100), reps=4, workers=1)
+    regime_map(base, (1.5,), (2.0,), oracle_dir=tmp_path)
+    assert len(sums) == 4 * 2
+    assert len(norms) == 4 * 2
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_installs_and_restores(tmp_path):
+    # the benchmark's tracer rebinds layer names in harness and diagnostics;
+    # each must still exist, be called through that name, and come back
+    tracing = _load_tracing()
+    build_oracles(out_dir=tmp_path, kinds=("G3", "G4"), paths=300, steps=100)
+    bound = [(module, attr, getattr(module, attr))
+             for module, table in ((harness, tracing._HARNESS_NAMES),
+                                   (diagnostics, tracing._DIAGNOSTICS_NAMES))
+             for attr in table]
+    bound.append((harness, "ProcessPoolExecutor", harness.ProcessPoolExecutor))
+    base = config(n_grid=(50, 100), reps=3, workers=1)
+    tracer = tracing.Tracer(timed=False)
+    with tracing.installed(tracer):
+        regime_map(base, (1.5,), (2.0,), oracle_dir=tmp_path)
+    assert tracer.counts["process.ek_functionals.calls"] == 3 * 2
+    assert tracer.counts["process.ProcessPath.calls"] == 3 * 2
+    assert [getattr(module, attr) is original for module, attr, original in bound] == \
+        [True] * len(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +457,7 @@ def test_cli_config_file_overrides_flags(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["master_seed"] == 77
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     bad_p = ["run", "--family", "SymStable", "--alpha", "1.0", "--p", "9", "--n", "50",
              "--reps", "4", "--seed", "1", "--experiment", "degenerate_scan"]
     assert cli.main(bad_p) == 1
@@ -436,6 +479,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(io_err) == 3
     assert cli.main(["run", "--family", "Nope", "--alpha", "1", "--p", "1", "--n", "5",
                      "--reps", "2", "--seed", "1", "--experiment", "degenerate_scan"]) == 1
+    # no trustworthy number: a draw overflows to inf
+    non_finite = ["run", "--family", "SymPareto", "--alpha", "0.005", "--p", "1", "--n", "200",
+                  "--reps", "20", "--seed", "1", "--experiment", "degenerate_scan"]
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning):
+        assert cli.main(non_finite) == 4
+    assert capsys.readouterr().err.startswith("error: replication ")
+
+    def broken(cells):
+        raise BrokenProcessPool("a worker died")
+
+    monkeypatch.setattr(harness, "_cell_slots", broken)
+    ok = ["run", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0", "--n", "50",
+          "--reps", "4", "--seed", "1", "--experiment", "degenerate_scan"]
+    assert cli.main(ok) == 5
+    assert capsys.readouterr().err == "error: a worker died\n"
 
 
 def test_cli_sweep_prints_matrix(tmp_path, capsys):

@@ -27,7 +27,7 @@ from selfnorm import (
     std_normal_law,
     tail_constants,
 )
-from selfnorm.limits import QuadSpec, _j_closed_w_only, _j_quad, g1_cdf, g2_cdf
+from selfnorm.limits import _j_closed_w_only, _j_quad, g1_cdf, g2_cdf
 
 # frozen high-precision references for the limiting chf exponent
 # c(u, w) = 2r int (exp(i |w| t^(p/a) y^p) cos(|u| t^(1/a) y) - 1) y^(-a-1) dy,
@@ -86,7 +86,7 @@ def test_fractional_origin_power_resolved():
     # 4e-9 relative off. With gamma = 1.6e-15 the gamma correction to Im j is
     # about 1e-11, so the w-only closed form is the reference.
     alpha, p = 0.30078125, 0.45078125
-    got = _j_quad(1.0, 1.6e-15, alpha, p, QuadSpec()).imag
+    got = _j_quad(1.0, 1.6e-15, alpha, p).imag
     want = _j_closed_w_only(1.0, alpha, p).imag
     assert abs(got - want) <= 1e-10 * abs(want)
 
