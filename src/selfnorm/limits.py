@@ -11,14 +11,15 @@ characteristic function
     c(u, w) = 2 r int_0^inf (exp(i w t^(p/a) y^p) cos(u t^(1/a) y) - 1) y^(-a-1) dy
 
 for symmetric Paretian tails with Levy density constant r on each side and
-p > alpha. The quadrature splits off the cosine part, which has the exact
-closed form -2 r Cal(a) |u t^(1/a)|^a, integrates the remaining oscillatory
-part over phase-bounded Gauss-Legendre panels with a power substitution at
-the origin (its first panel graded geometrically toward 0 when the
-substituted integrand has a fractional power there), and closes the tails
-with integration-by-parts asymptotics; a stationary point of the phase
-beyond the affordable cutoff gets a window of its own. The cutoff is refined
-until successive estimates agree to the requested relative tolerance.
+p > alpha. The cosine-only part -2 r Cal(a) |u t^(1/a)|^a has a closed
+form; the rest is the whole integral minus that closed form. On [0, y0],
+where both phases stay below one radian, the integrand's double power
+series is integrated term by term; on [y0, cutoff] phase-bounded
+Gauss-Legendre panels take over; beyond the cutoff Y, -y^(-a-1) integrates
+to -Y^(-a)/a and the oscillatory part closes with integration-by-parts
+asymptotics. A stationary point of the phase beyond the affordable cutoff
+gets a window of its own. The cutoff is refined until successive estimates
+agree to the requested relative tolerance.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import gamma as _gamma
-from scipy.special import ndtr
+from scipy.special import factorial, ndtr
 
 from ._files import write_text_atomic
 from .errors import InternalConsistencyError, OracleMissingError, ParameterDomainError
@@ -349,34 +350,32 @@ def _gl_panels(f, edges: np.ndarray) -> complex:
     return complex((vals * _GL_WEIGHTS[None, :] * half).sum())
 
 
-# at most this many halvings of the first origin panel toward 0, when the
-# substituted integrand carries a fractional power of z there
-_ORIGIN_HALVINGS = 24
-# smallest y = z^m a graded origin node may reach: above it y^(-a-1) stays
-# finite for every a < 2
-_ORIGIN_Y_FLOOR = 1e-100
+# terms kept of the origin series, in powers of beta y^p and of gamma^2 y^2
+_SERIES_K = 30
+_SERIES_J = 15
 
 
-def _origin_edges(top: float, m: int, *exponents: float) -> np.ndarray:
-    """Edges on [0, top] for the substitution y = z^m: 8 even panels, the first
-    graded geometrically unless every power of z near 0 (exponents) is an integer.
+def _origin_series(beta: float, gamma: float, alpha: float, p: float, y0: float) -> complex:
+    """int_0^y0 (e^{i beta y^p} cos(gamma y) - 1) y^(-a-1) dy, integrated termwise.
 
-    Gauss-Legendre is exact for low-degree polynomials but resolves a
-    fractional power on [0, h] only to a fixed relative error, which no
-    cutoff refinement sees; on the panels [h 2^-(k+1), h 2^-k] the power is
-    smooth, and the part left on [0, h 2^-k] shrinks like 2^-k to the power
-    of the leading exponent plus one, which the choice of m makes at least 2.
-    The depth stops where the smallest node's y = z^m would fall below
-    _ORIGIN_Y_FLOOR.
+    Expanding both factors and integrating each y^(k p + 2j - a - 1) gives
+
+        y0^(-a) sum_{(k, j) != (0, 0)} (i x)^k / k! (-g^2)^j / (2j)! / e_kj,
+
+    with x = beta y0^p, g = gamma y0 and e_kj = k p + 2j - a. Every e_kj is at
+    least e_min = min(p - a, 2 - a) > 0, since p > a and a < 2. The caller's
+    y0 makes x <= 1 and g <= 1/2, so a term is at most
+    y0^(-a) / (k! (2j)! 4^j e_min). With sum_{k >= K} 1/k! < 2 / K!,
+    sum_j 1 / ((2j)! 4^j) = cosh(1/2) < 1.13 and sum_k 1/k! = e, the terms
+    dropped at k >= _SERIES_K or j >= _SERIES_J sum to less than
+    y0^(-a) / e_min (2.26 / 30! + 2 e / (30! 4^15)) < 1e-32 y0^(-a) / e_min.
     """
-    edges = np.linspace(0.0, top, 9)
-    if all(float(e).is_integer() for e in exponents):
-        return edges
-    node0 = 0.5 * (1.0 + _GL_NODES[0])  # smallest node, as a fraction of its panel
-    depth = math.log2(node0 * edges[1]) - math.log2(_ORIGIN_Y_FLOOR) / m
-    halvings = max(0, min(_ORIGIN_HALVINGS, int(depth)))
-    graded = edges[1] * 0.5 ** np.arange(halvings, 0, -1)
-    return np.concatenate(([0.0], graded, edges[1:]))
+    k = np.arange(_SERIES_K)[:, None]
+    j = np.arange(_SERIES_J)[None, :]
+    terms = ((1j * beta * y0**p) ** k / factorial(k) * (-((gamma * y0) ** 2)) ** j
+             / factorial(2 * j) / (k * p + 2 * j - alpha))
+    terms[0, 0] = 0.0
+    return complex(terms.sum()) * y0 ** (-alpha)
 
 
 def _head_edges(y_lo: float, y_hi: float, beta: float, gamma: float, p: float) -> np.ndarray:
@@ -493,10 +492,11 @@ def _minus_branch_across(beta: float, gamma: float, alpha: float, p: float, ysta
 def _j_quad_once(beta: float, gamma: float, alpha: float, p: float,
                  cutoff: float) -> tuple[complex, float, float]:
     def f(y):
-        # e^(i th) - 1 = -2 sin^2(th/2) + i sin th, cancellation-free near 0
+        # e^(i th) cos(gy) - 1 with e^(i th) - 1 = -2 sin^2(th/2) + i sin th
+        # and cos(gy) - 1 = -2 sin^2(gy/2), cancellation-free near 0
         th = beta * y**p
         osc = -2.0 * np.sin(0.5 * th) ** 2 + 1j * np.sin(th)
-        return osc * np.cos(gamma * y) * y ** (-alpha - 1.0)
+        return (osc * np.cos(gamma * y) - 2.0 * np.sin(0.5 * gamma * y) ** 2) * y ** (-alpha - 1.0)
 
     # the minus-frequency piece e^{i(beta y^p - gamma y)} has a stationary
     # point at ystat with contribution ~ 0.5 sqrt(2 pi / phi'') ystat^(-a-1);
@@ -547,40 +547,18 @@ def _j_quad_once(beta: float, gamma: float, alpha: float, p: float,
             f"beta={beta:g}, gamma={gamma:g}, alpha={alpha:g}, p={p:g}; "
             "parameters are too extreme for the tail expansion")
 
-    # singular origin: substitute y = z^m so the integrand vanishes at 0
-    m = max(1, math.ceil(2.0 / (p - alpha)))
     try:
         bturn = beta ** (-1.0 / p)
     except OverflowError:
         bturn = math.inf  # beta phase turns on beyond any relevant scale
+    # below y0 both phases stay under one radian: the origin series converges
     y0 = min(1.0, cutoff, bturn, 0.5 / gamma)
-
-    def f_sub(z):
-        y = z**m
-        return f(y) * m * z ** (m - 1.0)
-
-    # near 0 the integrand is a sum of powers z^(m (j p + 2 k - a) - 1)
-    total = _gl_panels(f_sub, _origin_edges(y0 ** (1.0 / m), m, m * p, m * alpha))
+    total = _origin_series(beta, gamma, alpha, p, y0)
     total += _gl_panels(f, _head_edges(y0, cutoff, beta, gamma, p))
 
-    # the pure-cosine tail piece is removed exactly (its 2-term expansion
-    # decays too slowly):
-    #   -int_Y^inf cos(gy) y^(-a-1) dy = C(a) g^a + H(Y) - Y^(-a)/a,
-    #   H(Y) = int_0^Y (cos(gy) - 1) y^(-a-1) dy
-    def h(y):
-        return -2.0 * np.sin(0.5 * gamma * y) ** 2 * y ** (-alpha - 1.0) + 0.0j
-
-    mh = max(1, math.ceil(2.0 / (2.0 - alpha)))
-    y0h = min(1.0, cutoff, 0.5 / gamma)
-
-    def h_sub(z):
-        y = z**mh
-        return h(y) * mh * z ** (mh - 1.0)
-
-    # and here of z^(mh (2 k - a) - 1)
-    h_val = _gl_panels(h_sub, _origin_edges(y0h ** (1.0 / mh), mh, mh * alpha))
-    h_val += _gl_panels(h, _head_edges(y0h, cutoff, 0.0, gamma, p))
-    total += _cos_tail_const(alpha) * gamma**alpha + h_val.real - cutoff ** (-alpha) / alpha
+    # beyond the cutoff, -int_Y^inf y^(-a-1) dy = -Y^(-a)/a; and j leaves out
+    # the cosine-only int_0^inf (cos(gy) - 1) y^(-a-1) dy = -C(a) g^a
+    total += _cos_tail_const(alpha) * gamma**alpha - cutoff ** (-alpha) / alpha
 
     err = hump_err
     for coef, sign in ((0.5, 1.0), (0.5, -1.0)):

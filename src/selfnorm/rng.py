@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterDomainError
+
 __all__ = ["SeededStream", "derive_seed"]
 
 _U64 = 2**64
@@ -26,11 +28,11 @@ class SeededStream:
 
     def __post_init__(self):
         if not isinstance(self.master_seed, (int, np.integer)):
-            raise ValueError(f"master_seed must be an integer, got {type(self.master_seed).__name__}")
+            raise ParameterDomainError(f"master_seed must be an integer, got {type(self.master_seed).__name__}")
         if not 0 <= int(self.master_seed) < _U64:
-            raise ValueError(f"master_seed must fit in 64 bits, got {self.master_seed}")
+            raise ParameterDomainError(f"master_seed must fit in 64 bits, got {self.master_seed}")
         if not isinstance(self.stream_index, (int, np.integer)) or self.stream_index < 0:
-            raise ValueError(f"stream_index must be a non-negative integer, got {self.stream_index}")
+            raise ParameterDomainError(f"stream_index must be a non-negative integer, got {self.stream_index}")
 
     def generator(self) -> np.random.Generator:
         # Philox is counter-based; using (seed, index) as the 128-bit key gives

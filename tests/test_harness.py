@@ -479,6 +479,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(io_err) == 3
     assert cli.main(["run", "--family", "Nope", "--alpha", "1", "--p", "1", "--n", "5",
                      "--reps", "2", "--seed", "1", "--experiment", "degenerate_scan"]) == 1
+    capsys.readouterr()
+    assert cli.main(["oracle-build", "--out", str(tmp_path / "oracles"), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: master_seed must fit in 64 bits")
     # no trustworthy number: a draw overflows to inf
     non_finite = ["run", "--family", "SymPareto", "--alpha", "0.005", "--p", "1", "--n", "200",
                   "--reps", "20", "--seed", "1", "--experiment", "degenerate_scan"]
