@@ -682,13 +682,20 @@ def build_oracles(out_dir=None, kinds=("G2", "G3", "G4"), paths: int = ORACLE_PA
     """Simulate and persist the Brownian functional tables; returns written paths.
 
     G1 is not built by default: the statistics compare against its closed
-    form (`g1_law`); pass it in `kinds` to build its table anyway.
+    form (`g1_law`); pass it in `kinds` to build its table anyway. Every
+    argument is checked, the seed by building its streams, before the output
+    directory is created.
     """
+    unknown = [kind for kind in kinds if kind not in _ORACLE_STREAM]
+    if unknown:
+        raise ParameterDomainError(f"oracle kinds must be among {tuple(_ORACLE_STREAM)}, got {unknown}")
+    if paths < 1 or steps < 1:
+        raise ParameterDomainError("paths and steps must be >= 1")
+    streams = [(kind, SeededStream(seed, _ORACLE_STREAM[kind])) for kind in kinds]
     base = Path(out_dir) if out_dir is not None else default_oracle_dir()
     base.mkdir(parents=True, exist_ok=True)
     written = []
-    for kind in kinds:
-        stream = SeededStream(seed, _ORACLE_STREAM[kind])
+    for kind, stream in streams:
         law = brownian_functional_oracle(kind, paths, steps, stream)
         dest = oracle_path(base, kind)
         save_oracle(law, dest)

@@ -135,7 +135,11 @@ def g2_law(terms: int = 64) -> ReferenceLaw:
 
 
 _ORACLE_KINDS = ("G1", "G2", "G3", "G4")
-_ORACLE_CHUNK = 2048  # fixed so tables are bit-reproducible regardless of memory
+# Paths are simulated in blocks of about 2**17 float64 values (1 MiB), so the
+# block stays in L2 through sampling, cumsum and reduction. The table does not
+# depend on the block height: Philox fills the rows in C order however many
+# rows one call asks for, and each row's cumsum and reduction read only that row.
+_ORACLE_BLOCK_VALUES = 2**17
 
 
 def _table_law(kind: str, table: np.ndarray, meta: dict) -> ReferenceLaw:
@@ -161,20 +165,21 @@ def brownian_functional_oracle(kind: str, paths: int, steps: int, stream: Seeded
     g = stream.generator()
     sd = 1.0 / math.sqrt(steps)
     vals = np.empty(paths)
-    done = 0
-    while done < paths:
-        m = min(_ORACLE_CHUNK, paths - done)
-        w = np.cumsum(g.standard_normal((m, steps)) * sd, axis=1)
+    block = np.empty((max(1, _ORACLE_BLOCK_VALUES // steps), steps))
+    for done in range(0, paths, block.shape[0]):
+        w = block[:paths - done]
+        g.standard_normal(out=w)
+        w *= sd
+        np.cumsum(w, axis=1, out=w)
         if kind == "G1":
             v = w.max(axis=1)
         elif kind == "G2":
-            v = np.abs(w).max(axis=1)
+            v = np.abs(w, out=w).max(axis=1)
         elif kind == "G3":
-            v = np.mean(w * w, axis=1)
+            v = np.square(w, out=w).mean(axis=1)
         else:
-            v = np.abs(w).mean(axis=1)
-        vals[done:done + m] = v
-        done += m
+            v = np.abs(w, out=w).mean(axis=1)
+        vals[done:done + w.shape[0]] = v
     meta = {
         "kind": kind,
         "paths": int(paths),

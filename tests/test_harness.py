@@ -170,6 +170,12 @@ def test_one_draw_per_replication_where_prefix_coherent(monkeypatch, kind, draws
         assert {n for _, _, n in draws} == {200}
 
 
+def test_build_oracles_checks_kinds_before_writing(tmp_path):
+    with pytest.raises(ParameterDomainError, match="G5"):
+        build_oracles(out_dir=tmp_path / "oracles", kinds=("G5",))
+    assert not (tmp_path / "oracles").exists()
+
+
 def test_regime_map_shares_draws_pool_and_oracles(monkeypatch, tmp_path):
     build_oracles(out_dir=tmp_path, kinds=("G3", "G4"), paths=300, steps=100)
     draws = _counting(monkeypatch, "sample_family")
@@ -482,6 +488,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert cli.main(["oracle-build", "--out", str(tmp_path / "oracles"), "--seed", "-1"]) == 1
     assert capsys.readouterr().err.startswith("error: master_seed must fit in 64 bits")
+    assert not (tmp_path / "oracles").exists()
     # no trustworthy number: a draw overflows to inf
     non_finite = ["run", "--family", "SymPareto", "--alpha", "0.005", "--p", "1", "--n", "200",
                   "--reps", "20", "--seed", "1", "--experiment", "degenerate_scan"]

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,39 @@ def test_oracle_is_bit_reproducible():
     b = brownian_functional_oracle("G3", paths=500, steps=300, stream=SeededStream(77, 2))
     assert np.array_equal(a.table, b.table)
     assert a.meta["paths"] == 500 and a.meta["steps"] == 300
+
+
+# each kind's row reduction of whole Brownian paths, one path per row
+_ROW_REDUCTIONS = {
+    "G1": lambda w: w.max(axis=1),
+    "G2": lambda w: np.abs(w).max(axis=1),
+    "G3": lambda w: np.mean(w * w, axis=1),
+    "G4": lambda w: np.abs(w).mean(axis=1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ROW_REDUCTIONS))
+@pytest.mark.parametrize("paths,steps", [(300, 1000), (3, 2**17 + 1)])
+def test_oracle_does_not_depend_on_block_height(kind, paths, steps):
+    # 300 x 1000 is simulated in blocks of 131 + 131 + 38 rows, and
+    # 2**17 + 1 steps one row per block; the reference draws all paths at once
+    stream = SeededStream(20260815, 2)
+    w = np.cumsum(stream.generator().standard_normal((paths, steps)) * (1.0 / math.sqrt(steps)), axis=1)
+    law = brownian_functional_oracle(kind, paths, steps, stream)
+    assert np.array_equal(law.table, np.sort(_ROW_REDUCTIONS[kind](w)))
+
+
+def test_oracle_build_memory_is_bounded():
+    # one reused block of about 1 MiB; simulating 2000 paths at once would
+    # hold 16 MB per array
+    tracemalloc.start()
+    try:
+        for i, kind in enumerate(sorted(_ROW_REDUCTIONS)):
+            brownian_functional_oracle(kind, paths=2000, steps=1000, stream=SeededStream(3, i))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_oracle_save_load_round_trip(tmp_path):
