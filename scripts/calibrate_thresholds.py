@@ -9,6 +9,7 @@ shipped thresholds (exceedance split 0.785, degenerate ceiling 0.755).
 """
 
 import argparse
+import os
 
 from selfnorm import ExperimentConfig, FamilySpec, load_default_thresholds, run_experiment
 
@@ -29,7 +30,8 @@ def main() -> None:
     ap.add_argument("--reps", type=int, default=1000)
     ap.add_argument("--epsilons", default="0.1,0.15,0.2,0.25,0.3")
     ap.add_argument("--seed", type=int, default=20260815)
-    ap.add_argument("--workers", type=int, default=4)
+    ap.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
+                    help="worker processes (default: the CPUs this process may run on)")
     args = ap.parse_args()
     epsilons = tuple(float(tok) for tok in args.epsilons.split(","))
 

@@ -6,6 +6,7 @@ explicit exponent, evaluated here by oscillatory quadrature.
 """
 
 import argparse
+import os
 
 from selfnorm import CHF_U_GRID, CHF_W_GRID, ExperimentConfig, FamilySpec, run_experiment
 
@@ -18,7 +19,8 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=100_000)
     ap.add_argument("--reps", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=20260815)
-    ap.add_argument("--workers", type=int, default=4)
+    ap.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
+                    help="worker processes (default: the CPUs this process may run on)")
     args = ap.parse_args()
 
     config = ExperimentConfig(

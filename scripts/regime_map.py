@@ -11,6 +11,7 @@ p = alpha = 2.
 """
 
 import argparse
+import os
 import time
 
 from selfnorm import ExperimentConfig, FamilySpec, regime_map
@@ -28,7 +29,8 @@ def main() -> None:
     ap.add_argument("--reps", type=int, default=400)
     ap.add_argument("--epsilon", type=float, default=0.2)
     ap.add_argument("--seed", type=int, default=20260815)
-    ap.add_argument("--workers", type=int, default=4)
+    ap.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
+                    help="worker processes (default: the CPUs this process may run on)")
     args = ap.parse_args()
 
     base = ExperimentConfig(

@@ -94,6 +94,36 @@ _CONFIG_KEYS = ("family", "alpha", "p", "n", "reps", "seed", "experiment",
                 "t_grid", "epsilon", "delta_grid", "workers", "out", "format")
 
 
+def _number(raw_key: str, value):
+    # JSON numbers only; a string, bool, null, list or object is a config error
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {raw_key!r} needs a number, got {value!r}")
+    return value
+
+
+def _numbers(raw_key: str, value) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"config key {raw_key!r} needs a list of numbers, got {value!r}")
+    return tuple(_number(raw_key, v) for v in value)
+
+
+def _config_value(args: argparse.Namespace, raw_key: str, key: str, value):
+    """A config-file value checked as its flag's parser would check it.
+
+    Integrality of n, reps, seed and workers is left to ExperimentConfig,
+    which refuses a non-integral value instead of truncating it.
+    """
+    if key in ("n", "t_grid", "delta_grid"):
+        return _numbers(raw_key, value)
+    if key in ("alpha", "p") and args.command == "sweep" and isinstance(value, list):
+        return _numbers(raw_key, value)
+    if key in ("alpha", "p", "reps", "seed", "epsilon", "workers"):
+        return _number(raw_key, value)
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {raw_key!r} needs a string, got {value!r}")
+    return value
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
@@ -112,15 +142,11 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             raise ConfigError(f"unknown config key {raw_key!r}")
         if key == "family" and isinstance(value, dict):
             # payload-style nested family spec
-            setattr(args, "family", value.get("kind"))
+            setattr(args, "family", _config_value(args, "family.kind", "family", value.get("kind")))
             if "alpha" in value:
-                setattr(args, "alpha", value["alpha"])
+                setattr(args, "alpha", _config_value(args, "family.alpha", "alpha", value["alpha"]))
             continue
-        if key in ("n",):
-            value = tuple(int(v) for v in value)
-        elif key in ("t_grid", "delta_grid"):
-            value = tuple(float(v) for v in value)
-        setattr(args, key, value)
+        setattr(args, key, _config_value(args, raw_key, key, value))
 
 
 def _experiment_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:

@@ -14,6 +14,16 @@ statistics smooth along an n-grid under common random numbers. StudentT is
 the one exception: its chi-square part uses rejection sampling with variable
 draw counts, so only same-n determinism holds there. `FamilySpec.prefix_coherent`
 declares which kinds hold the prefix property.
+
+SymStable and SymPareto fill one preallocated output in blocks of `_BLOCK`
+variates: each block draws its rows of uniforms and writes its transform in
+place, so the temporaries stay in L2 and are small enough for the allocator
+to reuse instead of handing them back to the kernel and refaulting them on
+every call. Blocking does not change a value: the generator fills rows in C
+order whatever the block height, and each variate's transform reads only
+its own row. At alpha = 1 SymStable skips the factor with exponent
+(1 - alpha)/alpha = 0.0, which is exact (t**0.0 == 1.0 for every t, inf and
+NaN included); it still draws that factor's uniform.
 """
 
 from __future__ import annotations
@@ -39,6 +49,9 @@ __all__ = [
 FAMILY_KINDS = ("SymStable", "SymPareto", "Gaussian", "StudentT")
 # kinds whose samplers consume a fixed number of uniforms per variate
 _PREFIX_COHERENT_KINDS = ("SymStable", "SymPareto", "Gaussian")
+# variates per block of the SymStable and SymPareto samplers: 256 KiB of
+# uniforms and 128 KiB per temporary, so a block stays in a 2 MiB L2
+_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -101,36 +114,61 @@ def sample_sym_stable(alpha: float, stream: SeededStream, n: int, scale: float =
     collapses to tan(T) (standard Cauchy); at alpha = 2 it collapses to
     2 sin(T) sqrt(W), a centered normal with variance 2 (kept as is, not
     renormalized: the standard scale convention of this parameterization).
+
+    Variates are transformed in blocks of `_BLOCK` rows (see the module
+    docstring). At alpha = 1 the third factor is skipped: its exponent is 0.0
+    and t**0.0 == 1.0 for every t, inf and NaN included, so the values are
+    the same; W's uniform is still drawn, so the stream order is too.
     """
     alpha = float(alpha)
     if not 0 < alpha <= 2:
         raise ParameterDomainError(f"stable index must lie in (0, 2], got {alpha}")
     _check_n(n)
     g = stream.generator()
-    u = g.random((n, 2))
-    theta = (u[:, 0] - 0.5) * np.pi
-    w = -np.log1p(-u[:, 1])  # inverse-CDF exponential: one uniform per variate
-    x = (
-        np.sin(alpha * theta)
-        / np.cos(theta) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha)
-    )
-    spec = FamilySpec("SymStable", alpha, scale)
-    return SampleBatch(values=scale * x, spec=spec, n=n)
+    e = (1.0 - alpha) / alpha
+    x = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        seg = x[lo:lo + _BLOCK]
+        u = g.random((len(seg), 2))
+        theta = np.subtract(u[:, 0], 0.5)
+        theta *= np.pi
+        np.multiply(alpha, theta, out=seg)
+        np.sin(seg, out=seg)
+        c = np.cos(theta)
+        c **= 1.0 / alpha
+        seg /= c
+        if e != 0.0:
+            np.multiply(1.0 - alpha, theta, out=c)
+            np.cos(c, out=c)
+            w = np.negative(u[:, 1], out=theta)  # theta is spent: W takes its buffer
+            np.log1p(w, out=w)
+            np.negative(w, out=w)  # inverse-CDF exponential: one uniform per variate
+            c /= w
+            c **= e
+            seg *= c
+    x *= scale
+    return SampleBatch(values=x, spec=FamilySpec("SymStable", alpha, scale), n=n)
 
 
 def sample_sym_pareto(alpha: float, stream: SeededStream, n: int, scale: float = 1.0) -> SampleBatch:
-    """Symmetric Pareto sample: R (1-U)^(-1/alpha), P(|X| > x) = x^(-alpha) for x >= 1."""
+    """Symmetric Pareto sample: R (1-U)^(-1/alpha), P(|X| > x) = x^(-alpha) for x >= 1.
+
+    Variates are transformed in blocks of `_BLOCK` rows (see the module docstring).
+    """
     alpha = float(alpha)
     if not (np.isfinite(alpha) and alpha > 0):
         raise ParameterDomainError(f"tail index must be positive, got {alpha}")
     _check_n(n)
     g = stream.generator()
-    u = g.random((n, 2))
-    mag = (1.0 - u[:, 0]) ** (-1.0 / alpha)
-    sign = np.where(u[:, 1] < 0.5, -1.0, 1.0)
-    spec = FamilySpec("SymPareto", alpha, scale)
-    return SampleBatch(values=scale * sign * mag, spec=spec, n=n)
+    x = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        seg = x[lo:lo + _BLOCK]
+        u = g.random((len(seg), 2))
+        np.subtract(1.0, u[:, 0], out=seg)
+        seg **= -1.0 / alpha
+        np.negative(seg, out=seg, where=u[:, 1] < 0.5)
+    x *= scale
+    return SampleBatch(values=x, spec=FamilySpec("SymPareto", alpha, scale), n=n)
 
 
 def _box_muller(g: np.random.Generator, n: int) -> np.ndarray:

@@ -95,6 +95,18 @@ ORACLE_SEED = 20260815
 _ORACLE_STREAM = {"G1": 0, "G2": 1, "G3": 2, "G4": 3}
 
 
+def _integral(name: str, value) -> int:
+    # integral floats (1e3) and numpy integers pass; 100.7 is refused, not truncated
+    try:
+        as_int = int(value)
+        integral = as_int == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return as_int
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one Monte Carlo experiment; hashable and immutable."""
@@ -116,18 +128,18 @@ class ExperimentConfig:
         if not 0.0 < self.p <= 2.0:
             raise ConfigError(f"p must lie in (0, 2], got {self.p}")
         object.__setattr__(self, "p", float(self.p))
-        ns = tuple(int(n) for n in self.n_grid)
+        ns = tuple(_integral("n_grid", n) for n in self.n_grid)
         if len(ns) == 0:
             raise ConfigError("n_grid must be nonempty")
         if any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError(f"n_grid must be increasing positive integers, got {ns}")
         object.__setattr__(self, "n_grid", ns)
-        if int(self.reps) < 1:
+        object.__setattr__(self, "reps", _integral("reps", self.reps))
+        if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
-        object.__setattr__(self, "reps", int(self.reps))
-        if not 0 <= int(self.master_seed) < 2**64:
+        object.__setattr__(self, "master_seed", _integral("master_seed", self.master_seed))
+        if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
         if self.experiment not in EXPERIMENT_KINDS:
             raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {self.experiment!r}")
         if self.experiment == "fdd_covariance" and self.reps < 2:
@@ -143,9 +155,9 @@ class ExperimentConfig:
         if len(ds) == 0 or any(not 0.0 < d <= 1.0 for d in ds):
             raise ConfigError(f"delta_grid must be reals in (0, 1], got {ds}")
         object.__setattr__(self, "delta_grid", ds)
-        if int(self.workers) < 1:
+        object.__setattr__(self, "workers", _integral("workers", self.workers))
+        if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        object.__setattr__(self, "workers", int(self.workers))
 
 
 @dataclass(frozen=True)
@@ -248,9 +260,14 @@ def _scan_stats(config: ExperimentConfig, batch: SampleBatch, path) -> tuple[flo
         oms = tuple(_max_oscillation(y, d) for d in config.delta_grid)
         return (darling_ratio(batch), max_ratio(batch, config.p), *oms)
     # chf_compare: the pair (S_n / n^{1/a}, V^p / n^{p/a}), scaled before
-    # summing so heavy-tailed powers cannot overflow
+    # summing so heavy-tailed powers cannot overflow; |xs|^p is taken in
+    # place on the one scaled copy (the same ufuncs as np.abs(xs) ** p), and
+    # each sum runs over a whole array, so neither reduction order changes
     xs = batch.values / float(batch.n) ** (1.0 / config.family.alpha)
-    return (float(np.sum(xs)), float(np.sum(np.abs(xs) ** config.p)))
+    s = float(np.sum(xs))
+    np.abs(xs, out=xs)
+    xs **= config.p
+    return (s, float(np.sum(xs)))
 
 
 def _rep_stats(cell: tuple[ExperimentConfig, ...], rep: int) -> list[list[tuple[float, ...]]]:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfnorm import FAMILY_KINDS, FamilySpec, ParameterDomainError, SeededStream, sample_family
-from selfnorm.families import sample_gaussian, sample_sym_pareto, sample_sym_stable
+from selfnorm.families import _BLOCK, sample_gaussian, sample_sym_pareto, sample_sym_stable
 
 
 def test_family_kinds_frozen():
@@ -103,3 +105,48 @@ def test_bad_n_rejected():
         sample_gaussian(SeededStream(1), 0)
     with pytest.raises(ParameterDomainError):
         sample_family(FamilySpec(kind="Gaussian"), SeededStream(1), -5)
+
+
+def _stable_reference(alpha, u, scale):
+    # the whole-array transforms the blocked samplers must reproduce
+    theta = (u[:, 0] - 0.5) * np.pi
+    w = -np.log1p(-u[:, 1])
+    x = (np.sin(alpha * theta) / np.cos(theta) ** (1.0 / alpha)
+         * (np.cos((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha))
+    return scale * x
+
+
+def _pareto_reference(alpha, u, scale):
+    mag = (1.0 - u[:, 0]) ** (-1.0 / alpha)
+    return scale * np.where(u[:, 1] < 0.5, -1.0, 1.0) * mag
+
+
+_BLOCK_NS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 100_000)
+
+
+@pytest.mark.parametrize("n", _BLOCK_NS)
+@pytest.mark.parametrize("kind,alpha", [("SymStable", 0.5), ("SymStable", 1.0), ("SymStable", 1.5),
+                                        ("SymStable", 2.0), ("SymPareto", 0.8), ("SymPareto", 1.5)])
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+def test_blocks_match_whole_array_transform(n, kind, alpha, scale):
+    # the same bytes as one g.random((n, 2)) call through the whole-array formula,
+    # on either side of every block boundary
+    stream = SeededStream(31, 4)
+    u = stream.generator().random((n, 2))
+    reference = _stable_reference if kind == "SymStable" else _pareto_reference
+    expected = reference(alpha, u, scale)
+    got = sample_family(FamilySpec(kind=kind, alpha=alpha, scale=scale), stream, n).values
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_stable_draw_memory_is_bounded():
+    # the output plus one block of temporaries; the whole-array transform held
+    # several n-sized temporaries at once
+    n = 100_000
+    tracemalloc.start()
+    try:
+        sample_sym_stable(1.5, SeededStream(5), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8 + 2**20

@@ -19,6 +19,8 @@ from selfnorm import (
     NonFiniteSampleError,
     OracleMissingError,
     ParameterDomainError,
+    SampleBatch,
+    SeededStream,
     build_oracles,
     decide_regime,
     derive_seed,
@@ -27,6 +29,7 @@ from selfnorm import (
     regime_map,
     report_payload,
     run_experiment,
+    sample_family,
     sweep,
     write_report,
 )
@@ -59,6 +62,14 @@ def config(**over) -> ExperimentConfig:
     dict(delta_grid=(1.5,)),
     dict(workers=0),
     dict(experiment="fdd_covariance", reps=1),
+    # non-integral values are refused, not truncated
+    dict(n_grid=(100.7,)),
+    dict(n_grid=(50, "200")),
+    dict(reps=1.5),
+    dict(reps="16"),
+    dict(master_seed=1.9),
+    dict(master_seed=float("nan")),
+    dict(workers=2.5),
 ])
 def test_config_validation(over):
     with pytest.raises(ConfigError):
@@ -70,6 +81,11 @@ def test_config_coerces_types():
     assert cfg.n_grid == (50, 200) and isinstance(cfg.n_grid[0], int)
     assert cfg.t_grid == (0.5, 1.0)
     assert cfg.reps == 16
+    # integral floats are exact integers
+    cfg = config(n_grid=(5e1, 2e2), reps=1e3, master_seed=7.0, workers=np.float64(2.0))
+    assert cfg.n_grid == (50, 200) and isinstance(cfg.n_grid[0], int)
+    assert (cfg.reps, cfg.master_seed, cfg.workers) == (1000, 7, 2)
+    assert all(isinstance(v, int) for v in (cfg.reps, cfg.master_seed, cfg.workers))
 
 
 def test_workers_do_not_change_payload_or_run_id():
@@ -120,6 +136,19 @@ def test_chf_compare_needs_heavy_tails_and_p_above_alpha():
     with pytest.raises(ParameterDomainError):
         run_experiment(config(experiment="chf_compare", p=2.0,
                               family=FamilySpec(kind="Gaussian")))
+
+
+def test_chf_stats_leave_the_sample_unchanged():
+    # |x|^p is taken in place on the scaled copy, never on the sample, whose
+    # prefixes serve every n of the grid
+    cfg = config(experiment="chf_compare", p=2.0, n_grid=(1000, 2000))
+    full = sample_family(CAUCHY, SeededStream(3, 0), 2000)
+    before = full.values.copy()
+    batch = SampleBatch(values=full.values[:1000], spec=full.spec, n=1000)
+    stats = harness._scan_stats(cfg, batch, None)
+    assert np.array_equal(full.values, before)
+    xs = before[:1000] / 1000.0
+    assert stats == (float(np.sum(xs)), float(np.sum(np.abs(xs) ** 2.0)))
 
 
 def test_ek_missing_oracle_fails_fast(tmp_path):
@@ -489,6 +518,17 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(["oracle-build", "--out", str(tmp_path / "oracles"), "--seed", "-1"]) == 1
     assert capsys.readouterr().err.startswith("error: master_seed must fit in 64 bits")
     assert not (tmp_path / "oracles").exists()
+    # bad config-file values exit 1 with an error line, not a traceback
+    run_args = ["run", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0", "--n", "50",
+                "--reps", "4", "--seed", "1", "--experiment", "degenerate_scan"]
+    for i, data in enumerate([{"n": ["x"]}, {"n": 5}, {"t_grid": "0.5"}, {"n_grid": [100.7]},
+                              {"reps": 1.5}, {"seed": "1"}, {"alpha": [1.0]}, {"delta_grid": [None]},
+                              {"family": {"kind": "SymStable", "alpha": "x"}}, {"out": 3}]):
+        cfg_file = tmp_path / f"bad{i}.json"
+        cfg_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli.main(run_args + ["--config", str(cfg_file)]) == 1, data
+        assert capsys.readouterr().err.startswith("error: "), data
     # no trustworthy number: a draw overflows to inf
     non_finite = ["run", "--family", "SymPareto", "--alpha", "0.005", "--p", "1", "--n", "200",
                   "--reps", "20", "--seed", "1", "--experiment", "degenerate_scan"]
