@@ -1,11 +1,14 @@
 """Measure how the exceedance statistic responds to the window width epsilon.
 
 The classifier separates the slowest degenerate cell (p = alpha < 2, where
-max_t |Y(t)| shrinks only like (log n)^{-1/alpha}) from the Brownian cell by
-the fraction of paths with max_t |Y(t)| > epsilon.  At epsilon = 0.1 the two
+the endpoint Y(1) = S_n/V_{n,p} shrinks only like (log n)^{-1/alpha}) from the
+Brownian cell by the fraction of paths with |Y(1)| > epsilon: the
+`exceedance` row of a degenerate_scan.  At epsilon = 0.1 the two
 distributions overlap at desk-scale n; widening the window to epsilon = 0.2
 opens a usable gap.  This script reproduces the measurement behind the
 shipped thresholds (exceedance split 0.785, degenerate ceiling 0.755).
+The degenerate regime is a claim about sup_t |Y(t)|, not only the endpoint;
+moving the rule and this script to the sup norm is ROADMAP item 4.
 """
 
 import argparse
@@ -37,7 +40,7 @@ def main() -> None:
 
     names = [f"alpha={alpha:g} p={p:g} {label}" for _, alpha, p, label in CELLS]
     width = max(len(name) for name in names)
-    print(f"exceedance fraction P(max_t |Y(t)| > eps) at n={args.n}, reps={args.reps}")
+    print(f"exceedance fraction P(|Y(1)| > eps) at n={args.n}, reps={args.reps}")
     print(f"{'cell':>{width}} " + "".join(f"  eps={e:g}" for e in epsilons))
     for (kind, alpha, p, label), name in zip(CELLS, names):
         vals = []

@@ -10,13 +10,18 @@ degenerate regime.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
-from .errors import DegenerateSampleError, InternalConsistencyError, ParameterDomainError
-from .families import SampleBatch
+from .errors import (
+    DegenerateSampleError,
+    InternalConsistencyError,
+    NonFiniteSampleError,
+    ParameterDomainError,
+)
 from .process import ProcessPath, p_norm, y_path
 
 __all__ = [
@@ -31,36 +36,38 @@ __all__ = [
 ]
 
 
-def _abs_rescaled(batch: SampleBatch) -> tuple[np.ndarray, float]:
-    ax = np.abs(np.asarray(batch.values, dtype=float))
+def _abs_rescaled(x) -> tuple[np.ndarray, float]:
+    ax = np.abs(np.asarray(x, dtype=float))
     m = float(ax.max())
+    if not math.isfinite(m):  # max|x| is NaN or inf iff some value is
+        raise NonFiniteSampleError(f"the sample holds a non-finite value (max |x| = {m})")
     if m == 0.0:
         raise DegenerateSampleError("all-zero sample")
     return ax / m, m
 
 
-def max_ratio(batch: SampleBatch, p: float) -> float:
+def max_ratio(x, p: float) -> float:
     """max_i |X_i| / V_{n,p}, in (0, 1]; equals 1 iff one single X_i is nonzero."""
     p = float(p)
     if not 0 < p <= 2:
         raise ParameterDomainError(f"p must lie in (0, 2], got {p}")
-    q, _ = _abs_rescaled(batch)
+    q, _ = _abs_rescaled(x)
     # M/V = (sum (|x|/M)^p)^(-1/p), scale-free by construction
     return float((q**p).sum() ** (-1.0 / p))
 
 
-def darling_ratio(batch: SampleBatch) -> float:
+def darling_ratio(x) -> float:
     """max_i X_i^2 / sum X_i^2, in [1/n, 1]."""
-    q, _ = _abs_rescaled(batch)
+    q, _ = _abs_rescaled(x)
     return float(1.0 / (q * q).sum())
 
 
-def sum_sq_ratio(batch: SampleBatch, alpha: float) -> float:
+def sum_sq_ratio(x, alpha: float) -> float:
     """sum X_i^2 / V_{n,alpha}^2; at most 1 for alpha <= 2, exactly 1 at alpha = 2."""
     alpha = float(alpha)
     if not 0 < alpha <= 2:
         raise ParameterDomainError(f"alpha must lie in (0, 2], got {alpha}")
-    q, _ = _abs_rescaled(batch)
+    q, _ = _abs_rescaled(x)
     return float((q * q).sum() / (q**alpha).sum() ** (2.0 / alpha))
 
 
@@ -99,17 +106,16 @@ def _max_oscillation(y: np.ndarray, delta: float) -> float:
     return float((hi - lo).max())
 
 
-def dan_transform(batch: SampleBatch, alpha: float) -> SampleBatch:
+def dan_transform(x, alpha: float) -> np.ndarray:
     """Elementwise sgn(X)|X|^(alpha/2), mapping tail index alpha into the normal domain."""
     alpha = float(alpha)
     if not 0 < alpha <= 2:
         raise ParameterDomainError(f"alpha must lie in (0, 2], got {alpha}")
-    x = np.asarray(batch.values, dtype=float)
-    out = np.sign(x) * np.abs(x) ** (alpha / 2.0)
-    return SampleBatch(values=out, spec=batch.spec, n=batch.n)
+    x = np.asarray(x, dtype=float)
+    return np.sign(x) * np.abs(x) ** (alpha / 2.0)
 
 
-def dan_criterion_curve(batch: SampleBatch, y_grid) -> np.ndarray:
+def dan_criterion_curve(x, y_grid) -> np.ndarray:
     """Plug-in y^2 P(|X| > y) / E(X^2 1{|X| <= y}) on a grid of y values.
 
     Zero denominators yield +inf sentinels (never silent NaN). The curve
@@ -120,7 +126,7 @@ def dan_criterion_curve(batch: SampleBatch, y_grid) -> np.ndarray:
         raise ParameterDomainError("empty y grid")
     if np.any(yg <= 0) or np.any(np.diff(yg) <= 0):
         raise ParameterDomainError("y grid must be positive and strictly increasing")
-    ax = np.abs(np.asarray(batch.values, dtype=float))
+    ax = np.abs(np.asarray(x, dtype=float))
     out = np.empty(yg.size)
     for i, y in enumerate(yg):
         tail = np.mean(ax > y)
@@ -136,7 +142,7 @@ class NormChain(NamedTuple):
     v_two: float
 
 
-def norm_chain(batch: SampleBatch, alpha: float, beta: float) -> NormChain:
+def norm_chain(x, alpha: float, beta: float) -> NormChain:
     """(V_{n,alpha}, V_{n,1}, V_{n,beta}, V_{n,2}) for alpha <= 1 <= beta <= 2.
 
     The chain V_alpha >= V_1 >= V_beta >= V_2 is deterministic; a violation
@@ -150,10 +156,10 @@ def norm_chain(batch: SampleBatch, alpha: float, beta: float) -> NormChain:
     if not 1 <= beta <= 2:
         raise ParameterDomainError(f"beta must lie in [1, 2], got {beta}")
     chain = NormChain(
-        v_alpha=p_norm(batch, alpha),
-        v_one=p_norm(batch, 1.0),
-        v_beta=p_norm(batch, beta),
-        v_two=p_norm(batch, 2.0),
+        v_alpha=p_norm(x, alpha),
+        v_one=p_norm(x, 1.0),
+        v_beta=p_norm(x, beta),
+        v_two=p_norm(x, 2.0),
     )
     vals = np.array(chain)
     slack = 1e-10 * np.maximum(vals[:-1], vals[1:])

@@ -28,6 +28,7 @@ NaN included); it still draws that factor's uniform.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ from .rng import SeededStream
 
 __all__ = [
     "FamilySpec",
-    "SampleBatch",
     "FAMILY_KINDS",
     "sample_sym_stable",
     "sample_sym_pareto",
@@ -70,6 +70,9 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ParameterDomainError(f"unknown family kind {self.kind!r}; choose from {FAMILY_KINDS}")
+        for name, value in (("alpha", self.alpha), ("scale", self.scale)):
+            if not isinstance(value, numbers.Real):
+                raise ParameterDomainError(f"{name} must be a real number, got {value!r}")
         a = float(self.alpha)
         if not np.isfinite(a) or a <= 0:
             raise ParameterDomainError(f"alpha must be a positive finite real, got {self.alpha}")
@@ -86,27 +89,14 @@ class FamilySpec:
         return self.kind in _PREFIX_COHERENT_KINDS
 
 
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """One i.i.d. sample X_1..X_n with its generating provenance."""
-
-    values: np.ndarray
-    spec: FamilySpec
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterDomainError(f"n must be >= 1, got {self.n}")
-        if len(self.values) != self.n:
-            raise ParameterDomainError(f"values has length {len(self.values)}, expected n = {self.n}")
-
-
-def _check_n(n: int):
+def _check_n_scale(n: int, scale: float):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterDomainError(f"n must be a positive integer, got {n}")
+    if not (isinstance(scale, numbers.Real) and np.isfinite(scale) and scale > 0):
+        raise ParameterDomainError(f"scale must be a positive finite real, got {scale!r}")
 
 
-def sample_sym_stable(alpha: float, stream: SeededStream, n: int, scale: float = 1.0) -> SampleBatch:
+def sample_sym_stable(alpha: float, stream: SeededStream, n: int, scale: float = 1.0) -> np.ndarray:
     """Symmetric alpha-stable sample via the angle/exponential transform.
 
     X = sin(alpha T)/cos(T)^(1/alpha) * (cos((1-alpha)T)/W)^((1-alpha)/alpha)
@@ -123,7 +113,7 @@ def sample_sym_stable(alpha: float, stream: SeededStream, n: int, scale: float =
     alpha = float(alpha)
     if not 0 < alpha <= 2:
         raise ParameterDomainError(f"stable index must lie in (0, 2], got {alpha}")
-    _check_n(n)
+    _check_n_scale(n, scale)
     g = stream.generator()
     e = (1.0 - alpha) / alpha
     x = np.empty(n)
@@ -147,10 +137,10 @@ def sample_sym_stable(alpha: float, stream: SeededStream, n: int, scale: float =
             c **= e
             seg *= c
     x *= scale
-    return SampleBatch(values=x, spec=FamilySpec("SymStable", alpha, scale), n=n)
+    return x
 
 
-def sample_sym_pareto(alpha: float, stream: SeededStream, n: int, scale: float = 1.0) -> SampleBatch:
+def sample_sym_pareto(alpha: float, stream: SeededStream, n: int, scale: float = 1.0) -> np.ndarray:
     """Symmetric Pareto sample: R (1-U)^(-1/alpha), P(|X| > x) = x^(-alpha) for x >= 1.
 
     Variates are transformed in blocks of `_BLOCK` rows (see the module docstring).
@@ -158,7 +148,7 @@ def sample_sym_pareto(alpha: float, stream: SeededStream, n: int, scale: float =
     alpha = float(alpha)
     if not (np.isfinite(alpha) and alpha > 0):
         raise ParameterDomainError(f"tail index must be positive, got {alpha}")
-    _check_n(n)
+    _check_n_scale(n, scale)
     g = stream.generator()
     x = np.empty(n)
     for lo in range(0, n, _BLOCK):
@@ -168,7 +158,7 @@ def sample_sym_pareto(alpha: float, stream: SeededStream, n: int, scale: float =
         seg **= -1.0 / alpha
         np.negative(seg, out=seg, where=u[:, 1] < 0.5)
     x *= scale
-    return SampleBatch(values=x, spec=FamilySpec("SymPareto", alpha, scale), n=n)
+    return x
 
 
 def _box_muller(g: np.random.Generator, n: int) -> np.ndarray:
@@ -182,29 +172,26 @@ def _box_muller(g: np.random.Generator, n: int) -> np.ndarray:
     return z[:n]
 
 
-def sample_gaussian(stream: SeededStream, n: int, scale: float = 1.0) -> SampleBatch:
+def sample_gaussian(stream: SeededStream, n: int, scale: float = 1.0) -> np.ndarray:
     """Standard normal sample (times scale) by the Box-Muller transform."""
-    _check_n(n)
-    g = stream.generator()
-    spec = FamilySpec("Gaussian", 2.0, scale)
-    return SampleBatch(values=scale * _box_muller(g, n), spec=spec, n=n)
+    _check_n_scale(n, scale)
+    return scale * _box_muller(stream.generator(), n)
 
 
-def sample_student_t(nu: float, stream: SeededStream, n: int, scale: float = 1.0) -> SampleBatch:
+def sample_student_t(nu: float, stream: SeededStream, n: int, scale: float = 1.0) -> np.ndarray:
     """Student t sample as a normal over chi ratio: Z / sqrt(Q_nu / nu)."""
     nu = float(nu)
     if not (np.isfinite(nu) and nu > 0):
         raise ParameterDomainError(f"degrees of freedom must be positive, got {nu}")
-    _check_n(n)
+    _check_n_scale(n, scale)
     g = stream.generator()
     z = _box_muller(g, n)
     q = g.chisquare(nu, n)
-    spec = FamilySpec("StudentT", nu, scale)
-    return SampleBatch(values=scale * z / np.sqrt(q / nu), spec=spec, n=n)
+    return scale * z / np.sqrt(q / nu)
 
 
-def sample_family(spec: FamilySpec, stream: SeededStream, n: int) -> SampleBatch:
-    """Draw n i.i.d. variates from the declared family; pure in (spec, stream, n)."""
+def sample_family(spec: FamilySpec, stream: SeededStream, n: int) -> np.ndarray:
+    """Draw X_1..X_n i.i.d. from the declared family as a float64 array; pure in (spec, stream, n)."""
     if not isinstance(spec, FamilySpec):
         raise ParameterDomainError(f"spec must be a FamilySpec, got {type(spec).__name__}")
     if spec.kind == "SymStable":

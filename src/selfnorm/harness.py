@@ -15,10 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from .diagnostics import (  # noqa: F401
     sum_sq_ratio,
 )
 from .errors import ConfigError, MissingStatisticsError, NonFiniteSampleError, ParameterDomainError
-from .families import FamilySpec, SampleBatch, sample_family
+from .families import FamilySpec, sample_family
 from .limits import (
     ReferenceLaw,
     brownian_functional_oracle,
@@ -107,6 +107,20 @@ def _integral(name: str, value) -> int:
     return as_int
 
 
+def _real(name: str, value) -> float:
+    # numbers and numpy scalars pass; a string or None is refused, not parsed
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _items(name: str, values) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ConfigError(f"{name} must be a sequence, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one Monte Carlo experiment; hashable and immutable."""
@@ -125,10 +139,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.family, FamilySpec):
             raise ConfigError(f"family must be a FamilySpec, got {type(self.family).__name__}")
+        object.__setattr__(self, "p", _real("p", self.p))
         if not 0.0 < self.p <= 2.0:
             raise ConfigError(f"p must lie in (0, 2], got {self.p}")
-        object.__setattr__(self, "p", float(self.p))
-        ns = tuple(_integral("n_grid", n) for n in self.n_grid)
+        ns = tuple(_integral("n_grid", n) for n in _items("n_grid", self.n_grid))
         if len(ns) == 0:
             raise ConfigError("n_grid must be nonempty")
         if any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
@@ -144,14 +158,14 @@ class ExperimentConfig:
             raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {self.experiment!r}")
         if self.experiment == "fdd_covariance" and self.reps < 2:
             raise ConfigError(f"fdd_covariance estimates covariances and needs reps >= 2, got {self.reps}")
-        ts = tuple(float(t) for t in self.t_grid)
+        ts = tuple(_real("t_grid", t) for t in _items("t_grid", self.t_grid))
         if len(ts) == 0 or any(not 0.0 < t <= 1.0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
             raise ConfigError(f"t_grid must be increasing reals in (0, 1], got {ts}")
         object.__setattr__(self, "t_grid", ts)
+        object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon))
         if not self.epsilon > 0.0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        ds = tuple(float(d) for d in self.delta_grid)
+        ds = tuple(_real("delta_grid", d) for d in _items("delta_grid", self.delta_grid))
         if len(ds) == 0 or any(not 0.0 < d <= 1.0 for d in ds):
             raise ConfigError(f"delta_grid must be reals in (0, 1], got {ds}")
         object.__setattr__(self, "delta_grid", ds)
@@ -187,7 +201,6 @@ class ExperimentReport:
     aggregates: tuple[AggregateRow, ...]
     regime_decision: str
     draw_count: int
-    wall_clock_s: float = field(compare=False, default=0.0)
 
 
 def _config_payload(config: ExperimentConfig) -> dict:
@@ -216,7 +229,7 @@ def _run_id(config: ExperimentConfig) -> str:
 
 
 def report_payload(report: ExperimentReport) -> dict:
-    """JSON-ready dict; wall clock excluded so identical runs are byte-identical."""
+    """JSON-ready dict; workers excluded so identical runs are byte-identical."""
     return {
         "run_id": report.run_id,
         "config": _config_payload(report.config),
@@ -245,10 +258,10 @@ def report_payload(report: ExperimentReport) -> dict:
 # property is drawn again at each n. Every scan of the cell is computed on
 # each prefix.
 
-def _scan_stats(config: ExperimentConfig, batch: SampleBatch, path) -> tuple[float, ...]:
+def _scan_stats(config: ExperimentConfig, x: np.ndarray, path) -> tuple[float, ...]:
     kind = config.experiment
     if kind == "degenerate_scan":
-        return (y_at(path, 1.0), sum_sq_ratio(batch, config.family.alpha))
+        return (y_at(path, 1.0), sum_sq_ratio(x, config.family.alpha))
     if kind == "ek_functionals":
         ek = ek_functionals(path)
         return (ek.max_sn, ek.max_abs_sn, ek.mean_sq, ek.mean_abs)
@@ -256,14 +269,14 @@ def _scan_stats(config: ExperimentConfig, batch: SampleBatch, path) -> tuple[flo
         return tuple(float(v) for v in y_path(path, config.t_grid))
     if kind == "tightness_scan":
         # one evaluation of the path on the node grid serves every delta
-        y = y_path(path, np.arange(batch.n + 1) / batch.n)
+        y = y_path(path, np.arange(x.size + 1) / x.size)
         oms = tuple(_max_oscillation(y, d) for d in config.delta_grid)
-        return (darling_ratio(batch), max_ratio(batch, config.p), *oms)
+        return (darling_ratio(x), max_ratio(x, config.p), *oms)
     # chf_compare: the pair (S_n / n^{1/a}, V^p / n^{p/a}), scaled before
     # summing so heavy-tailed powers cannot overflow; |xs|^p is taken in
     # place on the one scaled copy (the same ufuncs as np.abs(xs) ** p), and
     # each sum runs over a whole array, so neither reduction order changes
-    xs = batch.values / float(batch.n) ** (1.0 / config.family.alpha)
+    xs = x / float(x.size) ** (1.0 / config.family.alpha)
     s = float(np.sum(xs))
     np.abs(xs, out=xs)
     xs **= config.p
@@ -280,14 +293,11 @@ def _rep_stats(cell: tuple[ExperimentConfig, ...], rep: int) -> list[list[tuple[
     needs_path = any(c.experiment != "chf_compare" for c in cell)
     out = []
     for n in config.n_grid:
-        if full is None:
-            batch = sample_family(config.family, stream, n)
-        else:
-            batch = SampleBatch(values=full.values[:n], spec=full.spec, n=n)
-        if not np.isfinite(batch.values).all():
+        x = sample_family(config.family, stream, n) if full is None else full[:n]
+        if not np.isfinite(x).all():
             raise _non_finite(config, rep, n, "draw")
-        path = ProcessPath(batch, config.p) if needs_path else None
-        stats = [_scan_stats(c, batch, path) for c in cell]
+        path = ProcessPath(x, config.p) if needs_path else None
+        stats = [_scan_stats(c, x, path) for c in cell]
         bad = [c.experiment for c, row in zip(cell, stats) if not all(map(math.isfinite, row))]
         if bad:
             raise _non_finite(config, rep, n, f"statistic in {', '.join(bad)}")
@@ -429,7 +439,7 @@ def _check_chf(config: ExperimentConfig) -> None:
 
 
 def _report(config: ExperimentConfig, slots: list[np.ndarray], thresholds: dict,
-            oracles: dict[str, ReferenceLaw] | None, wall_clock_s: float) -> ExperimentReport:
+            oracles: dict[str, ReferenceLaw] | None) -> ExperimentReport:
     rows: list[AggregateRow] = []
     prev_tail: np.ndarray | None = None
     for n, n_slots in zip(config.n_grid, slots):
@@ -456,17 +466,12 @@ def _report(config: ExperimentConfig, slots: list[np.ndarray], thresholds: dict,
         aggregates=tuple(rows),
         regime_decision=decision,
         draw_count=config.reps * sum(config.n_grid),
-        wall_clock_s=wall_clock_s,
     )
 
 
 def _run_cells(cells: list[tuple[ExperimentConfig, ...]], thresholds: dict | None,
                oracle_dir) -> list[list[ExperimentReport]]:
-    """Validate, sample once per replication, aggregate: one report per (cell, scan).
-
-    wall_clock_s of every report is the time of the whole call.
-    """
-    t0 = time.perf_counter()
+    """Validate, sample once per replication, aggregate: one report per (cell, scan)."""
     if thresholds is None:
         thresholds = load_default_thresholds()
     configs = [c for cell in cells for c in cell]
@@ -476,8 +481,7 @@ def _run_cells(cells: list[tuple[ExperimentConfig, ...]], thresholds: dict | Non
     for c in configs:
         _check_chf(c)
     slots = _cell_slots(cells)
-    wall = time.perf_counter() - t0
-    return [[_report(c, s, thresholds, oracles, wall) for c, s in zip(cell, cell_slots)]
+    return [[_report(c, s, thresholds, oracles) for c, s in zip(cell, cell_slots)]
             for cell, cell_slots in zip(cells, slots)]
 
 

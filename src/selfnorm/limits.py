@@ -66,10 +66,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ReferenceLaw:
-    """An evaluable CDF with provenance (closed form, series, or oracle table)."""
+    """An evaluable CDF: a closed form, a series, or an oracle table."""
 
     kind: str
-    provenance: str
     cdf_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     table: np.ndarray | None = field(default=None, repr=False)
     meta: dict | None = None
@@ -86,17 +85,13 @@ class ReferenceLaw:
 
 
 def std_normal_law() -> ReferenceLaw:
-    return ReferenceLaw(kind="StdNormal", provenance="closed_form", cdf_fn=ndtr)
+    return ReferenceLaw(kind="StdNormal", cdf_fn=ndtr)
 
 
 def scaled_normal_law(sigma: float) -> ReferenceLaw:
     if sigma <= 0:
         raise ParameterDomainError(f"sigma must be positive, got {sigma}")
-    return ReferenceLaw(
-        kind=f"ScaledNormal({sigma!r})",
-        provenance="closed_form",
-        cdf_fn=lambda x: ndtr(x / sigma),
-    )
+    return ReferenceLaw(kind=f"ScaledNormal({sigma!r})", cdf_fn=lambda x: ndtr(x / sigma))
 
 
 def g1_cdf(x) -> np.ndarray:
@@ -127,11 +122,11 @@ def g2_cdf(x, terms: int = 64) -> np.ndarray:
 
 
 def g1_law() -> ReferenceLaw:
-    return ReferenceLaw(kind="G1", provenance="closed_form", cdf_fn=g1_cdf)
+    return ReferenceLaw(kind="G1", cdf_fn=g1_cdf)
 
 
 def g2_law(terms: int = 64) -> ReferenceLaw:
-    return ReferenceLaw(kind="G2", provenance="series", cdf_fn=lambda x: g2_cdf(x, terms))
+    return ReferenceLaw(kind="G2", cdf_fn=lambda x: g2_cdf(x, terms))
 
 
 _ORACLE_KINDS = ("G1", "G2", "G3", "G4")
@@ -148,7 +143,7 @@ def _table_law(kind: str, table: np.ndarray, meta: dict) -> ReferenceLaw:
     def cdf_fn(x, _t=table):
         return np.searchsorted(_t, x, side="right") / _t.size
 
-    return ReferenceLaw(kind=kind, provenance="oracle_table", cdf_fn=cdf_fn, table=table, meta=meta)
+    return ReferenceLaw(kind=kind, cdf_fn=cdf_fn, table=table, meta=meta)
 
 
 def brownian_functional_oracle(kind: str, paths: int, steps: int, stream: SeededStream) -> ReferenceLaw:
@@ -687,6 +682,6 @@ def dispersion_matrix(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0:
         raise ParameterDomainError("empty time grid")
-    if np.any(t <= 0) or np.any(t > 1) or np.any(np.diff(t) <= 0):
+    if not np.all((t > 0) & (t <= 1)) or np.any(np.diff(t) <= 0):  # NaN fails the range
         raise ParameterDomainError("t grid must be strictly increasing within (0, 1]")
     return np.minimum.outer(t, t)

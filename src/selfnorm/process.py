@@ -10,12 +10,12 @@ terms), and p-norms are computed max-rescaled (naive power sums overflow).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSampleError, ParameterDomainError
-from .families import SampleBatch
+from .errors import DegenerateSampleError, NonFiniteSampleError, ParameterDomainError
 
 __all__ = [
     "ProcessPath",
@@ -50,11 +50,11 @@ def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def partial_sums(batch: SampleBatch) -> np.ndarray:
-    """Left-to-right prefix sums S_0..S_n of the sample, S_0 = 0."""
-    x = np.asarray(batch.values, dtype=float)
+def partial_sums(x) -> np.ndarray:
+    """Left-to-right prefix sums S_0..S_n of the sample x, S_0 = 0."""
+    x = np.asarray(x, dtype=float)
     if x.size == 0:
-        raise ParameterDomainError("cannot build partial sums of an empty batch")
+        raise ParameterDomainError("cannot build partial sums of an empty sample")
     sums = np.empty(x.size + 1)
     sums[0] = 0.0
     if x.size >= _COMPENSATE_FROM:
@@ -64,16 +64,18 @@ def partial_sums(batch: SampleBatch) -> np.ndarray:
     return sums
 
 
-def p_norm(batch: SampleBatch, p: float) -> float:
+def p_norm(x, p: float) -> float:
     """V_{n,p} via max-rescaling: V = M (sum (|X_i|/M)^p)^(1/p), M = max|X_i|."""
     p = float(p)
     if not 0 < p <= 2:
         raise ParameterDomainError(f"p must lie in (0, 2], got {p}")
-    x = np.asarray(batch.values, dtype=float)
+    x = np.asarray(x, dtype=float)
     if x.size == 0:
-        raise ParameterDomainError("cannot take the p-norm of an empty batch")
+        raise ParameterDomainError("cannot take the p-norm of an empty sample")
     ax = np.abs(x)
     m = float(ax.max())
+    if not math.isfinite(m):  # max|x| is NaN or inf iff some value is
+        raise NonFiniteSampleError(f"the sample holds a non-finite value (max |x| = {m})")
     if m == 0.0:
         # all-zero sample: flagged degenerate value, callers that need V > 0 raise
         return 0.0
@@ -88,61 +90,58 @@ def p_norm(batch: SampleBatch, p: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ProcessPath:
-    """The interpolated process Y_{n,p} for one sample, evaluable on [0,1].
+    """The interpolated process Y_{n,p} for one sample X_1..X_n, evaluable on [0,1].
 
-    Holds the two reductions every statistic of the path reads: the prefix
-    sums S_0..S_n and the normalizer V_{n,p}.
+    Holds the sample as a float64 array and the two reductions every
+    statistic of the path reads: the prefix sums S_0..S_n and the
+    normalizer V_{n,p}.
     """
 
-    batch: SampleBatch
+    values: np.ndarray
     p: float
     sums: np.ndarray = field(init=False, repr=False)
     v: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sums", partial_sums(self.batch))
-        object.__setattr__(self, "v", p_norm(self.batch, self.p))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "sums", partial_sums(self.values))
+        object.__setattr__(self, "v", p_norm(self.values, self.p))
         if self.v == 0.0:
             raise DegenerateSampleError("all-zero sample: Y_{n,p} undefined (V = 0)")
 
     @property
     def n(self) -> int:
-        return self.batch.n
+        return self.values.size
 
 
 def y_at(path: ProcessPath, t: float) -> float:
-    """Evaluate Y_{n,p}(t) = S_[nt]/V + (nt - [nt]) X_{[nt]+1}/V.
+    """Y_{n,p}(t) at one point t in [0, 1]: `y_path` on the grid (t,).
 
-    At t = 1 the interpolation term is zero by convention, so y_at(1) is the
-    endpoint S_n/V exactly.
+    y_at(1) is the endpoint S_n/V exactly.
     """
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ParameterDomainError(f"t must lie in [0, 1], got {t}")
-    n = path.n
-    nt = n * t
-    k = min(int(nt), n)
-    frac = nt - k
-    v = path.v
-    if k >= n:
-        return float(path.sums[n] / v)
-    return float((path.sums[k] + frac * path.batch.values[k]) / v)
+    return float(y_path(path, (t,))[0])
 
 
 def y_path(path: ProcessPath, grid) -> np.ndarray:
-    """Vectorized y_at over an increasing grid in [0, 1]."""
+    """Y_{n,p}(t) = S_[nt]/V + (nt - [nt]) X_{[nt]+1}/V on an increasing grid in [0, 1].
+
+    At t = 1 the interpolation term is zero by convention.
+    """
     tg = np.asarray(grid, dtype=float)
     if tg.size == 0:
         raise ParameterDomainError("empty evaluation grid")
-    if np.any(tg < 0.0) or np.any(tg > 1.0):
+    if not (tg.min() >= 0.0 and tg.max() <= 1.0):  # a NaN min or max fails both
         raise ParameterDomainError("grid points must lie in [0, 1]")
-    if np.any(np.diff(tg) <= 0):
+    if (tg[1:] <= tg[:-1]).any():
         raise ParameterDomainError("grid must be strictly increasing")
     n = path.n
     nt = n * tg
     ks = np.minimum(nt.astype(int), n)
     frac = nt - ks
-    xpad = np.concatenate([path.batch.values, [0.0]])  # t = 1 contributes no step
+    xpad = np.concatenate([path.values, [0.0]])  # t = 1 contributes no step
     return (path.sums[ks] + frac * xpad[ks]) / path.v
 
 

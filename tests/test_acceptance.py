@@ -111,7 +111,7 @@ def test_criterion_03_pareto_boundary_ks_trend():
     n = 10/100/1000 at reps = 50 000 decreases strictly in 39 of 40
     independent trials, so 4 of 5 seeds hold with probability ~0.99. Each
     replication is drawn once at n = 1000 and cut into prefixes, which
-    SymPareto batches are (families.py); the check on rep 0 ties the cut to
+    SymPareto samples are (families.py); the check on rep 0 ties the cut to
     the program's own y_at.
     Limit: SymPareto alpha = 1.5 also decreases on this grid (about
     0.046/0.036/0.033), so this checks convergence behaviour at the
@@ -126,7 +126,7 @@ def test_criterion_03_pareto_boundary_ks_trend():
     for s in range(5):
         snv = np.empty((50_000, len(n_grid)))
         for rep in range(snv.shape[0]):
-            x = sample_family(fam, SeededStream(SEED + s, rep), n_grid[-1]).values
+            x = sample_family(fam, SeededStream(SEED + s, rep), n_grid[-1])
             snv[rep] = np.cumsum(x)[last] / np.sqrt(np.cumsum(x * x)[last])
         for i, n in enumerate(n_grid):  # the prefix cut is the program's S_n/V_{n,2}
             fresh = ProcessPath(sample_family(fam, SeededStream(SEED + s, 0), n), 2.0)

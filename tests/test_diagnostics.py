@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,9 +7,9 @@ from hypothesis.extra import numpy as hnp
 
 from selfnorm import (
     FamilySpec,
+    NonFiniteSampleError,
     ParameterDomainError,
     ProcessPath,
-    SampleBatch,
     SeededStream,
     dan_criterion_curve,
     dan_transform,
@@ -18,14 +20,6 @@ from selfnorm import (
     sample_family,
 )
 
-SPEC = FamilySpec(kind="Gaussian")
-
-
-def batch_of(values) -> SampleBatch:
-    arr = np.asarray(values, dtype=float)
-    return SampleBatch(values=arr, spec=SPEC, n=arr.size)
-
-
 nonzero_arrays = hnp.arrays(
     np.float64, st.integers(2, 50),
     elements=st.floats(-1e5, 1e5, allow_nan=False, allow_infinity=False),
@@ -33,13 +27,25 @@ nonzero_arrays = hnp.arrays(
 
 
 def test_max_ratio_hand_values():
-    b = batch_of([1.0, -2.0, 3.0])
+    b = np.array([1.0, -2.0, 3.0])
     assert max_ratio(b, 1.0) == pytest.approx(3.0 / 6.0, rel=1e-14)
     assert max_ratio(b, 2.0) == pytest.approx(3.0 / np.sqrt(14.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ratios_reject_non_finite_samples(bad):
+    from selfnorm import sum_sq_ratio
+    x = np.array([1.0, bad, -2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raise before any power or division warns
+        for call in (lambda: max_ratio(x, 1.5), lambda: darling_ratio(x),
+                     lambda: sum_sq_ratio(x, 1.5), lambda: norm_chain(x, 0.5, 1.5)):
+            with pytest.raises(NonFiniteSampleError):
+                call()
+
+
 def test_darling_is_squared_max_ratio():
-    b = batch_of([1.0, -2.0, 3.0])
+    b = np.array([1.0, -2.0, 3.0])
     assert darling_ratio(b) == pytest.approx(9.0 / 14.0, rel=1e-14)
     assert darling_ratio(b) == pytest.approx(max_ratio(b, 2.0) ** 2, rel=1e-12)
 
@@ -47,13 +53,13 @@ def test_darling_is_squared_max_ratio():
 @given(nonzero_arrays, st.floats(0.05, 2.0))
 @settings(max_examples=60, deadline=None)
 def test_max_ratio_bounds(values, p):
-    r = max_ratio(batch_of(values), p)
+    r = max_ratio(np.array(values), p)
     n = len(values)
     assert n ** (-1.0 / p) - 1e-12 <= r <= 1.0 + 1e-12
 
 
 def test_sum_sq_ratio_is_one_at_alpha_two():
-    b = batch_of([0.5, -4.0, 2.5])
+    b = np.array([0.5, -4.0, 2.5])
     from selfnorm import sum_sq_ratio
     assert sum_sq_ratio(b, 2.0) == pytest.approx(1.0, rel=1e-13)
     assert sum_sq_ratio(b, 1.0) == pytest.approx((0.25 + 16.0 + 6.25) / 49.0, rel=1e-13)
@@ -63,11 +69,11 @@ def test_sum_sq_ratio_is_one_at_alpha_two():
 @settings(max_examples=60, deadline=None)
 def test_sum_sq_ratio_at_most_one(values, alpha):
     from selfnorm import sum_sq_ratio
-    assert sum_sq_ratio(batch_of(values), alpha) <= 1.0 + 1e-12
+    assert sum_sq_ratio(np.array(values), alpha) <= 1.0 + 1e-12
 
 
 def test_modulus_full_window_is_total_oscillation():
-    b = batch_of([1.0, -2.0, 3.0])
+    b = np.array([1.0, -2.0, 3.0])
     path = ProcessPath(b, 2.0)
     v = np.sqrt(14.0)
     # knot values 0, 1/v, -1/v, 2/v: total oscillation (2 - (-1))/v
@@ -75,14 +81,14 @@ def test_modulus_full_window_is_total_oscillation():
 
 
 def test_modulus_single_step_is_largest_increment():
-    b = batch_of([1.0, -2.0, 3.0])
+    b = np.array([1.0, -2.0, 3.0])
     path = ProcessPath(b, 2.0)
     assert modulus_of_continuity(path, 1.0 / 3.0) == pytest.approx(3.0 / np.sqrt(14.0), rel=1e-13)
 
 
 def test_modulus_monotone_in_delta():
-    batch = sample_family(FamilySpec(kind="SymStable", alpha=1.5), SeededStream(31), 400)
-    path = ProcessPath(batch, 1.5)
+    x = sample_family(FamilySpec(kind="SymStable", alpha=1.5), SeededStream(31), 400)
+    path = ProcessPath(x, 1.5)
     oms = [modulus_of_continuity(path, d) for d in (0.05, 0.1, 0.2, 0.5, 1.0)]
     assert all(a <= b + 1e-12 for a, b in zip(oms, oms[1:]))
 
@@ -90,15 +96,15 @@ def test_modulus_monotone_in_delta():
 def test_modulus_refinement_consistent():
     # knots already lie on the coarse grid; refining cannot change node values,
     # only add interpolated points between them
-    batch = sample_family(FamilySpec(kind="Gaussian"), SeededStream(37), 50)
-    path = ProcessPath(batch, 2.0)
+    x = sample_family(FamilySpec(kind="Gaussian"), SeededStream(37), 50)
+    path = ProcessPath(x, 2.0)
     coarse = modulus_of_continuity(path, 0.2)
     fine = modulus_of_continuity(path, 0.2, grid_refinement=4)
     assert fine == pytest.approx(coarse, rel=1e-10)
 
 
 def test_modulus_domain():
-    path = ProcessPath(batch_of([1.0, 2.0]), 1.0)
+    path = ProcessPath(np.array([1.0, 2.0]), 1.0)
     with pytest.raises(ParameterDomainError):
         modulus_of_continuity(path, 0.0)
     with pytest.raises(ParameterDomainError):
@@ -108,20 +114,21 @@ def test_modulus_domain():
 
 
 def test_dan_transform_halves_tail_index():
-    b = batch_of([-4.0, 9.0])
+    b = np.array([-4.0, 9.0])
     out = dan_transform(b, 1.0)
-    assert np.allclose(out.values, [-2.0, 3.0])
+    assert isinstance(out, np.ndarray)
+    assert np.allclose(out, [-2.0, 3.0])
 
 
 def test_dan_criterion_curve_decreases_for_gaussian():
-    batch = sample_family(FamilySpec(kind="Gaussian"), SeededStream(41), 100_000)
-    curve = dan_criterion_curve(batch, [0.5, 1.0, 2.0, 4.0])
+    x = sample_family(FamilySpec(kind="Gaussian"), SeededStream(41), 100_000)
+    curve = dan_criterion_curve(x, [0.5, 1.0, 2.0, 4.0])
     assert curve[0] > curve[-1]
     assert curve[-1] < 0.05
 
 
 def test_dan_criterion_curve_domain():
-    b = batch_of([1.0])
+    b = np.array([1.0])
     with pytest.raises(ParameterDomainError):
         dan_criterion_curve(b, [])
     with pytest.raises(ParameterDomainError):
@@ -131,14 +138,14 @@ def test_dan_criterion_curve_domain():
 @given(nonzero_arrays, st.floats(0.05, 1.0), st.floats(1.0, 2.0))
 @settings(max_examples=80, deadline=None)
 def test_norm_chain_ordering(values, alpha, beta):
-    chain = norm_chain(batch_of(values), alpha, beta)
+    chain = norm_chain(np.array(values), alpha, beta)
     vals = list(chain)
     slack = [1e-10 * max(a, b) for a, b in zip(vals, vals[1:])]
     assert all(b <= a + s for a, b, s in zip(vals, vals[1:], slack))
 
 
 def test_norm_chain_domain():
-    b = batch_of([1.0, 2.0])
+    b = np.array([1.0, 2.0])
     with pytest.raises(ParameterDomainError):
         norm_chain(b, 1.2, 1.5)
     with pytest.raises(ParameterDomainError):

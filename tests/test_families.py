@@ -31,14 +31,30 @@ def test_spec_rejects_bad_scale():
         FamilySpec(kind="Gaussian", scale=0.0)
 
 
+@pytest.mark.parametrize("over", [dict(alpha="x"), dict(alpha=None), dict(alpha="1.5"),
+                                  dict(scale="2"), dict(scale=None)])
+def test_spec_rejects_non_numeric_parameters(over):
+    # a typed domain error, not a raw TypeError or ValueError from float()
+    with pytest.raises(ParameterDomainError, match="must be a real number"):
+        FamilySpec(kind="SymStable", **over)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf"), "2"])
+def test_samplers_reject_bad_scale(scale):
+    for draw in (lambda: sample_sym_stable(1.5, SeededStream(1), 10, scale),
+                 lambda: sample_sym_pareto(1.5, SeededStream(1), 10, scale),
+                 lambda: sample_gaussian(SeededStream(1), 10, scale)):
+        with pytest.raises(ParameterDomainError):
+            draw()
+
+
 @pytest.mark.parametrize("kind,alpha", [("SymStable", 1.3), ("SymPareto", 2.0),
                                         ("Gaussian", 2.0), ("StudentT", 4.0)])
 def test_same_stream_same_sample(kind, alpha):
     spec = FamilySpec(kind=kind, alpha=alpha)
     a = sample_family(spec, SeededStream(99, 3), 500)
     b = sample_family(spec, SeededStream(99, 3), 500)
-    assert np.array_equal(a.values, b.values)
-    assert a.n == 500 and a.spec == spec
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -46,7 +62,7 @@ def test_different_stream_index_decorrelates(kind):
     spec = FamilySpec(kind=kind, alpha=2.0 if kind == "Gaussian" else 1.5)
     a = sample_family(spec, SeededStream(99, 0), 200)
     b = sample_family(spec, SeededStream(99, 1), 200)
-    assert not np.array_equal(a.values, b.values)
+    assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -57,7 +73,10 @@ def test_prefix_coherence_along_n(kind):
     spec = FamilySpec(kind=kind, alpha=2.0 if kind == "Gaussian" else 1.2)
     short = sample_family(spec, SeededStream(7, 0), 100)
     long = sample_family(spec, SeededStream(7, 0), 1000)
-    assert np.array_equal(short.values, long.values[:100]) == spec.prefix_coherent
+    # every kind returns the sample itself: a float64 array of length n
+    for x, n in ((short, 100), (long, 1000)):
+        assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (n,)
+    assert np.array_equal(short, long[:100]) == spec.prefix_coherent
 
 
 @given(scale=st.floats(0.1, 50.0), seed=st.integers(0, 2**32 - 1))
@@ -65,39 +84,39 @@ def test_prefix_coherence_along_n(kind):
 def test_scale_equivariance(scale, seed):
     base = sample_sym_stable(1.5, SeededStream(seed), 64)
     scaled = sample_sym_stable(1.5, SeededStream(seed), 64, scale=scale)
-    assert np.allclose(scaled.values, scale * base.values, rtol=1e-12)
+    assert np.allclose(scaled, scale * base, rtol=1e-12)
 
 
 def test_pareto_support_and_symmetry():
-    batch = sample_sym_pareto(1.0, SeededStream(5), 20_000)
-    assert np.all(np.abs(batch.values) >= 1.0)
+    x = sample_sym_pareto(1.0, SeededStream(5), 20_000)
+    assert np.all(np.abs(x) >= 1.0)
     # sign comes from an independent uniform: near-balanced by construction
-    assert abs(np.mean(np.sign(batch.values))) < 0.03
+    assert abs(np.mean(np.sign(x))) < 0.03
 
 
 def test_pareto_tail_index():
     # P(|X| > x) = x^(-alpha) exactly: quantile check at the 99th percentile
-    batch = sample_sym_pareto(0.8, SeededStream(11), 200_000)
-    q = np.quantile(np.abs(batch.values), 0.99)
+    x = sample_sym_pareto(0.8, SeededStream(11), 200_000)
+    q = np.quantile(np.abs(x), 0.99)
     assert q == pytest.approx(0.01 ** (-1 / 0.8), rel=0.1)
 
 
 def test_gaussian_moments():
-    batch = sample_gaussian(SeededStream(13), 200_000)
-    assert abs(batch.values.mean()) < 0.01
-    assert batch.values.std() == pytest.approx(1.0, abs=0.01)
+    x = sample_gaussian(SeededStream(13), 200_000)
+    assert abs(x.mean()) < 0.01
+    assert x.std() == pytest.approx(1.0, abs=0.01)
 
 
 def test_stable_alpha_two_is_gaussian_variance_two():
-    batch = sample_sym_stable(2.0, SeededStream(17), 200_000)
-    assert batch.values.std() == pytest.approx(np.sqrt(2.0), rel=0.01)
+    x = sample_sym_stable(2.0, SeededStream(17), 200_000)
+    assert x.std() == pytest.approx(np.sqrt(2.0), rel=0.01)
 
 
 def test_cauchy_quartiles():
     # standard Cauchy quartiles are +-1 exactly
-    batch = sample_sym_stable(1.0, SeededStream(19), 200_000)
-    assert np.quantile(batch.values, 0.75) == pytest.approx(1.0, abs=0.02)
-    assert np.quantile(batch.values, 0.25) == pytest.approx(-1.0, abs=0.02)
+    x = sample_sym_stable(1.0, SeededStream(19), 200_000)
+    assert np.quantile(x, 0.75) == pytest.approx(1.0, abs=0.02)
+    assert np.quantile(x, 0.25) == pytest.approx(-1.0, abs=0.02)
 
 
 def test_bad_n_rejected():
@@ -135,7 +154,7 @@ def test_blocks_match_whole_array_transform(n, kind, alpha, scale):
     u = stream.generator().random((n, 2))
     reference = _stable_reference if kind == "SymStable" else _pareto_reference
     expected = reference(alpha, u, scale)
-    got = sample_family(FamilySpec(kind=kind, alpha=alpha, scale=scale), stream, n).values
+    got = sample_family(FamilySpec(kind=kind, alpha=alpha, scale=scale), stream, n)
     assert got.tobytes() == expected.tobytes()
 
 

@@ -19,7 +19,6 @@ from selfnorm import (
     NonFiniteSampleError,
     OracleMissingError,
     ParameterDomainError,
-    SampleBatch,
     SeededStream,
     build_oracles,
     decide_regime,
@@ -70,6 +69,19 @@ def config(**over) -> ExperimentConfig:
     dict(master_seed=1.9),
     dict(master_seed=float("nan")),
     dict(workers=2.5),
+    # non-numeric or non-iterable values raise ConfigError, not TypeError or ValueError
+    dict(p="x"),
+    dict(p=None),
+    dict(p=float("nan")),
+    dict(t_grid=("a",)),
+    dict(t_grid=0.5),
+    dict(t_grid=(0.5, float("nan"))),
+    dict(epsilon=None),
+    dict(epsilon="0.1"),
+    dict(epsilon=float("nan")),
+    dict(n_grid=5),
+    dict(delta_grid=(None,)),
+    dict(delta_grid=(float("nan"),)),
 ])
 def test_config_validation(over):
     with pytest.raises(ConfigError):
@@ -143,10 +155,9 @@ def test_chf_stats_leave_the_sample_unchanged():
     # prefixes serve every n of the grid
     cfg = config(experiment="chf_compare", p=2.0, n_grid=(1000, 2000))
     full = sample_family(CAUCHY, SeededStream(3, 0), 2000)
-    before = full.values.copy()
-    batch = SampleBatch(values=full.values[:1000], spec=full.spec, n=1000)
-    stats = harness._scan_stats(cfg, batch, None)
-    assert np.array_equal(full.values, before)
+    before = full.copy()
+    stats = harness._scan_stats(cfg, full[:1000], None)
+    assert np.array_equal(full, before)
     xs = before[:1000] / 1000.0
     assert stats == (float(np.sum(xs)), float(np.sum(np.abs(xs) ** 2.0)))
 

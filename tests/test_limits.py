@@ -292,3 +292,8 @@ def test_dispersion_matrix_is_min():
         dispersion_matrix((0.5, 0.25))
     with pytest.raises(ParameterDomainError):
         dispersion_matrix(())
+    # NaN fails the range check instead of giving a NaN matrix
+    with pytest.raises(ParameterDomainError):
+        dispersion_matrix((0.5, float("nan")))
+    with pytest.raises(ParameterDomainError):
+        dispersion_matrix((float("nan"),))
