@@ -3,7 +3,8 @@
 For each cell the three scan experiments run at a shared derived seed on
 shared replications: each replication is drawn once, at the largest n, and
 every n and all three scans read its prefixes. One process pool serves the
-whole map, and the G3/G4 oracle tables are loaded once. The classifier labels
+whole map. The path functionals are compared against the exact laws of their
+Brownian limits, so the script needs no table on disk. The classifier labels
 the cell degenerate / not_tight / brownian / inconclusive.
 The expected picture: degenerate below and on the diagonal (p <= alpha < 2,
 and p < alpha = 2), not_tight above it (p > alpha), brownian only at

@@ -1,4 +1,4 @@
-"""Command-line front end: run one experiment, sweep a grid, or build oracles."""
+"""Command-line front end: run one experiment or sweep an (alpha, p) grid."""
 from __future__ import annotations
 
 import argparse
@@ -13,16 +13,12 @@ from .errors import (
     InternalConsistencyError,
     MissingStatisticsError,
     NonFiniteSampleError,
-    OracleMissingError,
     ParameterDomainError,
 )
 from .families import FAMILY_KINDS, FamilySpec
 from .harness import (
     EXPERIMENT_KINDS,
-    ORACLE_SEED,
     ExperimentConfig,
-    build_oracles,
-    default_oracle_dir,
     regime_map,
     report_payload,
     run_experiment,
@@ -82,9 +78,6 @@ def _build_parser() -> _Parser:
     _add_common(subs.add_parser("run", help="run one experiment"))
     sw = subs.add_parser("sweep", help="run a cartesian (alpha, p) grid")
     _add_common(sw, grid=True)
-    ob = subs.add_parser("oracle-build", help="simulate and persist Brownian functional tables")
-    ob.add_argument("--out", help="oracle directory (default: SELFNORM_ORACLE_DIR or ~/.selfnorm/oracles)")
-    ob.add_argument("--seed", type=int, default=ORACLE_SEED, help="build seed")
     return parser
 
 
@@ -125,7 +118,7 @@ def _config_value(args: argparse.Namespace, raw_key: str, key: str, value):
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
+    if not args.config:
         return
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -230,18 +223,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle_build(args: argparse.Namespace) -> int:
-    out = args.out if args.out else default_oracle_dir()
-    for path in build_oracles(out_dir=out, seed=args.seed):
-        print(f"built {path}")
-    return 0
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command != "oracle-build":
-            _apply_config_file(args)
+        _apply_config_file(args)
         if args.command == "sweep":
             # alpha/p carry grid lists here; the base config takes the first cell
             def as_list(v):
@@ -252,13 +237,11 @@ def main(argv=None) -> int:
             args.alpha = args.alpha_list[0] if args.alpha_list else None
             args.p = args.p_list[0] if args.p_list else None
             return _cmd_sweep(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_oracle_build(args)
+        return _cmd_run(args)
     except (ConfigError, ParameterDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OracleMissingError, MissingStatisticsError) as exc:
+    except MissingStatisticsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

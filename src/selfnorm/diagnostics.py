@@ -2,10 +2,9 @@
 
 max_ratio and darling_ratio measure single-term domination of the normalizer
 (the tightness pivot), the modulus of continuity measures path roughness,
-the sgn(X)|X|^(alpha/2) transform maps a tail-index-alpha sample into the
-normal domain of attraction, and the norm chain V_{n,a} >= V_{n,1} >= V_{n,b}
->= V_{n,2} (a <= 1 <= b <= 2) is the deterministic inequality behind the
-degenerate regime.
+and the norm chain V_{n,a} >= V_{n,1} >= V_{n,b} >= V_{n,2}
+(a <= 1 <= b <= 2) is the deterministic inequality behind the degenerate
+regime.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ __all__ = [
     "darling_ratio",
     "sum_sq_ratio",
     "modulus_of_continuity",
-    "dan_transform",
-    "dan_criterion_curve",
     "NormChain",
     "norm_chain",
 ]
@@ -104,35 +101,6 @@ def _max_oscillation(y: np.ndarray, delta: float) -> float:
     hi = maximum_filter1d(y, size=size, mode="nearest")
     lo = minimum_filter1d(y, size=size, mode="nearest")
     return float((hi - lo).max())
-
-
-def dan_transform(x, alpha: float) -> np.ndarray:
-    """Elementwise sgn(X)|X|^(alpha/2), mapping tail index alpha into the normal domain."""
-    alpha = float(alpha)
-    if not 0 < alpha <= 2:
-        raise ParameterDomainError(f"alpha must lie in (0, 2], got {alpha}")
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.abs(x) ** (alpha / 2.0)
-
-
-def dan_criterion_curve(x, y_grid) -> np.ndarray:
-    """Plug-in y^2 P(|X| > y) / E(X^2 1{|X| <= y}) on a grid of y values.
-
-    Zero denominators yield +inf sentinels (never silent NaN). The curve
-    decreasing toward 0 is the qualitative normal-domain signature.
-    """
-    yg = np.asarray(y_grid, dtype=float)
-    if yg.size == 0:
-        raise ParameterDomainError("empty y grid")
-    if np.any(yg <= 0) or np.any(np.diff(yg) <= 0):
-        raise ParameterDomainError("y grid must be positive and strictly increasing")
-    ax = np.abs(np.asarray(x, dtype=float))
-    out = np.empty(yg.size)
-    for i, y in enumerate(yg):
-        tail = np.mean(ax > y)
-        body = np.mean(np.where(ax <= y, ax * ax, 0.0))
-        out[i] = np.inf if body == 0.0 else y * y * tail / body
-    return out
 
 
 class NormChain(NamedTuple):

@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import numbers
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -25,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from ._files import write_text_atomic
-# modulus_of_continuity is not called here, but stays bound like every other
-# layer function, so the benchmark's tracer (perfbench/tracing.py) finds it
+# modulus_of_continuity and load_oracle are not called here, but stay bound
+# like every other layer function, so the benchmark's tracer
+# (perfbench/tracing.py) finds them
 from .diagnostics import (  # noqa: F401
     _max_oscillation,
     darling_ratio,
@@ -36,13 +36,14 @@ from .diagnostics import (  # noqa: F401
 )
 from .errors import ConfigError, MissingStatisticsError, NonFiniteSampleError, ParameterDomainError
 from .families import FamilySpec, sample_family
-from .limits import (
-    ReferenceLaw,
+from .limits import (  # noqa: F401
     brownian_functional_oracle,
     dispersion_matrix,
     empirical_chf,
     g1_law,
     g2_law,
+    g3_law,
+    g4_law,
     ks_statistic,
     ks_two_sample,
     limit_chf,
@@ -69,8 +70,6 @@ __all__ = [
     "report_payload",
     "sweep",
     "regime_map",
-    "default_oracle_dir",
-    "oracle_path",
     "build_oracles",
 ]
 
@@ -87,8 +86,9 @@ REGIME_SCAN_KINDS = ("degenerate_scan", "tightness_scan", "ek_functionals")
 CHF_U_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 CHF_W_GRID = (0.0, 0.5, 1.0)
 
-# canonical Brownian oracle build: 1e5 paths of 1e4 steps, fixed seed,
-# one stream index per functional kind
+# canonical Brownian table build: 1e5 paths of 1e4 steps, fixed seed, one
+# stream index per functional kind. The statistics compare against exact
+# laws; the tables are an independent check of those laws.
 ORACLE_PATHS = 100_000
 ORACLE_STEPS = 10_000
 ORACLE_SEED = 20260815
@@ -373,8 +373,7 @@ def _ks_crit(reps: int) -> float:
     return 1.36 / math.sqrt(reps)
 
 
-def _aggregate_rows(config: ExperimentConfig, n: int, slots: np.ndarray,
-                    oracles: dict[str, ReferenceLaw] | None) -> list[AggregateRow]:
+def _aggregate_rows(config: ExperimentConfig, n: int, slots: np.ndarray) -> list[AggregateRow]:
     reps = config.reps
     kind = config.experiment
     rows: list[AggregateRow] = []
@@ -389,7 +388,7 @@ def _aggregate_rows(config: ExperimentConfig, n: int, slots: np.ndarray,
         add("exceedance", phat, _binom_se(phat, reps))
         add("mean_sum_sq_ratio", *_mean_se(ssr))
     elif kind == "ek_functionals":
-        laws = (g1_law(), g2_law(), oracles["G3"], oracles["G4"])
+        laws = (g1_law(), g2_law(), g3_law(), g4_law())
         names = ("ks_max_g1", "ks_max_abs_g2", "ks_mean_sq_g3", "ks_mean_abs_g4")
         for col, (name, law) in enumerate(zip(names, laws)):
             add(name, ks_statistic(slots[:, col], law), _ks_crit(reps))
@@ -425,11 +424,6 @@ def _aggregate_rows(config: ExperimentConfig, n: int, slots: np.ndarray,
     return rows
 
 
-def _load_ek_oracles(oracle_dir) -> dict[str, ReferenceLaw]:
-    base = Path(oracle_dir) if oracle_dir is not None else default_oracle_dir()
-    return {kind: load_oracle(oracle_path(base, kind)) for kind in ("G3", "G4")}
-
-
 def _check_chf(config: ExperimentConfig) -> None:
     if config.experiment == "chf_compare":
         tail_constants(config.family)  # rejects light-tailed families
@@ -438,12 +432,11 @@ def _check_chf(config: ExperimentConfig) -> None:
                 f"chf_compare needs p > alpha, got p={config.p}, alpha={config.family.alpha}")
 
 
-def _report(config: ExperimentConfig, slots: list[np.ndarray], thresholds: dict,
-            oracles: dict[str, ReferenceLaw] | None) -> ExperimentReport:
+def _report(config: ExperimentConfig, slots: list[np.ndarray], thresholds: dict) -> ExperimentReport:
     rows: list[AggregateRow] = []
     prev_tail: np.ndarray | None = None
     for n, n_slots in zip(config.n_grid, slots):
-        rows.extend(_aggregate_rows(config, n, n_slots, oracles))
+        rows.extend(_aggregate_rows(config, n, n_slots))
         if config.experiment == "tightness_scan":
             if prev_tail is not None:
                 rows.append(AggregateRow(
@@ -469,26 +462,28 @@ def _report(config: ExperimentConfig, slots: list[np.ndarray], thresholds: dict,
     )
 
 
-def _run_cells(cells: list[tuple[ExperimentConfig, ...]], thresholds: dict | None,
-               oracle_dir) -> list[list[ExperimentReport]]:
+def _run_cells(cells: list[tuple[ExperimentConfig, ...]],
+               thresholds: dict | None) -> list[list[ExperimentReport]]:
     """Validate, sample once per replication, aggregate: one report per (cell, scan)."""
     if thresholds is None:
         thresholds = load_default_thresholds()
-    configs = [c for cell in cells for c in cell]
-    oracles = None
-    if any(c.experiment == "ek_functionals" for c in configs):
-        oracles = _load_ek_oracles(oracle_dir)  # fail fast before sampling
-    for c in configs:
-        _check_chf(c)
+    for cell in cells:
+        for c in cell:
+            _check_chf(c)
     slots = _cell_slots(cells)
-    return [[_report(c, s, thresholds, oracles) for c, s in zip(cell, cell_slots)]
+    return [[_report(c, s, thresholds) for c, s in zip(cell, cell_slots)]
             for cell, cell_slots in zip(cells, slots)]
 
 
 def run_experiment(config: ExperimentConfig, thresholds: dict | None = None,
                    oracle_dir=None) -> ExperimentReport:
-    """Run reps x n_grid replications and aggregate per the experiment kind."""
-    return _run_cells([(config,)], thresholds, oracle_dir)[0][0]
+    """Run reps x n_grid replications and aggregate per the experiment kind.
+
+    `oracle_dir` is ignored: every reference law is exact and needs no file.
+    It stays only because the benchmark's workloads still pass it; the
+    benchmark change of ROADMAP item 2 stops passing it, and then it goes.
+    """
+    return _run_cells([(config,)], thresholds)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -657,12 +652,12 @@ def _grid(alpha_list, p_list) -> list[tuple[float, float]]:
     return [(a, p) for a in alphas for p in ps]
 
 
-def sweep(base: ExperimentConfig, alpha_list, p_list, thresholds: dict | None = None,
-          oracle_dir=None) -> tuple[ExperimentReport, ...]:
+def sweep(base: ExperimentConfig, alpha_list, p_list,
+          thresholds: dict | None = None) -> tuple[ExperimentReport, ...]:
     """Cartesian product of runs; cell seeds derived from the base seed and index."""
     cells = [(_cell_config(base, alpha, p, derive_seed(base.master_seed, idx)),)
              for idx, (alpha, p) in enumerate(_grid(alpha_list, p_list))]
-    return tuple(r for (r,) in _run_cells(cells, thresholds, oracle_dir))
+    return tuple(r for (r,) in _run_cells(cells, thresholds))
 
 
 def regime_map(base: ExperimentConfig, alpha_list, p_list, thresholds: dict | None = None,
@@ -672,6 +667,7 @@ def regime_map(base: ExperimentConfig, alpha_list, p_list, thresholds: dict | No
     The scans of a cell use the cell seed, so they read the same draws: each
     replication is drawn once and feeds all three. Returns (reports, matrix)
     with matrix[(alpha, p)] in {degenerate, brownian, not_tight, inconclusive}.
+    `oracle_dir` is ignored, as in `run_experiment`.
     """
     grid = _grid(alpha_list, p_list)
     if thresholds is None:
@@ -679,33 +675,25 @@ def regime_map(base: ExperimentConfig, alpha_list, p_list, thresholds: dict | No
     cells = [tuple(_cell_config(base, alpha, p, derive_seed(base.master_seed, idx), kind)
                    for kind in REGIME_SCAN_KINDS)
              for idx, (alpha, p) in enumerate(grid)]
-    per_cell = _run_cells(cells, thresholds, oracle_dir)
+    per_cell = _run_cells(cells, thresholds)
     matrix = {cell: decide_regime([row for r in reports for row in r.aggregates], thresholds)
               for cell, reports in zip(grid, per_cell)}
     return tuple(r for reports in per_cell for r in reports), matrix
 
 
 # ---------------------------------------------------------------------------
-# Brownian-functional oracle artifacts
+# simulated Brownian-functional tables
 
 
-def default_oracle_dir() -> Path:
-    env = os.environ.get("SELFNORM_ORACLE_DIR")
-    return Path(env) if env else Path.home() / ".selfnorm" / "oracles"
-
-
-def oracle_path(base_dir, kind: str) -> Path:
-    return Path(base_dir) / f"{kind.lower()}_oracle.txt"
-
-
-def build_oracles(out_dir=None, kinds=("G2", "G3", "G4"), paths: int = ORACLE_PATHS,
+def build_oracles(out_dir, kinds=("G2", "G3", "G4"), paths: int = ORACLE_PATHS,
                   steps: int = ORACLE_STEPS, seed: int = ORACLE_SEED) -> list[Path]:
-    """Simulate and persist the Brownian functional tables; returns written paths.
+    """Simulate the Brownian functional tables into out_dir; returns written paths.
 
-    G1 is not built by default: the statistics compare against its closed
-    form (`g1_law`); pass it in `kinds` to build its table anyway. Every
-    argument is checked, the seed by building its streams, before the output
-    directory is created.
+    No run reads these tables: the statistics compare against the exact laws
+    `g1_law` to `g4_law`, and the tables are an independent check of them.
+    G1 is not built by default; pass it in `kinds` to build its table anyway.
+    Every argument is checked, the seed by building its streams, before the
+    output directory is created.
     """
     unknown = [kind for kind in kinds if kind not in _ORACLE_STREAM]
     if unknown:
@@ -713,12 +701,12 @@ def build_oracles(out_dir=None, kinds=("G2", "G3", "G4"), paths: int = ORACLE_PA
     if paths < 1 or steps < 1:
         raise ParameterDomainError("paths and steps must be >= 1")
     streams = [(kind, SeededStream(seed, _ORACLE_STREAM[kind])) for kind in kinds]
-    base = Path(out_dir) if out_dir is not None else default_oracle_dir()
+    base = Path(out_dir)
     base.mkdir(parents=True, exist_ok=True)
     written = []
     for kind, stream in streams:
         law = brownian_functional_oracle(kind, paths, steps, stream)
-        dest = oracle_path(base, kind)
+        dest = base / f"{kind.lower()}_oracle.txt"
         save_oracle(law, dest)
         written.append(dest)
     return written

@@ -1,11 +1,13 @@
 """Reference limit laws and statistical machinery.
 
-Closed forms and series for the Brownian path laws G1 (sup), G2 (sup of
-modulus), seeded Monte Carlo oracle tables for G3 (integral of the square)
-and G4 (integral of the modulus), one- and two-sample Kolmogorov-Smirnov
-distances, empirical characteristic functions, the Brownian dispersion
-matrix min(t_i, t_j), and numeric evaluation of the limiting joint
-characteristic function
+Exact laws of four Brownian path functionals on [0, 1]: G1 (sup W, the
+reflection closed form), G2 (sup |W|, theta and reflection series), G3 (the
+integral of W^2, the Cameron-Martin series) and G4 (the integral of |W|,
+Kac's Airy series inverted on a Bromwich line); a seeded Monte Carlo
+simulator of the same four functionals, kept as an independent reference;
+one- and two-sample Kolmogorov-Smirnov distances, empirical characteristic
+functions, the Brownian dispersion matrix min(t_i, t_j), and numeric
+evaluation of the limiting joint characteristic function
 
     chf(u, w) = exp(c(u, w)),
     c(u, w) = 2 r int_0^inf (exp(i w t^(p/a) y^p) cos(u t^(1/a) y) - 1) y^(-a-1) dy
@@ -24,6 +26,7 @@ agree to the requested relative tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -31,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import gamma as _gamma
-from scipy.special import factorial, ndtr
+from scipy.special import ai_zeros, airy, binom, erfc, factorial, ndtr
 
 from ._files import write_text_atomic
 from .errors import InternalConsistencyError, OracleMissingError, ParameterDomainError
@@ -42,11 +45,12 @@ __all__ = [
     "ReferenceLaw",
     "TailConstants",
     "std_normal_law",
-    "scaled_normal_law",
     "g1_cdf",
     "g2_cdf",
     "g1_law",
     "g2_law",
+    "g3_law",
+    "g4_law",
     "brownian_functional_oracle",
     "save_oracle",
     "load_oracle",
@@ -66,7 +70,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ReferenceLaw:
-    """An evaluable CDF: a closed form, a series, or an oracle table."""
+    """An evaluable CDF: a closed form, a series, or a simulated table."""
 
     kind: str
     cdf_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -74,8 +78,7 @@ class ReferenceLaw:
     meta: dict | None = None
 
     def cdf(self, x):
-        out = self.cdf_fn(np.asarray(x, dtype=float))
-        return out
+        return self.cdf_fn(np.asarray(x, dtype=float))
 
     def mean_and_stderr(self) -> tuple[float, float]:
         if self.table is None:
@@ -88,45 +91,132 @@ def std_normal_law() -> ReferenceLaw:
     return ReferenceLaw(kind="StdNormal", cdf_fn=ndtr)
 
 
-def scaled_normal_law(sigma: float) -> ReferenceLaw:
-    if sigma <= 0:
-        raise ParameterDomainError(f"sigma must be positive, got {sigma}")
-    return ReferenceLaw(kind=f"ScaledNormal({sigma!r})", cdf_fn=lambda x: ndtr(x / sigma))
-
-
 def g1_cdf(x) -> np.ndarray:
     """P(sup W < x) = 2 Phi(x) - 1 for x > 0 (reflection principle), else 0."""
     x = np.asarray(x, dtype=float)
     return np.where(x > 0, 2.0 * ndtr(x) - 1.0, 0.0)
 
 
-def _g2_terms(x: np.ndarray, terms: int) -> np.ndarray:
-    # alternating series (4/pi) sum (-1)^k/(2k+1) exp(-(2k+1)^2 pi^2/(8 x^2))
-    k = np.arange(terms)
-    coef = (-1.0) ** k / (2 * k + 1)
-    with np.errstate(divide="ignore"):
-        expo = np.exp(-((2 * k + 1) ** 2) * np.pi**2 / (8.0 * x[..., None] ** 2))
-    return (4.0 / np.pi) * coef * expo
+# terms kept of each G2 series; the first one dropped is below 1e-100 on its
+# side of x = 1, and the two series agree to 6e-16 on [0.5, 3]
+_G2_TERMS = 12
 
 
-def g2_cdf(x, terms: int = 64) -> np.ndarray:
-    """P(sup |W| < x), theta-type alternating series truncated at `terms`."""
-    if not isinstance(terms, (int, np.integer)) or terms < 1:
-        raise ParameterDomainError(f"terms must be a positive integer, got {terms}")
+def g2_cdf(x) -> np.ndarray:
+    """P(sup |W| < x) for x > 0, else 0.
+
+    Below x = 1 the theta series (4/pi) sum_k (-1)^k/(2k+1)
+    exp(-(2k+1)^2 pi^2/(8 x^2)); from x = 1 on the reflection series
+    1 - 4 sum_k (-1)^k Phibar((2k+1) x), which stays exact where the theta
+    series loses every digit to cancellation (it gives 0.997 at x = 200).
+    """
     x = np.asarray(x, dtype=float)
-    pos = x > 0
+    k = np.arange(_G2_TERMS)
+    sign = (-1.0) ** k
     out = np.zeros_like(x, dtype=float)
-    if np.any(pos):
-        out[pos] = _g2_terms(x[pos], terms).sum(axis=-1)
+    low = (x > 0) & (x < 1.0)
+    if np.any(low):
+        with np.errstate(divide="ignore"):  # x^2 underflows below 1e-154
+            expo = np.exp(-((2 * k + 1) ** 2) * np.pi**2 / (8.0 * x[low][..., None] ** 2))
+        out[low] = (4.0 / np.pi) * (sign / (2 * k + 1) * expo).sum(axis=-1)
+    high = x >= 1.0
+    if np.any(high):
+        out[high] = 1.0 - 4.0 * (sign * ndtr(-(2 * k + 1) * x[high][..., None])).sum(axis=-1)
     return np.clip(out, 0.0, 1.0)
+
+
+# G3 = int_0^1 W^2 has the Laplace transform (cosh sqrt(2s))^(-1/2) (Cameron
+# and Martin 1944). Expanded in powers of e^(-2 sqrt(2s)) and inverted term by
+# term it gives F(x) = sqrt(2) sum_j binom(-1/2, j) erfc((4j + 1) / (2 sqrt(2x))).
+# 32 terms are exact to rounding below x = 32 (8 are off by 5.7e-4 on [0, 30]),
+# and 1 - F(32) < 1e-16.
+_G3_TOP = 32.0
+_G3_J = np.arange(32)
+_G3_COEF = math.sqrt(2.0) * binom(-0.5, _G3_J)
+
+
+def _g3_cdf(x: np.ndarray) -> np.ndarray:
+    out = np.where(x >= _G3_TOP, 1.0, 0.0)
+    mid = (x > 0) & (x < _G3_TOP)
+    if np.any(mid):
+        out[mid] = (_G3_COEF * erfc((4 * _G3_J + 1) / (2.0 * np.sqrt(2.0 * x[mid][..., None])))).sum(axis=-1)
+    return np.clip(out, 0.0, 1.0)
+
+
+# G4 = int_0^1 |W| has the Laplace transform (Kac 1946)
+#     L(s) = E exp(-s G4) = sum_j d_j exp(-2^(-1/3) a_j s^(2/3)),
+#     d_j = (1 + 3 int_0^{a_j} Ai(-t) dt) / (3 a_j Ai(-a_j)),
+# with -a_j the zeros of Ai'. F(x) = (e^{cx}/pi) int_0^inf Re(e^{itx} L(c+it)/(c+it)) dt
+# on the line Re s = c. There |s| >= c, so _G4_ZEROS terms of L suffice (the
+# last one's exponent is at least 54). A trapezoid rule in t with step
+# h = 2 pi c / 36 aliases F(x + 36/c) e^(-36) onto F(x) (Abate and Whitt 1992),
+# and on the x grid of step 2 pi / (N h) its N-node sum is one FFT. F is kept
+# on [0, _G4_TOP], and P(G4 > 6) <= P(sup |W| > 6) < 4e-9.
+_G4_ZEROS = 60
+_G4_LINE = 2.0
+_G4_NODES = 2**14
+_G4_TOP = 6.0
+
+
+def _kac_laplace(s: np.ndarray) -> np.ndarray:
+    """E exp(-s G4) at complex s with Re s > 0, from _G4_ZEROS terms of Kac's series."""
+    _, ap, ai_at_ap, _ = ai_zeros(_G4_ZEROS)
+    a = -ap
+    # int_0^{a_j} Ai(-t) dt by the 16-node Gauss-Legendre rule on 25 equal
+    # panels, within 7e-14 of 800-node Gauss-Legendre; scipy.special.itairy is
+    # off by up to 2.9e-7 here, and scipy's own 400-node rule loads 6 MB of
+    # linear algebra into every process
+    u = ((np.arange(25)[:, None] + 0.5 * (_GL_NODES + 1.0)) / 25.0).ravel()
+    ai_int = a * (airy(-a[:, None] * u)[0] @ np.tile(_GL_WEIGHTS / 50.0, 25))
+    d = (1.0 + 3.0 * ai_int) / (3.0 * a * ai_at_ap)
+    s23 = s ** (2.0 / 3.0)
+    out = np.zeros(s.shape, dtype=complex)
+    # one term at a time: an (s, zeros) matrix would hold 60 copies of s
+    for a_j, d_j in zip(a, d):
+        out += d_j * np.exp(-(2.0 ** (-1.0 / 3.0)) * a_j * s23)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _g4_table() -> tuple[np.ndarray, np.ndarray]:
+    """(x, F(x)) of G4 on an even grid of [0, _G4_TOP], built once per process."""
+    c = _G4_LINE
+    h = 2.0 * math.pi * c / 36.0
+    s = c + 1j * h * np.arange(_G4_NODES)
+    g = _kac_laplace(s) / s
+    g[0] *= 0.5  # trapezoid end weight at t = 0
+    dx = 2.0 * math.pi / (_G4_NODES * h)
+    x = dx * np.arange(int(_G4_TOP / dx) + 2)
+    f = h / math.pi * np.exp(c * x) * (np.fft.ifft(g) * _G4_NODES)[:x.size].real
+    # rounding leaves wiggles of up to 4e-12, amplified by e^{cx}
+    f = np.clip(np.maximum.accumulate(f), 0.0, 1.0)
+    f[0] = 0.0  # G4 > 0 almost surely
+    for arr in (x, f):  # every caller shares the cached arrays
+        arr.setflags(write=False)
+    return x, f
+
+
+def _g4_cdf(x: np.ndarray) -> np.ndarray:
+    grid, f = _g4_table()
+    return np.interp(x, grid, f, left=0.0, right=1.0)
 
 
 def g1_law() -> ReferenceLaw:
     return ReferenceLaw(kind="G1", cdf_fn=g1_cdf)
 
 
-def g2_law(terms: int = 64) -> ReferenceLaw:
-    return ReferenceLaw(kind="G2", cdf_fn=lambda x: g2_cdf(x, terms))
+def g2_law() -> ReferenceLaw:
+    return ReferenceLaw(kind="G2", cdf_fn=g2_cdf)
+
+
+def g3_law() -> ReferenceLaw:
+    """The exact law of int_0^1 W^2 (Cameron-Martin series)."""
+    return ReferenceLaw(kind="G3", cdf_fn=_g3_cdf)
+
+
+def g4_law() -> ReferenceLaw:
+    """The exact law of int_0^1 |W| (Kac's series, Bromwich inversion by FFT)."""
+    return ReferenceLaw(kind="G4", cdf_fn=_g4_cdf)
 
 
 _ORACLE_KINDS = ("G1", "G2", "G3", "G4")
@@ -210,7 +300,7 @@ def load_oracle(path) -> ReferenceLaw:
             raw = fh.read().splitlines()
     except FileNotFoundError:
         raise OracleMissingError(
-            f"oracle table {path} not found; build it with `selfnorm oracle-build`"
+            f"oracle table {path} not found; build it with `build_oracles`"
         ) from None
     if not raw or raw[0] != f"# {_ORACLE_FORMAT}":
         raise OracleMissingError(f"{path} is not a {_ORACLE_FORMAT} table")

@@ -141,8 +141,8 @@ def y_path(path: ProcessPath, grid) -> np.ndarray:
     nt = n * tg
     ks = np.minimum(nt.astype(int), n)
     frac = nt - ks
-    xpad = np.concatenate([path.values, [0.0]])  # t = 1 contributes no step
-    return (path.sums[ks] + frac * xpad[ks]) / path.v
+    # frac is 0 at k = n (t = 1), so X_n stands in for the missing X_{n+1}
+    return (path.sums[ks] + frac * path.values[np.minimum(ks, n - 1)]) / path.v
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ from selfnorm import (
     ParameterDomainError,
     ProcessPath,
     SeededStream,
-    dan_criterion_curve,
-    dan_transform,
     darling_ratio,
     max_ratio,
     modulus_of_continuity,
@@ -111,28 +109,6 @@ def test_modulus_domain():
         modulus_of_continuity(path, 1.5)
     with pytest.raises(ParameterDomainError):
         modulus_of_continuity(path, 0.5, grid_refinement=0)
-
-
-def test_dan_transform_halves_tail_index():
-    b = np.array([-4.0, 9.0])
-    out = dan_transform(b, 1.0)
-    assert isinstance(out, np.ndarray)
-    assert np.allclose(out, [-2.0, 3.0])
-
-
-def test_dan_criterion_curve_decreases_for_gaussian():
-    x = sample_family(FamilySpec(kind="Gaussian"), SeededStream(41), 100_000)
-    curve = dan_criterion_curve(x, [0.5, 1.0, 2.0, 4.0])
-    assert curve[0] > curve[-1]
-    assert curve[-1] < 0.05
-
-
-def test_dan_criterion_curve_domain():
-    b = np.array([1.0])
-    with pytest.raises(ParameterDomainError):
-        dan_criterion_curve(b, [])
-    with pytest.raises(ParameterDomainError):
-        dan_criterion_curve(b, [-1.0, 1.0])
 
 
 @given(nonzero_arrays, st.floats(0.05, 1.0), st.floats(1.0, 2.0))

@@ -10,12 +10,11 @@ regenerates the files with
 """
 import dataclasses
 import sys
-import tempfile
 from pathlib import Path
 
 import pytest
 
-from selfnorm import ExperimentConfig, FamilySpec, build_oracles, regime_map, run_experiment, write_report
+from selfnorm import ExperimentConfig, FamilySpec, regime_map, run_experiment, write_report
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -44,28 +43,18 @@ CELL_KINDS = ("degenerate_scan", "tightness_scan", "ek_functionals")
 NAMES = [*RUNS, *(f"regime_cell_{kind}" for kind in CELL_KINDS)]
 
 
-def _tables(out_dir: Path) -> Path:
-    build_oracles(out_dir, kinds=("G3", "G4"), paths=512, steps=200)
-    return out_dir
-
-
-def _reports(oracle_dir: Path, workers: int) -> dict:
-    reports = {name: run_experiment(dataclasses.replace(cfg, workers=workers), oracle_dir=oracle_dir)
+def _reports(workers: int) -> dict:
+    reports = {name: run_experiment(dataclasses.replace(cfg, workers=workers))
                for name, cfg in RUNS.items()}
     cell, _ = regime_map(dataclasses.replace(CELL, workers=workers), (CELL.family.alpha,),
-                         (CELL.p,), oracle_dir=oracle_dir)
+                         (CELL.p,))
     reports.update((f"regime_cell_{r.config.experiment}", r) for r in cell)
     return reports
 
 
-@pytest.fixture(scope="module")
-def oracle_dir(tmp_path_factory):
-    return _tables(tmp_path_factory.mktemp("golden-oracles"))
-
-
 @pytest.mark.parametrize("workers", [1, 2])
-def test_reports_match_golden_bytes(workers, oracle_dir, tmp_path):
-    reports = _reports(oracle_dir, workers)
+def test_reports_match_golden_bytes(workers, tmp_path):
+    reports = _reports(workers)
     assert sorted(reports) == sorted(NAMES)
     mismatched = []
     for name, report in reports.items():
@@ -79,8 +68,7 @@ def test_reports_match_golden_bytes(workers, oracle_dir, tmp_path):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, report in _reports(_tables(Path(tmp)), workers=1).items():
-            for fmt in ("json", "csv"):
-                write_report(report, fmt, GOLDEN / f"{name}.{fmt}")
+    for name, report in _reports(workers=1).items():
+        for fmt in ("json", "csv"):
+            write_report(report, fmt, GOLDEN / f"{name}.{fmt}")
     sys.exit(0)

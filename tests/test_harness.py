@@ -17,7 +17,6 @@ from selfnorm import (
     FamilySpec,
     MissingStatisticsError,
     NonFiniteSampleError,
-    OracleMissingError,
     ParameterDomainError,
     SeededStream,
     build_oracles,
@@ -32,7 +31,7 @@ from selfnorm import (
     sweep,
     write_report,
 )
-from selfnorm import cli, diagnostics, harness, process
+from selfnorm import cli, diagnostics, harness, limits, process
 
 CAUCHY = FamilySpec(kind="SymStable", alpha=1.0)
 
@@ -162,19 +161,21 @@ def test_chf_stats_leave_the_sample_unchanged():
     assert stats == (float(np.sum(xs)), float(np.sum(np.abs(xs) ** 2.0)))
 
 
-def test_ek_missing_oracle_fails_fast(tmp_path):
-    cfg = config(experiment="ek_functionals", p=2.0, family=FamilySpec(kind="Gaussian"))
-    with pytest.raises(OracleMissingError):
-        run_experiment(cfg, oracle_dir=tmp_path / "nowhere")
+def _no_oracle_file(*args, **kwargs):
+    raise AssertionError("a run read an oracle table")
 
 
-def test_ek_runs_against_small_tables(tmp_path):
-    build_oracles(out_dir=tmp_path, paths=500, steps=200)
+def test_ek_runs_without_oracle_tables(monkeypatch, tmp_path):
+    # every reference law is exact: no table is read, and an oracle_dir that
+    # does not exist is ignored
+    monkeypatch.setattr(harness, "load_oracle", _no_oracle_file)
     cfg = config(experiment="ek_functionals", p=2.0, family=FamilySpec(kind="Gaussian"),
                  n_grid=(200,), reps=32)
-    r = run_experiment(cfg, oracle_dir=tmp_path)
+    r = run_experiment(cfg, oracle_dir=tmp_path / "nowhere")
     names = {row.statistic for row in r.aggregates}
     assert names == {"ks_max_g1", "ks_max_abs_g2", "ks_mean_sq_g3", "ks_mean_abs_g4"}
+    assert all(0.0 < row.value < 1.0 for row in r.aggregates)
+    assert not (tmp_path / "nowhere").exists()
 
 
 def test_non_finite_draw_raises_instead_of_labelling():
@@ -214,12 +215,17 @@ def test_build_oracles_checks_kinds_before_writing(tmp_path):
     with pytest.raises(ParameterDomainError, match="G5"):
         build_oracles(out_dir=tmp_path / "oracles", kinds=("G5",))
     assert not (tmp_path / "oracles").exists()
+    # the seed is checked too, by building its streams
+    with pytest.raises(ParameterDomainError, match="master_seed must fit in 64 bits"):
+        build_oracles(out_dir=tmp_path / "oracles", seed=-1)
+    assert not (tmp_path / "oracles").exists()
 
 
-def test_regime_map_shares_draws_pool_and_oracles(monkeypatch, tmp_path):
-    build_oracles(out_dir=tmp_path, kinds=("G3", "G4"), paths=300, steps=100)
+def test_regime_map_shares_draws_pool_and_oracles(monkeypatch):
+    # the exact G4 law is tabulated once per process, and no file is read
+    monkeypatch.setattr(harness, "load_oracle", _no_oracle_file)
+    limits._g4_table.cache_clear()
     draws = _counting(monkeypatch, "sample_family")
-    loads = _counting(monkeypatch, "load_oracle")
     pools = []
 
     class CountedPool(harness.ProcessPoolExecutor):
@@ -229,26 +235,25 @@ def test_regime_map_shares_draws_pool_and_oracles(monkeypatch, tmp_path):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
     base = config(n_grid=(50, 100), reps=4, workers=2)
-    reports, _ = regime_map(base, (1.0, 1.5), (1.0, 2.0), oracle_dir=tmp_path)
+    reports, _ = regime_map(base, (1.0, 1.5), (1.0, 2.0))
     assert len(reports) == 12
     assert len(pools) == 1
-    assert len(loads) == 2
+    assert limits._g4_table.cache_info().misses == 1
     # the counter sees only the parent's calls; at workers=1 every draw is local
-    reports1, _ = regime_map(dataclasses.replace(base, workers=1), (1.0, 1.5), (1.0, 2.0),
-                             oracle_dir=tmp_path)
+    reports1, _ = regime_map(dataclasses.replace(base, workers=1), (1.0, 1.5), (1.0, 2.0))
+    assert limits._g4_table.cache_info().misses == 1
     assert len(draws) == 4 * 4  # four cells, one draw per replication for three scans
     blob = lambda r: json.dumps(report_payload(r), sort_keys=True, separators=(",", ":"))
     assert [blob(r) for r in reports] == [blob(r) for r in reports1]
 
 
-def test_one_reduction_per_replication_and_n(monkeypatch, tmp_path):
+def test_one_reduction_per_replication_and_n(monkeypatch):
     # the path's prefix sums and V_{n,p} serve every scan of the cell,
     # ek_functionals included
-    build_oracles(out_dir=tmp_path, kinds=("G3", "G4"), paths=300, steps=100)
     sums = _counting(monkeypatch, "partial_sums", process)
     norms = _counting(monkeypatch, "p_norm", process)
     base = config(n_grid=(50, 100), reps=4, workers=1)
-    regime_map(base, (1.5,), (2.0,), oracle_dir=tmp_path)
+    regime_map(base, (1.5,), (2.0,))
     assert len(sums) == 4 * 2
     assert len(norms) == 4 * 2
 
@@ -261,11 +266,10 @@ def _load_tracing():
     return module
 
 
-def test_benchmark_trace_installs_and_restores(tmp_path):
+def test_benchmark_trace_installs_and_restores():
     # the benchmark's tracer rebinds layer names in harness and diagnostics;
     # each must still exist, be called through that name, and come back
     tracing = _load_tracing()
-    build_oracles(out_dir=tmp_path, kinds=("G3", "G4"), paths=300, steps=100)
     bound = [(module, attr, getattr(module, attr))
              for module, table in ((harness, tracing._HARNESS_NAMES),
                                    (diagnostics, tracing._DIAGNOSTICS_NAMES))
@@ -274,7 +278,7 @@ def test_benchmark_trace_installs_and_restores(tmp_path):
     base = config(n_grid=(50, 100), reps=3, workers=1)
     tracer = tracing.Tracer(timed=False)
     with tracing.installed(tracer):
-        regime_map(base, (1.5,), (2.0,), oracle_dir=tmp_path)
+        regime_map(base, (1.5,), (2.0,))
     assert tracer.counts["process.ek_functionals.calls"] == 3 * 2
     assert tracer.counts["process.ProcessPath.calls"] == 3 * 2
     assert [getattr(module, attr) is original for module, attr, original in bound] == \
@@ -454,10 +458,9 @@ def test_sweep_covers_grid_row_major():
     assert len(set(seeds)) == 4
 
 
-def test_regime_map_runs_three_scans_per_cell(tmp_path):
-    build_oracles(out_dir=tmp_path, paths=500, steps=200)
+def test_regime_map_runs_three_scans_per_cell():
     base = config(n_grid=(50, 100), reps=12)
-    reports, matrix = regime_map(base, (1.0,), (1.0,), oracle_dir=tmp_path)
+    reports, matrix = regime_map(base, (1.0,), (1.0,))
     assert [r.config.experiment for r in reports] == \
         ["degenerate_scan", "tightness_scan", "ek_functionals"]
     assert len({r.config.master_seed for r in reports}) == 1  # same cell seed
@@ -507,28 +510,12 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     bad_p = ["run", "--family", "SymStable", "--alpha", "1.0", "--p", "9", "--n", "50",
              "--reps", "4", "--seed", "1", "--experiment", "degenerate_scan"]
     assert cli.main(bad_p) == 1
-    missing = ["run", "--family", "Gaussian", "--alpha", "2.0", "--p", "2.0", "--n", "50",
-               "--reps", "4", "--seed", "1", "--experiment", "ek_functionals"]
-    import os
-    old = os.environ.get("SELFNORM_ORACLE_DIR")
-    os.environ["SELFNORM_ORACLE_DIR"] = str(tmp_path / "empty")
-    try:
-        assert cli.main(missing) == 2
-    finally:
-        if old is None:
-            os.environ.pop("SELFNORM_ORACLE_DIR")
-        else:
-            os.environ["SELFNORM_ORACLE_DIR"] = old
     io_err = ["run", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0", "--n", "50",
               "--reps", "4", "--seed", "1", "--experiment", "degenerate_scan",
               "--out", str(tmp_path / "no_dir" / "x.json")]
     assert cli.main(io_err) == 3
     assert cli.main(["run", "--family", "Nope", "--alpha", "1", "--p", "1", "--n", "5",
                      "--reps", "2", "--seed", "1", "--experiment", "degenerate_scan"]) == 1
-    capsys.readouterr()
-    assert cli.main(["oracle-build", "--out", str(tmp_path / "oracles"), "--seed", "-1"]) == 1
-    assert capsys.readouterr().err.startswith("error: master_seed must fit in 64 bits")
-    assert not (tmp_path / "oracles").exists()
     # bad config-file values exit 1 with an error line, not a traceback
     run_args = ["run", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0", "--n", "50",
                 "--reps", "4", "--seed", "1", "--experiment", "degenerate_scan"]
@@ -551,28 +538,30 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     def broken(cells):
         raise BrokenProcessPool("a worker died")
 
-    monkeypatch.setattr(harness, "_cell_slots", broken)
     ok = ["run", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0", "--n", "50",
           "--reps", "4", "--seed", "1", "--experiment", "degenerate_scan"]
+
+    def no_statistics(aggregates, thresholds):
+        raise MissingStatisticsError("nothing to decide from")
+
+    monkeypatch.setattr(harness, "decide_regime", no_statistics)
+    assert cli.main(ok) == 2
+    assert capsys.readouterr().err == "error: nothing to decide from\n"
+    monkeypatch.setattr(harness, "_cell_slots", broken)
     assert cli.main(ok) == 5
     assert capsys.readouterr().err == "error: a worker died\n"
 
 
-def test_cli_sweep_prints_matrix(tmp_path, capsys):
-    build_oracles(out_dir=tmp_path / "oracles", paths=300, steps=100)
-    import os
-    old = os.environ.get("SELFNORM_ORACLE_DIR")
-    os.environ["SELFNORM_ORACLE_DIR"] = str(tmp_path / "oracles")
-    try:
-        code = cli.main(["sweep", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0",
-                         "--n", "50", "--reps", "8", "--seed", "3",
-                         "--out", str(tmp_path / "reports")])
-    finally:
-        if old is None:
-            os.environ.pop("SELFNORM_ORACLE_DIR")
-        else:
-            os.environ["SELFNORM_ORACLE_DIR"] = old
+def test_cli_sweep_prints_matrix(tmp_path, capsys, monkeypatch):
+    # a fresh machine: nothing under HOME, and nothing written there
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    code = cli.main(["sweep", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0",
+                     "--n", "50", "--reps", "8", "--seed", "3",
+                     "--out", str(tmp_path / "reports")])
     assert code == 0
+    assert not any(home.iterdir())
     out = capsys.readouterr().out
     assert "alpha \\ p" in out
     written = list((tmp_path / "reports").glob("*.json"))

@@ -19,16 +19,17 @@ from selfnorm import (
     empirical_chf,
     g1_law,
     g2_law,
+    g3_law,
+    g4_law,
     ks_statistic,
     ks_two_sample,
     limit_chf,
     load_oracle,
     save_oracle,
-    scaled_normal_law,
     std_normal_law,
     tail_constants,
 )
-from selfnorm.limits import _j_closed_w_only, _j_quad, g1_cdf, g2_cdf
+from selfnorm.limits import _j_closed_w_only, _j_quad, _kac_laplace, g1_cdf, g2_cdf
 
 # a numpy overflow or NaN inside a quadrature fails the test instead of
 # hiding inside a refinement that never converges
@@ -141,6 +142,54 @@ def test_g2_cdf_shape():
     assert g2_cdf(np.array([-1.0, 0.0]))[0] == 0.0
     # series is inside the g1 law: sup |W| >= sup W pointwise
     assert np.all(c <= g1_cdf(x) + 1e-12)
+    # far out the law is 1 to double precision; 64 terms of the theta series
+    # alone gave 0.99979 at x = 80 and 0.99700 at x = 200
+    assert np.array_equal(g2_cdf(np.array([80.0, 200.0, 1e6])), np.ones(3))
+    assert 1.0 - g2_cdf(6.0) == pytest.approx(4.0 * scipy.stats.norm.sf(6.0), rel=1e-6)
+    # the theta series below x = 1 and the reflection series above it agree
+    assert abs(g2_cdf(np.nextafter(1.0, 0.0)) - g2_cdf(1.0)) <= 1e-15
+
+
+# (law, the point from which the CDF is exactly 1)
+EXACT_LAWS = {"G3": (g3_law(), 32.0), "G4": (g4_law(), 6.0)}
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_LAWS))
+def test_g3_g4_cdf_shape(kind):
+    law, top = EXACT_LAWS[kind]
+    x = np.linspace(0.0, top, 20_001)
+    c = law.cdf(x)
+    assert c[0] == 0.0 and law.cdf(-1.0) == 0.0
+    assert np.all(np.diff(c) >= -1e-15)  # monotone up to rounding
+    assert law.cdf(top) == 1.0 and law.cdf(10.0 * top) == 1.0
+    assert 0.0 < law.cdf(0.5) < 1.0
+
+
+@pytest.mark.parametrize("kind,mean,var", [("G3", 0.5, 1.0 / 3.0),
+                                           ("G4", 2.0 / 3.0 * math.sqrt(2.0 / math.pi), None)])
+def test_g3_g4_moments(kind, mean, var):
+    # E G = int (1 - F), E G^2 = int 2x (1 - F), by the trapezoid rule on a
+    # grid fine enough that its own error is below 1e-8
+    law, top = EXACT_LAWS[kind]
+    x = np.linspace(0.0, top, 600_001)
+    tail = 1.0 - law.cdf(x)
+    m1 = np.trapezoid(tail, x)
+    assert abs(m1 - mean) <= 1e-6
+    if var is not None:
+        assert abs(np.trapezoid(2.0 * x * tail, x) - m1**2 - var) <= 1e-6
+
+
+def test_g4_law_matches_direct_bromwich_sum():
+    # the trapezoid sum of the Bromwich integral, taken directly at each x on
+    # another line (Re s = 1.5) instead of by one FFT on a grid at Re s = 2
+    c = 1.5
+    h = 2.0 * math.pi * c / 36.0
+    t = h * np.arange(int(2000.0 / h))
+    g = _kac_laplace(c + 1j * t) / (c + 1j * t)
+    g[0] *= 0.5
+    xs = np.linspace(0.125, 3.0, 24)
+    direct = h / math.pi * np.exp(c * xs) * (np.exp(1j * np.outer(xs, t)) @ g).real
+    assert np.max(np.abs(g4_law().cdf(xs) - direct)) <= 5e-6
 
 
 def test_g2_series_matches_fresh_simulation():
@@ -264,14 +313,6 @@ def test_ks_rejects_empty():
         ks_statistic(np.array([]), std_normal_law())
     with pytest.raises(ParameterDomainError):
         ks_two_sample(np.array([]), np.array([1.0]))
-
-
-def test_scaled_normal_law():
-    law = scaled_normal_law(2.0)
-    assert law.cdf(0.0) == pytest.approx(0.5)
-    assert law.cdf(2.0) == pytest.approx(scipy.stats.norm.cdf(1.0), rel=1e-12)
-    with pytest.raises(ParameterDomainError):
-        scaled_normal_law(0.0)
 
 
 def test_empirical_chf_hand_values():
