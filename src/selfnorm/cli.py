@@ -242,6 +242,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MissingStatisticsError as exc:
+        # exit 2 stays mapped, but no shipped experiment raises it: each
+        # regime scan always yields a statistic a decision rule reads
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -13,7 +13,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .errors import (
     DegenerateSampleError,
@@ -82,25 +81,50 @@ def modulus_of_continuity(path: ProcessPath, delta: float, grid_refinement: int 
     if grid_refinement < 1:
         raise ParameterDomainError(f"grid_refinement must be >= 1, got {grid_refinement}")
     npts = grid_refinement * path.n
-    return _max_oscillation(y_path(path, np.arange(npts + 1) / npts), delta)
+    return _max_oscillations(y_path(path, np.arange(npts + 1) / npts), (delta,))[0]
 
 
-def _max_oscillation(y: np.ndarray, delta: float) -> float:
+def _max_oscillations(y: np.ndarray, deltas) -> tuple[float, ...]:
     """Largest max-minus-min of y over windows of delta times its len(y) - 1 mesh steps.
 
     y holds a path on an evenly spaced grid of [0, 1]; this is the modulus of
-    continuity once the grid is evaluated, so one grid serves every delta.
+    continuity once the grid is evaluated, so one grid, and one pass over it,
+    serves every delta. Results come back in the order of `deltas`; a window
+    below one mesh step gives 0.0, since no distinct grid pairs qualify.
+
+    hi[j] and lo[j] hold the max and min of the valid window of k points that
+    starts at node j, and the window grows through the sorted distinct widths.
+    Window cover: for k <= K <= 2k, the windows of k points starting at j and
+    at j + K - k overlap and together cover exactly the K points starting at
+    j, so since max and min are idempotent, np.maximum and np.minimum of the
+    two shifted arrays give the windows of K points.
+
+    This equals the centred scipy.ndimage maximum_filter1d/minimum_filter1d
+    of size K with mode="nearest" bit for bit. Each of its windows is either a
+    full window of K points (every full window is centred on some node), or
+    an edge window clipped by the mode; a clipped window is a run of fewer
+    than K nodes, and since K <= len(y) (delta <= 1) it lies inside some full
+    window, so its max is no larger and its min no smaller. Floating
+    subtraction is monotone, so its oscillation is no larger either, and the
+    largest oscillation is that of a full window. Only max, min and the same
+    pairwise differences hi - lo of node values appear, so no rounding
+    differs.
     """
-    w = int(np.floor(delta * (y.size - 1) + 1e-9))
-    if w < 1:
-        return 0.0
-    size = w + 1
-    # same centered window for both filters: each window max minus min is the
-    # oscillation over one span of w mesh steps; every |t-s| <= delta pair on
-    # the grid lies inside some such window
-    hi = maximum_filter1d(y, size=size, mode="nearest")
-    lo = minimum_filter1d(y, size=size, mode="nearest")
-    return float((hi - lo).max())
+    widths = [int(np.floor(d * (y.size - 1) + 1e-9)) for d in deltas]
+    osc = {}
+    hi = lo = y
+    k = 1
+    for w in sorted(set(widths)):
+        if w < 1:
+            osc[w] = 0.0
+            continue
+        while k <= w:
+            step = min(k, w + 1 - k)
+            hi = np.maximum(hi[:-step], hi[step:])
+            lo = np.minimum(lo[:-step], lo[step:])
+            k += step
+        osc[w] = float((hi - lo).max())
+    return tuple(osc[w] for w in widths)
 
 
 class NormChain(NamedTuple):

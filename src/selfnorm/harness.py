@@ -24,11 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from ._files import write_text_atomic
-# modulus_of_continuity and load_oracle are not called here, but stay bound
+# modulus_of_continuity and load_oracle are not called here (the tightness
+# scan calls _max_oscillations once for its whole delta grid), but stay bound
 # like every other layer function, so the benchmark's tracer
 # (perfbench/tracing.py) finds them
 from .diagnostics import (  # noqa: F401
-    _max_oscillation,
+    _max_oscillations,
     darling_ratio,
     max_ratio,
     modulus_of_continuity,
@@ -270,7 +271,7 @@ def _scan_stats(config: ExperimentConfig, x: np.ndarray, path) -> tuple[float, .
     if kind == "tightness_scan":
         # one evaluation of the path on the node grid serves every delta
         y = y_path(path, np.arange(x.size + 1) / x.size)
-        oms = tuple(_max_oscillation(y, d) for d in config.delta_grid)
+        oms = _max_oscillations(y, config.delta_grid)
         return (darling_ratio(x), max_ratio(x, config.p), *oms)
     # chf_compare: the pair (S_n / n^{1/a}, V^p / n^{p/a}), scaled before
     # summing so heavy-tailed powers cannot overflow; |xs|^p is taken in

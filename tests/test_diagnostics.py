@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from selfnorm import (
+    ExperimentConfig,
     FamilySpec,
     NonFiniteSampleError,
     ParameterDomainError,
@@ -16,7 +21,9 @@ from selfnorm import (
     modulus_of_continuity,
     norm_chain,
     sample_family,
+    y_path,
 )
+from selfnorm.diagnostics import _max_oscillations
 
 nonzero_arrays = hnp.arrays(
     np.float64, st.integers(2, 50),
@@ -109,6 +116,84 @@ def test_modulus_domain():
         modulus_of_continuity(path, 1.5)
     with pytest.raises(ParameterDomainError):
         modulus_of_continuity(path, 0.5, grid_refinement=0)
+
+
+def _brute_oscillations(y, deltas):
+    """max - min over every window of w + 1 nodes, O(len(y) * w) per delta."""
+    out = []
+    for d in deltas:
+        w = int(np.floor(d * (y.size - 1) + 1e-9))
+        out.append(0.0 if w < 1 else
+                   max(float(y[j:j + w + 1].max() - y[j:j + w + 1].min())
+                       for j in range(y.size - w)))
+    return tuple(out)
+
+
+def _scipy_oscillations(y, deltas):
+    """Reference: one centred scipy filter pair per delta, mode="nearest"."""
+    from scipy.ndimage import maximum_filter1d, minimum_filter1d
+    out = []
+    for d in deltas:
+        w = int(np.floor(d * (y.size - 1) + 1e-9))
+        if w < 1:
+            out.append(0.0)
+            continue
+        hi = maximum_filter1d(y, size=w + 1, mode="nearest")
+        lo = minimum_filter1d(y, size=w + 1, mode="nearest")
+        out.append(float((hi - lo).max()))
+    return tuple(out)
+
+
+# few distinct values, so windows hold ties and constant runs
+node_values = hnp.arrays(
+    np.float64, st.integers(2, 60),
+    elements=st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+                       st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)),
+)
+# 1.0, sub-mesh widths, duplicates and any order
+delta_lists = st.lists(
+    st.one_of(st.sampled_from([1.0, 0.5, 1e-3]), st.floats(1e-3, 1.0)), min_size=1, max_size=6,
+)
+
+
+@given(node_values, delta_lists)
+@settings(max_examples=200, deadline=None)
+def test_max_oscillations_equal_brute_force_and_scipy(y, deltas):
+    got = _max_oscillations(y, deltas)
+    assert got == _brute_oscillations(y, deltas)
+    assert got == _scipy_oscillations(y, deltas)
+
+
+@pytest.mark.parametrize("y, deltas, want", [
+    ([0.0, 2.0], (1.0, 0.5, 0.4), (2.0, 0.0, 0.0)),  # one mesh step: only delta = 1 spans it
+    ([0.0, 3.0, -1.0], (0.4, 1.0, 0.5, 1.0), (0.0, 4.0, 4.0, 4.0)),  # sub-mesh, duplicates, unsorted
+    ([1.0, 1.0, 1.0, 1.0], (0.25, 1.0, 0.5), (0.0, 0.0, 0.0)),  # constant path
+    ([2.0, 0.0, 2.0, 0.0, 1.0], (0.5, 0.25, 0.75), (2.0, 2.0, 2.0)),  # tied max and min
+])
+def test_max_oscillations_edge_cases(y, deltas, want):
+    y = np.array(y)
+    assert _max_oscillations(y, deltas) == want
+    assert _scipy_oscillations(y, deltas) == want
+
+
+@pytest.mark.parametrize("refinement", [1, 4])
+def test_modulus_matches_one_pass_over_delta_grid(refinement):
+    x = sample_family(FamilySpec(kind="SymStable", alpha=1.5), SeededStream(41), 500)
+    path = ProcessPath(x, 1.5)
+    deltas = ExperimentConfig.delta_grid
+    npts = refinement * x.size
+    oms = _max_oscillations(y_path(path, np.arange(npts + 1) / npts), deltas)
+    assert oms == tuple(modulus_of_continuity(path, d, grid_refinement=refinement) for d in deltas)
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    import selfnorm
+    src = str(Path(selfnorm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, selfnorm; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @given(nonzero_arrays, st.floats(0.05, 1.0), st.floats(1.0, 2.0))
