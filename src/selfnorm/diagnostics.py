@@ -9,18 +9,13 @@ regime.
 
 from __future__ import annotations
 
-import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateSampleError,
-    InternalConsistencyError,
-    NonFiniteSampleError,
-    ParameterDomainError,
-)
-from .process import ProcessPath, p_norm, y_path
+from .errors import InternalConsistencyError, ParameterDomainError
+from .process import ProcessPath, _Rescaled, p_norm, y_path
 
 __all__ = [
     "max_ratio",
@@ -31,40 +26,24 @@ __all__ = [
     "norm_chain",
 ]
 
-
-def _abs_rescaled(x) -> tuple[np.ndarray, float]:
-    ax = np.abs(np.asarray(x, dtype=float))
-    m = float(ax.max())
-    if not math.isfinite(m):  # max|x| is NaN or inf iff some value is
-        raise NonFiniteSampleError(f"the sample holds a non-finite value (max |x| = {m})")
-    if m == 0.0:
-        raise DegenerateSampleError("all-zero sample")
-    return ax / m, m
+# Each ratio rescales the sample once (`_Rescaled`: NaN or inf raises
+# NonFiniteSampleError, an all-zero sample DegenerateSampleError) and reads
+# its power sums; a ProcessPath holds the same object for its own sample.
 
 
 def max_ratio(x, p: float) -> float:
     """max_i |X_i| / V_{n,p}, in (0, 1]; equals 1 iff one single X_i is nonzero."""
-    p = float(p)
-    if not 0 < p <= 2:
-        raise ParameterDomainError(f"p must lie in (0, 2], got {p}")
-    q, _ = _abs_rescaled(x)
-    # M/V = (sum (|x|/M)^p)^(-1/p), scale-free by construction
-    return float((q**p).sum() ** (-1.0 / p))
+    return _Rescaled(x).max_ratio(p)
 
 
 def darling_ratio(x) -> float:
     """max_i X_i^2 / sum X_i^2, in [1/n, 1]."""
-    q, _ = _abs_rescaled(x)
-    return float(1.0 / (q * q).sum())
+    return _Rescaled(x).darling_ratio()
 
 
 def sum_sq_ratio(x, alpha: float) -> float:
     """sum X_i^2 / V_{n,alpha}^2; at most 1 for alpha <= 2, exactly 1 at alpha = 2."""
-    alpha = float(alpha)
-    if not 0 < alpha <= 2:
-        raise ParameterDomainError(f"alpha must lie in (0, 2], got {alpha}")
-    q, _ = _abs_rescaled(x)
-    return float((q * q).sum() / (q**alpha).sum() ** (2.0 / alpha))
+    return _Rescaled(x).sum_sq_ratio(alpha)
 
 
 def modulus_of_continuity(path: ProcessPath, delta: float, grid_refinement: int = 1) -> float:
@@ -73,15 +52,20 @@ def modulus_of_continuity(path: ProcessPath, delta: float, grid_refinement: int 
     The grid has mesh 1/(grid_refinement * n) and contains every node k/n, so
     the value is exact for the piecewise-linear path whenever delta is a
     multiple of the mesh (window widths below one mesh step return 0, since
-    no distinct grid pairs qualify).
+    no distinct grid pairs qualify). grid_refinement must be an integer
+    >= 1; at 1 the path's own node-grid values are read.
     """
     delta = float(delta)
     if not 0 < delta <= 1:
         raise ParameterDomainError(f"delta must lie in (0, 1], got {delta}")
-    if grid_refinement < 1:
-        raise ParameterDomainError(f"grid_refinement must be >= 1, got {grid_refinement}")
-    npts = grid_refinement * path.n
-    return _max_oscillations(y_path(path, np.arange(npts + 1) / npts), (delta,))[0]
+    if not isinstance(grid_refinement, numbers.Integral) or grid_refinement < 1:
+        raise ParameterDomainError(f"grid_refinement must be an integer >= 1, got {grid_refinement!r}")
+    if grid_refinement == 1:
+        y = path.y_nodes
+    else:
+        npts = grid_refinement * path.n
+        y = y_path(path, np.arange(npts + 1) / npts)
+    return _max_oscillations(y, (delta,))[0]
 
 
 def _max_oscillations(y: np.ndarray, deltas) -> tuple[float, ...]:

@@ -24,10 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from ._files import write_text_atomic
-# modulus_of_continuity and load_oracle are not called here (the tightness
-# scan calls _max_oscillations once for its whole delta grid), but stay bound
-# like every other layer function, so the benchmark's tracer
-# (perfbench/tracing.py) finds them
+# modulus_of_continuity, the three ratios, y_at and load_oracle are not called
+# here (the scans read the path's shared reductions, and the tightness scan
+# calls _max_oscillations once for its whole delta grid), but stay bound like
+# every other layer function, so the benchmark's tracer (perfbench/tracing.py)
+# finds them
 from .diagnostics import (  # noqa: F401
     _max_oscillations,
     darling_ratio,
@@ -52,7 +53,7 @@ from .limits import (  # noqa: F401
     save_oracle,
     tail_constants,
 )
-from .process import ProcessPath, ek_functionals, y_at, y_path
+from .process import ProcessPath, ek_functionals, y_at, y_path  # noqa: F401
 from .rng import SeededStream, derive_seed
 
 __all__ = [
@@ -257,12 +258,15 @@ def report_payload(report: ExperimentReport) -> dict:
 # SeededStream(master_seed, j) at the largest n, and every n reads its
 # length-n prefix (the families' prefix property); a family without that
 # property is drawn again at each n. Every scan of the cell is computed on
-# each prefix.
+# each prefix, from one ProcessPath: the scans read its reductions (prefix
+# sums, the rescaled sample's power sums, Y on the node grid), each computed
+# once per prefix whichever scans ask for it.
 
 def _scan_stats(config: ExperimentConfig, x: np.ndarray, path) -> tuple[float, ...]:
     kind = config.experiment
     if kind == "degenerate_scan":
-        return (y_at(path, 1.0), sum_sq_ratio(x, config.family.alpha))
+        # Y(1) is the last node of the grid
+        return (float(path.y_nodes[-1]), path.rescaled.sum_sq_ratio(config.family.alpha))
     if kind == "ek_functionals":
         ek = ek_functionals(path)
         return (ek.max_sn, ek.max_abs_sn, ek.mean_sq, ek.mean_abs)
@@ -270,9 +274,8 @@ def _scan_stats(config: ExperimentConfig, x: np.ndarray, path) -> tuple[float, .
         return tuple(float(v) for v in y_path(path, config.t_grid))
     if kind == "tightness_scan":
         # one evaluation of the path on the node grid serves every delta
-        y = y_path(path, np.arange(x.size + 1) / x.size)
-        oms = _max_oscillations(y, config.delta_grid)
-        return (darling_ratio(x), max_ratio(x, config.p), *oms)
+        oms = _max_oscillations(path.y_nodes, config.delta_grid)
+        return (path.rescaled.darling_ratio(), path.rescaled.max_ratio(config.p), *oms)
     # chf_compare: the pair (S_n / n^{1/a}, V^p / n^{p/a}), scaled before
     # summing so heavy-tailed powers cannot overflow; |xs|^p is taken in
     # place on the one scaled copy (the same ufuncs as np.abs(xs) ** p), and

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,54 +65,128 @@ def partial_sums(x) -> np.ndarray:
     return sums
 
 
+def _exponent(name: str, value) -> float:
+    value = float(value)
+    if not 0 < value <= 2:
+        raise ParameterDomainError(f"{name} must lie in (0, 2], got {value}")
+    return value
+
+
+class _Rescaled:
+    """|X_i|/M with M = max|X_i|, and its power sums S_e = sum (|X_i|/M)^e.
+
+    The one place a sample is rescaled: V_{n,p} = M S_p^(1/p) and the three
+    single-term ratios are all read from these sums, each computed once per
+    exponent, so at alpha == p, S_alpha is S_p. An empty sample or a NaN or
+    inf raises here; an all-zero sample has M = 0, V = 0.0, and no ratio
+    (DegenerateSampleError). Each exponent must lie in (0, 2].
+    """
+
+    __slots__ = ("m", "q", "_sums")
+
+    def __init__(self, x):
+        q = np.abs(np.asarray(x, dtype=float))  # a fresh array, rescaled in place
+        if q.size == 0:
+            raise ParameterDomainError("cannot take the p-norm or a ratio of an empty sample")
+        m = float(q.max())
+        if not math.isfinite(m):  # max|x| is NaN or inf iff some value is
+            raise NonFiniteSampleError(f"the sample holds a non-finite value (max |x| = {m})")
+        if m != 0.0:
+            q /= m
+        self.m, self.q, self._sums = m, q, {}
+
+    def power_sum(self, e: float) -> np.float64:
+        if self.m == 0.0:
+            raise DegenerateSampleError("all-zero sample")
+        s = self._sums.get(e)
+        if s is None:
+            s = self._sums[e] = (self.q ** e).sum()
+        return s
+
+    def norm(self, p: float) -> float:
+        p = _exponent("p", p)
+        if self.m == 0.0:
+            # all-zero sample: flagged degenerate value, callers that need V > 0 raise
+            return 0.0
+        s = float(self.power_sum(p))
+        try:
+            return self.m * s ** (1.0 / p)
+        except OverflowError:
+            # Python ** raises past float range; IEEE inf is the right
+            # degradation for norms of extreme heavy-tail draws
+            return float("inf")
+
+    def max_ratio(self, p: float) -> float:
+        p = _exponent("p", p)
+        # M/V = S_p^(-1/p), scale-free by construction
+        return float(self.power_sum(p) ** (-1.0 / p))
+
+    def darling_ratio(self) -> float:
+        return float(1.0 / self.power_sum(2.0))
+
+    def sum_sq_ratio(self, alpha: float) -> float:
+        alpha = _exponent("alpha", alpha)
+        return float(self.power_sum(2.0) / self.power_sum(alpha) ** (2.0 / alpha))
+
+
 def p_norm(x, p: float) -> float:
     """V_{n,p} via max-rescaling: V = M (sum (|X_i|/M)^p)^(1/p), M = max|X_i|."""
-    p = float(p)
-    if not 0 < p <= 2:
-        raise ParameterDomainError(f"p must lie in (0, 2], got {p}")
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise ParameterDomainError("cannot take the p-norm of an empty sample")
-    ax = np.abs(x)
-    m = float(ax.max())
-    if not math.isfinite(m):  # max|x| is NaN or inf iff some value is
-        raise NonFiniteSampleError(f"the sample holds a non-finite value (max |x| = {m})")
-    if m == 0.0:
-        # all-zero sample: flagged degenerate value, callers that need V > 0 raise
-        return 0.0
-    s = float(((ax / m) ** p).sum())
-    try:
-        return m * s ** (1.0 / p)
-    except OverflowError:
-        # Python ** raises past float range; IEEE inf is the right
-        # degradation for norms of extreme heavy-tail draws
-        return float("inf")
+    return _Rescaled(x).norm(p)
 
 
 @dataclass(frozen=True, eq=False)
 class ProcessPath:
     """The interpolated process Y_{n,p} for one sample X_1..X_n, evaluable on [0,1].
 
-    Holds the sample as a float64 array and the two reductions every
-    statistic of the path reads: the prefix sums S_0..S_n and the
-    normalizer V_{n,p}.
+    Holds the sample as a float64 array and the reductions every statistic
+    of the path reads: the prefix sums S_0..S_n, the rescaled sample with its
+    power sums, the normalizer V_{n,p}, and, on first use, S_k/V and Y on the
+    node grid.
     """
 
     values: np.ndarray
     p: float
     sums: np.ndarray = field(init=False, repr=False)
+    rescaled: _Rescaled = field(init=False, repr=False)
     v: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         object.__setattr__(self, "sums", partial_sums(self.values))
-        object.__setattr__(self, "v", p_norm(self.values, self.p))
+        object.__setattr__(self, "rescaled", _Rescaled(self.values))
+        object.__setattr__(self, "v", self.rescaled.norm(self.p))
         if self.v == 0.0:
             raise DegenerateSampleError("all-zero sample: Y_{n,p} undefined (V = 0)")
 
     @property
     def n(self) -> int:
         return self.values.size
+
+    @cached_property
+    def normalized(self) -> np.ndarray:
+        """S_k/V_{n,p} for k = 0..n, read-only."""
+        s = self.sums / self.v
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def y_nodes(self) -> np.ndarray:
+        """Y_{n,p}(k/n) for k = 0..n, read-only: `y_path(self, np.arange(n + 1) / n)` bit for bit.
+
+        At a node with n (k/n) == k, `y_path` computes (S_k + 0.0 X_j)/V,
+        which is S_k/V bit for bit unless S_k is -0.0. So those nodes are
+        read from `normalized`, and only the others are evaluated. A prefix
+        sum is -0.0 only after a leading run of -0.0 samples, so when
+        S_1 == 0 every node is evaluated.
+        """
+        full, at, inexact = _node_index(self.n)
+        if self.sums[1] == 0.0:
+            y = _evaluate(self, *full)
+        else:
+            y = self.normalized.copy()
+            y[at] = _evaluate(self, *inexact)
+        y.flags.writeable = False
+        return y
 
 
 def y_at(path: ProcessPath, t: float) -> float:
@@ -128,7 +203,14 @@ def y_at(path: ProcessPath, t: float) -> float:
 def y_path(path: ProcessPath, grid) -> np.ndarray:
     """Y_{n,p}(t) = S_[nt]/V + (nt - [nt]) X_{[nt]+1}/V on an increasing grid in [0, 1].
 
-    At t = 1 the interpolation term is zero by convention.
+    At t = 1 the interpolation term is zero by convention. On the node grid
+    t = k/n the value is not S_k/V at every node: n (k/n) != k in floating
+    point at 35 of the 4 001 nodes at n = 4 000 and at 175 of the 16 001 at
+    n = 16 000, and where it falls just below k the value is interpolated
+    from S_{k-1}. `ProcessPath.y_nodes` caches the node-grid index per n,
+    evaluates this arithmetic at those nodes and reads S_k/V at the others,
+    where it gives the same bits, so it equals this function on that grid
+    bit for bit.
     """
     tg = np.asarray(grid, dtype=float)
     if tg.size == 0:
@@ -137,12 +219,32 @@ def y_path(path: ProcessPath, grid) -> np.ndarray:
         raise ParameterDomainError("grid points must lie in [0, 1]")
     if (tg[1:] <= tg[:-1]).any():
         raise ParameterDomainError("grid must be strictly increasing")
-    n = path.n
+    return _evaluate(path, *_grid_index(path.n, tg))
+
+
+def _grid_index(n: int, tg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (k, frac, j) with nt = k + frac, k = [nt] capped at n, and j = min(k, n - 1):
+    # frac is 0 at k = n (t = 1), so X_n stands in for the missing X_{n+1}
     nt = n * tg
     ks = np.minimum(nt.astype(int), n)
-    frac = nt - ks
-    # frac is 0 at k = n (t = 1), so X_n stands in for the missing X_{n+1}
-    return (path.sums[ks] + frac * path.values[np.minimum(ks, n - 1)]) / path.v
+    return ks, nt - ks, np.minimum(ks, n - 1)
+
+
+@lru_cache(maxsize=8)
+def _node_index(n: int) -> tuple:
+    # the node grid's index depends on n alone, so every replication shares
+    # it: the whole index, the nodes where n (k/n) != k (frac != 0), and the
+    # index there
+    full = _grid_index(n, np.arange(n + 1) / n)
+    at = np.flatnonzero(full[1])
+    inexact = tuple(a[at] for a in full)
+    for a in (*full, at, *inexact):
+        a.flags.writeable = False
+    return full, at, inexact
+
+
+def _evaluate(path: ProcessPath, ks: np.ndarray, frac: np.ndarray, js: np.ndarray) -> np.ndarray:
+    return (path.sums[ks] + frac * path.values[js]) / path.v
 
 
 @dataclass(frozen=True)
@@ -157,7 +259,7 @@ class EKFunctionals:
 
 def ek_functionals(path: ProcessPath) -> EKFunctionals:
     """max, max-abs, mean-square and mean-abs of S_k/V_{n,p} over k = 1..n."""
-    s = path.sums[1:] / path.v
+    s = path.normalized[1:]
     a = np.abs(s)
     return EKFunctionals(
         max_sn=float(s.max()),

@@ -248,14 +248,17 @@ def test_regime_map_shares_draws_pool_and_oracles(monkeypatch):
 
 
 def test_one_reduction_per_replication_and_n(monkeypatch):
-    # the path's prefix sums and V_{n,p} serve every scan of the cell,
+    # the path's prefix sums and its one rescaled sample, from which V_{n,p}
+    # and the three ratios are read, serve every scan of the cell,
     # ek_functionals included
     sums = _counting(monkeypatch, "partial_sums", process)
-    norms = _counting(monkeypatch, "p_norm", process)
+    rescales = _counting(monkeypatch, "_Rescaled", process)
+    rescales_in_diagnostics = _counting(monkeypatch, "_Rescaled", diagnostics)
     base = config(n_grid=(50, 100), reps=4, workers=1)
     regime_map(base, (1.5,), (2.0,))
     assert len(sums) == 4 * 2
-    assert len(norms) == 4 * 2
+    assert len(rescales) == 4 * 2
+    assert rescales_in_diagnostics == []
 
 
 def _load_tracing():
