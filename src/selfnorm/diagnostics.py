@@ -53,19 +53,15 @@ def modulus_of_continuity(path: ProcessPath, delta: float, grid_refinement: int 
     the value is exact for the piecewise-linear path whenever delta is a
     multiple of the mesh (window widths below one mesh step return 0, since
     no distinct grid pairs qualify). grid_refinement must be an integer
-    >= 1; at 1 the path's own node-grid values are read.
+    >= 1.
     """
     delta = float(delta)
     if not 0 < delta <= 1:
         raise ParameterDomainError(f"delta must lie in (0, 1], got {delta}")
     if not isinstance(grid_refinement, numbers.Integral) or grid_refinement < 1:
         raise ParameterDomainError(f"grid_refinement must be an integer >= 1, got {grid_refinement!r}")
-    if grid_refinement == 1:
-        y = path.y_nodes
-    else:
-        npts = grid_refinement * path.n
-        y = y_path(path, np.arange(npts + 1) / npts)
-    return _max_oscillations(y, (delta,))[0]
+    npts = grid_refinement * path.n
+    return _max_oscillations(y_path(path, np.arange(npts + 1) / npts), (delta,))[0]
 
 
 def _max_oscillations(y: np.ndarray, deltas) -> tuple[float, ...]:

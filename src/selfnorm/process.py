@@ -140,8 +140,8 @@ class ProcessPath:
 
     Holds the sample as a float64 array and the reductions every statistic
     of the path reads: the prefix sums S_0..S_n, the rescaled sample with its
-    power sums, the normalizer V_{n,p}, and, on first use, S_k/V and Y on the
-    node grid.
+    power sums, the normalizer V_{n,p}, and, on first use, Y on the node
+    grid.
     """
 
     values: np.ndarray
@@ -163,28 +163,9 @@ class ProcessPath:
         return self.values.size
 
     @cached_property
-    def normalized(self) -> np.ndarray:
-        """S_k/V_{n,p} for k = 0..n, read-only."""
-        s = self.sums / self.v
-        s.flags.writeable = False
-        return s
-
-    @cached_property
     def y_nodes(self) -> np.ndarray:
-        """Y_{n,p}(k/n) for k = 0..n, read-only: `y_path(self, np.arange(n + 1) / n)` bit for bit.
-
-        At a node with n (k/n) == k, `y_path` computes (S_k + 0.0 X_j)/V,
-        which is S_k/V bit for bit unless S_k is -0.0. So those nodes are
-        read from `normalized`, and only the others are evaluated. A prefix
-        sum is -0.0 only after a leading run of -0.0 samples, so when
-        S_1 == 0 every node is evaluated.
-        """
-        full, at, inexact = _node_index(self.n)
-        if self.sums[1] == 0.0:
-            y = _evaluate(self, *full)
-        else:
-            y = self.normalized.copy()
-            y[at] = _evaluate(self, *inexact)
+        """Y_{n,p}(k/n) for k = 0..n, read-only: `y_path(self, np.arange(n + 1) / n)` bit for bit."""
+        y = _evaluate(self, *_node_index(self.n))
         y.flags.writeable = False
         return y
 
@@ -207,9 +188,8 @@ def y_path(path: ProcessPath, grid) -> np.ndarray:
     t = k/n the value is not S_k/V at every node: n (k/n) != k in floating
     point at 35 of the 4 001 nodes at n = 4 000 and at 175 of the 16 001 at
     n = 16 000, and where it falls just below k the value is interpolated
-    from S_{k-1}. `ProcessPath.y_nodes` caches the node-grid index per n,
-    evaluates this arithmetic at those nodes and reads S_k/V at the others,
-    where it gives the same bits, so it equals this function on that grid
+    from S_{k-1}. `ProcessPath.y_nodes` does this arithmetic with a
+    node-grid index cached per n, so it equals this function on that grid
     bit for bit.
     """
     tg = np.asarray(grid, dtype=float)
@@ -231,16 +211,12 @@ def _grid_index(n: int, tg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 @lru_cache(maxsize=8)
-def _node_index(n: int) -> tuple:
-    # the node grid's index depends on n alone, so every replication shares
-    # it: the whole index, the nodes where n (k/n) != k (frac != 0), and the
-    # index there
-    full = _grid_index(n, np.arange(n + 1) / n)
-    at = np.flatnonzero(full[1])
-    inexact = tuple(a[at] for a in full)
-    for a in (*full, at, *inexact):
+def _node_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the node grid's index depends on n alone, so every replication shares it
+    index = _grid_index(n, np.arange(n + 1) / n)
+    for a in index:
         a.flags.writeable = False
-    return full, at, inexact
+    return index
 
 
 def _evaluate(path: ProcessPath, ks: np.ndarray, frac: np.ndarray, js: np.ndarray) -> np.ndarray:
@@ -259,7 +235,7 @@ class EKFunctionals:
 
 def ek_functionals(path: ProcessPath) -> EKFunctionals:
     """max, max-abs, mean-square and mean-abs of S_k/V_{n,p} over k = 1..n."""
-    s = path.normalized[1:]
+    s = path.sums[1:] / path.v
     a = np.abs(s)
     return EKFunctionals(
         max_sn=float(s.max()),

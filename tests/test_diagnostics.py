@@ -23,7 +23,6 @@ from selfnorm import (
     sample_family,
     y_path,
 )
-from selfnorm import diagnostics
 from selfnorm.diagnostics import _max_oscillations
 
 nonzero_arrays = hnp.arrays(
@@ -125,19 +124,6 @@ def test_modulus_refuses_refinement_that_is_not_a_positive_integer(refinement):
     x = sample_family(FamilySpec(kind="Gaussian"), SeededStream(43), 100)
     with pytest.raises(ParameterDomainError, match="grid_refinement"):
         modulus_of_continuity(ProcessPath(x, 2.0), 0.2, grid_refinement=refinement)
-
-
-def test_modulus_at_refinement_one_reads_the_cached_node_grid(monkeypatch):
-    x = sample_family(FamilySpec(kind="Gaussian"), SeededStream(43), 100)
-    path = ProcessPath(x, 2.0)
-    want = modulus_of_continuity(path, 0.2, grid_refinement=np.int64(3))
-    assert want == modulus_of_continuity(path, 0.2, grid_refinement=3)
-
-    def no_grid(*args):
-        raise AssertionError("refinement 1 evaluated the path again")
-
-    monkeypatch.setattr(diagnostics, "y_path", no_grid)
-    assert modulus_of_continuity(path, 0.2) == _max_oscillations(path.y_nodes, (0.2,))[0]
 
 
 def _brute_oscillations(y, deltas):

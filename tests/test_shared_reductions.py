@@ -120,21 +120,8 @@ def test_node_index_is_built_once_per_n_and_read_only():
     ys = [path.y_nodes for path in paths]
     assert process._node_index.cache_info().misses == 1
     assert ys[0] is paths[0].y_nodes  # memoised on the path
-    full, at, inexact = process._node_index(300)
-    for array in (*full, at, *inexact, ys[0], paths[0].normalized):
+    for array in (*process._node_index(300), ys[0]):
         assert not array.flags.writeable
-
-
-@pytest.mark.parametrize("n", [4000, 16000])
-def test_node_grid_of_a_sample_that_starts_with_zero(n):
-    # S_1 = -0.0 and X_2 > 0: at node 1, y_path adds 0.0 * X_2 = +0.0 to
-    # S_1 and gives +0.0, not S_1/V = -0.0, so every node is evaluated
-    x = sample_family(FamilySpec(kind="SymStable", alpha=1.5), SeededStream(9), n)
-    x[1] = abs(x[1])
-    for first in (-0.0, 0.0):
-        x[0] = first
-        path = ProcessPath(x, 1.5)
-        assert path.y_nodes.tobytes() == y_path(path, np.arange(n + 1) / n).tobytes()
 
 
 def test_edge_behaviour_of_the_shared_rescale():
