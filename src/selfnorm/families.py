@@ -7,13 +7,14 @@ Four families cover every regime of the self-normalized limit theory:
 - Gaussian: the alpha = 2 boundary with finite variance.
 - StudentT(nu): density family with tail index nu (nu = degrees of freedom).
 
-All samplers consume uniforms in a fixed per-variate order (one row of the
-uniform matrix per variate), so for a fixed stream the first m variates of a
-size-n sample equal the size-m sample. That prefix property is what makes
-statistics smooth along an n-grid under common random numbers. StudentT is
-the one exception: its chi-square part uses rejection sampling with variable
-draw counts, so only same-n determinism holds there. `FamilySpec.prefix_coherent`
-declares which kinds hold the prefix property.
+SymStable, SymPareto and Gaussian consume uniforms in a fixed per-variate
+order (one row of the uniform matrix per variate), so for a fixed stream the
+first m variates of a size-n sample equal the size-m sample. StudentT does
+not: its chi-square part uses rejection sampling with variable draw counts,
+so a shorter draw is not a prefix of a longer one. The harness does not
+depend on this property: as the paper builds every Y_{n,p} from the first n
+terms of one i.i.d. sequence, it draws each replication once at the largest
+n and reads every smaller n as a prefix of that draw, for all four families.
 
 SymStable and SymPareto fill one preallocated output in blocks of `_BLOCK`
 variates: each block draws its rows of uniforms and writes its transform in
@@ -47,8 +48,6 @@ __all__ = [
 ]
 
 FAMILY_KINDS = ("SymStable", "SymPareto", "Gaussian", "StudentT")
-# kinds whose samplers consume a fixed number of uniforms per variate
-_PREFIX_COHERENT_KINDS = ("SymStable", "SymPareto", "Gaussian")
 # variates per block of the SymStable and SymPareto samplers: 256 KiB of
 # uniforms and 128 KiB per temporary, so a block stays in a 2 MiB L2
 _BLOCK = 2**14
@@ -82,11 +81,6 @@ class FamilySpec:
             raise ParameterDomainError(f"Gaussian fixes alpha = 2, got {a}")
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ParameterDomainError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def prefix_coherent(self) -> bool:
-        """Whether a length-m sample is the prefix of the length-n sample of the same stream."""
-        return self.kind in _PREFIX_COHERENT_KINDS
 
 
 def _check_n_scale(n: int, scale: float):
@@ -179,7 +173,11 @@ def sample_gaussian(stream: SeededStream, n: int, scale: float = 1.0) -> np.ndar
 
 
 def sample_student_t(nu: float, stream: SeededStream, n: int, scale: float = 1.0) -> np.ndarray:
-    """Student t sample as a normal over chi ratio: Z / sqrt(Q_nu / nu)."""
+    """Student t sample as a normal over chi ratio: Z / sqrt(Q_nu / nu).
+
+    The chi-square draws come after all n normals and use rejection sampling,
+    so a shorter draw is not a prefix of a longer one from the same stream.
+    """
     nu = float(nu)
     if not (np.isfinite(nu) and nu > 0):
         raise ParameterDomainError(f"degrees of freedom must be positive, got {nu}")

@@ -6,9 +6,10 @@ per-replication stream (master_seed, j); results land in a slot array by
 replication index and are aggregated in index order, so any worker count
 produces identical bytes.
 
-Each replication is drawn once per call, at the largest n, and serves every
-n of the grid and every scan that shares its seed (the three scans of a
-regime_map cell); one process pool serves the whole call.
+Each replication is drawn once per call, at the largest n, whatever the
+family: every n of the grid reads its length-n prefix, and every scan that
+shares the seed (the three scans of a regime_map cell) reads the same draw.
+One process pool serves the whole call.
 """
 from __future__ import annotations
 
@@ -125,7 +126,11 @@ def _items(name: str, values) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one Monte Carlo experiment; hashable and immutable."""
+    """Full description of one Monte Carlo experiment; hashable and immutable.
+
+    Every field is checked on construction, and so is what an experiment
+    needs of the family: chf_compare needs Paretian tails and p > alpha.
+    """
 
     family: FamilySpec
     p: float
@@ -160,6 +165,11 @@ class ExperimentConfig:
             raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {self.experiment!r}")
         if self.experiment == "fdd_covariance" and self.reps < 2:
             raise ConfigError(f"fdd_covariance estimates covariances and needs reps >= 2, got {self.reps}")
+        if self.experiment == "chf_compare":
+            tail_constants(self.family)  # rejects light-tailed families
+            if not self.p > self.family.alpha:
+                raise ParameterDomainError(
+                    f"chf_compare needs p > alpha, got p={self.p}, alpha={self.family.alpha}")
         ts = tuple(_real("t_grid", t) for t in _items("t_grid", self.t_grid))
         if len(ts) == 0 or any(not 0.0 < t <= 1.0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
             raise ConfigError(f"t_grid must be increasing reals in (0, 1], got {ts}")
@@ -203,6 +213,9 @@ class ExperimentReport:
     aggregates: tuple[AggregateRow, ...]
     regime_decision: str
     draw_count: int
+    """reps x sum(n_grid): the variates the statistics read, not the variates
+    drawn (each replication is drawn once, at the largest n). The benchmark's
+    `draws_per_cpu_s` reads it."""
 
 
 def _config_payload(config: ExperimentConfig) -> dict:
@@ -256,11 +269,11 @@ def report_payload(report: ExperimentReport) -> dict:
 # A cell is a tuple of configs that differ only in `experiment`: the scans
 # run on the same replications. Replication j of a cell is drawn once, from
 # SeededStream(master_seed, j) at the largest n, and every n reads its
-# length-n prefix (the families' prefix property); a family without that
-# property is drawn again at each n. Every scan of the cell is computed on
-# each prefix, from one ProcessPath: the scans read its reductions (prefix
-# sums, the rescaled sample's power sums, Y on the node grid), each computed
-# once per prefix whichever scans ask for it.
+# length-n prefix, for every family: as in the paper, each Y_{n,p} is built
+# from the first n terms of one i.i.d. sequence. Every scan of the cell is
+# computed on each prefix, from one ProcessPath: the scans read its
+# reductions (prefix sums, the rescaled sample's power sums, Y on the node
+# grid), each computed once per prefix whichever scans ask for it.
 
 def _scan_stats(config: ExperimentConfig, x: np.ndarray, path) -> tuple[float, ...]:
     kind = config.experiment
@@ -290,16 +303,16 @@ def _scan_stats(config: ExperimentConfig, x: np.ndarray, path) -> tuple[float, .
 def _rep_stats(cell: tuple[ExperimentConfig, ...], rep: int) -> list[list[tuple[float, ...]]]:
     """Statistics of one replication, indexed [n][scan]."""
     config = cell[0]
-    stream = SeededStream(config.master_seed, rep)
-    full = sample_family(config.family, stream, config.n_grid[-1]) \
-        if config.family.prefix_coherent else None
+    full = sample_family(config.family, SeededStream(config.master_seed, rep), config.n_grid[-1])
+    if not np.isfinite(full).all():
+        # name the smallest n whose prefix holds the first non-finite draw
+        first = int(np.argmin(np.isfinite(full)))
+        raise _non_finite(config, rep, next(n for n in config.n_grid if n > first), "draw")
     # every scan but chf_compare reads the path Y_{n,p}
     needs_path = any(c.experiment != "chf_compare" for c in cell)
     out = []
     for n in config.n_grid:
-        x = sample_family(config.family, stream, n) if full is None else full[:n]
-        if not np.isfinite(x).all():
-            raise _non_finite(config, rep, n, "draw")
+        x = full[:n]
         path = ProcessPath(x, config.p) if needs_path else None
         stats = [_scan_stats(c, x, path) for c in cell]
         bad = [c.experiment for c, row in zip(cell, stats) if not all(map(math.isfinite, row))]
@@ -377,7 +390,9 @@ def _ks_crit(reps: int) -> float:
     return 1.36 / math.sqrt(reps)
 
 
-def _aggregate_rows(config: ExperimentConfig, n: int, slots: np.ndarray) -> list[AggregateRow]:
+def _aggregate_rows(config: ExperimentConfig, n: int, slots: np.ndarray,
+                    prev: np.ndarray | None) -> list[AggregateRow]:
+    # prev: the previous n's slots (None at the first n), for the lagged KS rows
     reps = config.reps
     kind = config.experiment
     rows: list[AggregateRow] = []
@@ -413,6 +428,10 @@ def _aggregate_rows(config: ExperimentConfig, n: int, slots: np.ndarray) -> list
         for col, delta in enumerate(config.delta_grid):
             phat = float(np.mean(slots[:, 2 + col] > config.epsilon))
             add(f"omega_exceed_d{delta:g}", phat, _binom_se(phat, reps))
+        if prev is not None:
+            ks_se = _ks_crit(reps) * math.sqrt(2.0)
+            add("darling_ks_prev", ks_two_sample(prev[:, 0], slots[:, 0]), ks_se)
+            add("mr_ks_prev", ks_two_sample(prev[:, 1], slots[:, 1]), ks_se)
     else:  # chf_compare
         tails = tail_constants(config.family)
         alpha = config.family.alpha
@@ -428,31 +447,9 @@ def _aggregate_rows(config: ExperimentConfig, n: int, slots: np.ndarray) -> list
     return rows
 
 
-def _check_chf(config: ExperimentConfig) -> None:
-    if config.experiment == "chf_compare":
-        tail_constants(config.family)  # rejects light-tailed families
-        if not config.p > config.family.alpha:
-            raise ParameterDomainError(
-                f"chf_compare needs p > alpha, got p={config.p}, alpha={config.family.alpha}")
-
-
 def _report(config: ExperimentConfig, slots: list[np.ndarray], thresholds: dict) -> ExperimentReport:
-    rows: list[AggregateRow] = []
-    prev_tail: np.ndarray | None = None
-    for n, n_slots in zip(config.n_grid, slots):
-        rows.extend(_aggregate_rows(config, n, n_slots))
-        if config.experiment == "tightness_scan":
-            if prev_tail is not None:
-                rows.append(AggregateRow(
-                    n=n, statistic="darling_ks_prev", reps=config.reps,
-                    value=ks_two_sample(prev_tail[:, 0], n_slots[:, 0]),
-                    stderr=_ks_crit(config.reps) * math.sqrt(2.0)))
-                rows.append(AggregateRow(
-                    n=n, statistic="mr_ks_prev", reps=config.reps,
-                    value=ks_two_sample(prev_tail[:, 1], n_slots[:, 1]),
-                    stderr=_ks_crit(config.reps) * math.sqrt(2.0)))
-            prev_tail = n_slots
-
+    rows = [row for n, n_slots, prev in zip(config.n_grid, slots, [None, *slots])
+            for row in _aggregate_rows(config, n, n_slots, prev)]
     if config.experiment in REGIME_SCAN_KINDS:
         decision = decide_regime(rows, thresholds)
     else:
@@ -468,12 +465,9 @@ def _report(config: ExperimentConfig, slots: list[np.ndarray], thresholds: dict)
 
 def _run_cells(cells: list[tuple[ExperimentConfig, ...]],
                thresholds: dict | None) -> list[list[ExperimentReport]]:
-    """Validate, sample once per replication, aggregate: one report per (cell, scan)."""
+    """Sample once per replication, aggregate: one report per (cell, scan)."""
     if thresholds is None:
         thresholds = load_default_thresholds()
-    for cell in cells:
-        for c in cell:
-            _check_chf(c)
     slots = _cell_slots(cells)
     return [[_report(c, s, thresholds) for c, s in zip(cell, cell_slots)]
             for cell, cell_slots in zip(cells, slots)]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable
@@ -43,7 +44,6 @@ from .rng import SeededStream
 
 __all__ = [
     "ReferenceLaw",
-    "TailConstants",
     "std_normal_law",
     "g1_cdf",
     "g2_cdf",
@@ -363,24 +363,12 @@ def empirical_chf(samples, point) -> complex:
     return complex(np.exp(1j * (u * arr[:, 0] + w * arr[:, 1])).mean())
 
 
-@dataclass(frozen=True)
-class TailConstants:
-    """Levy density constants: P(X > y) tail behaves like (r/alpha) y^(-alpha)."""
+def tail_constants(spec: FamilySpec) -> float:
+    """Levy density constant r of a declared family.
 
-    r: float
-    s: float
-
-    def __post_init__(self):
-        if self.r < 0 or self.s < 0 or self.r + self.s <= 0:
-            raise ParameterDomainError(f"need r, s >= 0 with r + s > 0, got r={self.r}, s={self.s}")
-
-
-def tail_constants(spec: FamilySpec) -> TailConstants:
-    """Two-sided Levy density constants of a declared family.
-
-    The constant r is defined by density(x) ~ r x^(-alpha-1) as x -> +inf
-    (equivalently alpha * lim x^alpha P(X > x)); all families here are
-    symmetric so r = s.
+    r is defined by density(x) ~ r x^(-alpha-1) as x -> +inf (equivalently
+    alpha * lim x^alpha P(X > x)). Every family here is symmetric, so the
+    left tail has the same constant.
     """
     a = spec.alpha
     if spec.kind == "SymStable":
@@ -393,7 +381,7 @@ def tail_constants(spec: FamilySpec) -> TailConstants:
         r = _gamma((a + 1.0) / 2.0) * a ** (a / 2.0) / (math.sqrt(math.pi) * _gamma(a / 2.0)) * spec.scale**a
     else:
         raise ParameterDomainError(f"{spec.kind} has no Paretian tail")
-    return TailConstants(r=float(r), s=float(r))
+    return float(r)
 
 
 # the oscillatory quadrature behind limit_chf
@@ -726,20 +714,24 @@ def _j_quad(beta: float, gamma: float, alpha: float, p: float) -> complex:
         f"beta={beta:g}, gamma={gamma:g}, alpha={alpha:g}, p={p:g}")
 
 
-def chf_exponent(u: float, w: float, alpha: float, p: float, tails: TailConstants,
+def chf_exponent(u: float, w: float, alpha: float, p: float, r: float,
                  t1: float = 1.0) -> complex:
-    """The exponent c(u, w) with chf = exp(c); non-positive real part."""
+    """The exponent c(u, w) with chf = exp(c); non-positive real part.
+
+    r is the Levy density constant of each (symmetric) tail, as returned by
+    `tail_constants`.
+    """
     alpha = float(alpha)
     p = float(p)
     if not 0 < alpha < 2:
         raise ParameterDomainError(f"alpha must lie in (0, 2), got {alpha}")
     if not p > alpha:
         raise ParameterDomainError(f"need p > alpha (the integral diverges at 0), got p={p}, alpha={alpha}")
-    if tails.r != tails.s:
-        raise ParameterDomainError("skewed tails (r != s) are not supported")
+    if not (isinstance(r, numbers.Real) and 0 < r < math.inf):
+        raise ParameterDomainError(f"the tail constant r must be a positive finite real, got {r!r}")
+    r = float(r)
     if not 0 < t1 <= 1:
         raise ParameterDomainError(f"t1 must lie in (0, 1], got {t1}")
-    r = tails.r
     gamma = abs(float(u)) * t1 ** (1.0 / alpha)
     beta = abs(float(w)) * t1 ** (p / alpha)
 
@@ -760,10 +752,10 @@ def chf_exponent(u: float, w: float, alpha: float, p: float, tails: TailConstant
     return complex(c)
 
 
-def limit_chf(u: float, w: float, alpha: float, p: float, tails: TailConstants,
+def limit_chf(u: float, w: float, alpha: float, p: float, r: float,
               t1: float = 1.0) -> complex:
     """Limiting joint chf value exp(c(u, w)); modulus at most 1."""
-    c = chf_exponent(u, w, alpha, p, tails, t1)
+    c = chf_exponent(u, w, alpha, p, r, t1)
     return complex(np.exp(c))
 
 

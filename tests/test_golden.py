@@ -1,8 +1,7 @@
 """Golden reports: frozen JSON and CSV bytes for small fixed configurations.
 
 Each case is run at workers 1 and 2 and written with `write_report`; the
-bytes must equal the files under tests/golden/, which were written by the
-per-(scan, n) sampling code these reports predate. A change that moves any
+bytes must equal the files under tests/golden/. A change that moves any
 number fails here; one that must move numbers says so in CHANGES.md and
 regenerates the files with
 
@@ -24,9 +23,10 @@ def _cfg(kind, alpha, p, n_grid, reps, seed, experiment, **over) -> ExperimentCo
                             reps=reps, master_seed=seed, experiment=experiment, **over)
 
 
-# one small config per experiment kind, then the StudentT branch (drawn at
-# each n: not prefix-coherent) and the switch to compensated partial sums
-# at n = 100 000
+# one small config per experiment kind, then StudentT (whose sampler has no
+# prefix property, so each smaller n reads a prefix of the max-n draw that a
+# fresh draw of that length would not give) and the switch to compensated
+# partial sums at n = 100 000
 RUNS = {
     "degenerate_scan": _cfg("SymStable", 1.5, 1.2, (50, 200), 8, 101, "degenerate_scan"),
     "ek_functionals": _cfg("Gaussian", 2.0, 2.0, (100, 400), 8, 102, "ek_functionals"),

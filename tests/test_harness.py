@@ -14,10 +14,12 @@ from selfnorm import (
     AggregateRow,
     ConfigError,
     ExperimentConfig,
+    FAMILY_KINDS,
     FamilySpec,
     MissingStatisticsError,
     NonFiniteSampleError,
     ParameterDomainError,
+    ProcessPath,
     SeededStream,
     build_oracles,
     decide_regime,
@@ -201,14 +203,50 @@ def _counting(monkeypatch, name: str, module=harness) -> list:
     return calls
 
 
-@pytest.mark.parametrize("kind,draws_per_rep", [("SymStable", 1), ("StudentT", 3)])
-def test_one_draw_per_replication_where_prefix_coherent(monkeypatch, kind, draws_per_rep):
+def _family(kind: str) -> FamilySpec:
+    return FamilySpec(kind=kind, alpha=2.0 if kind == "Gaussian" else 1.5)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_one_draw_per_replication(monkeypatch, kind):
+    # StudentT too: its sampler has no prefix property, but every n reads a
+    # prefix of the one draw at the largest n
     draws = _counting(monkeypatch, "sample_family")
-    cfg = config(family=FamilySpec(kind=kind, alpha=1.5), n_grid=(50, 100, 200), reps=6)
+    cfg = config(family=_family(kind), n_grid=(50, 100, 200), reps=6)
     run_experiment(cfg)
-    assert len(draws) == 6 * draws_per_rep
-    if draws_per_rep == 1:
-        assert {n for _, _, n in draws} == {200}
+    assert len(draws) == 6
+    assert {n for _, _, n in draws} == {200}
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_rep_stats_read_prefixes_of_one_draw(kind):
+    # each n's statistics are those of the length-n prefix of the draw at the
+    # largest n, bit for bit, for every scan a cell can hold
+    fam = _family(kind)
+    kinds = [*harness.REGIME_SCAN_KINDS, "fdd_covariance"] + ([] if kind == "Gaussian" else ["chf_compare"])
+    cell = tuple(config(family=fam, p=2.0, n_grid=(40, 100, 250), experiment=e) for e in kinds)
+    for rep in (0, 3):
+        full = sample_family(fam, SeededStream(cell[0].master_seed, rep), 250)
+        got = harness._rep_stats(cell, rep)
+        for n, row in zip(cell[0].n_grid, got):
+            want = [harness._scan_stats(c, full[:n], ProcessPath(full[:n], c.p)) for c in cell]
+            assert [[v.hex() for v in stats] for stats in row] == \
+                [[v.hex() for v in stats] for stats in want]
+
+
+@pytest.mark.parametrize("index,n", [(0, 100), (99, 100), (100, 200), (150, 200), (399, 400)])
+def test_non_finite_draw_names_the_first_prefix_holding_it(monkeypatch, index, n):
+    # the draw is checked once, at the largest n; the error names the
+    # smallest n whose prefix holds the first non-finite value
+    def poisoned(spec, stream, size):
+        x = np.ones(size)
+        x[index] = np.inf
+        return x
+
+    monkeypatch.setattr(harness, "sample_family", poisoned)
+    cfg = config(n_grid=(100, 200, 400), reps=2)
+    with pytest.raises(NonFiniteSampleError, match=rf"replication 0 at n={n} .*non-finite draw"):
+        run_experiment(cfg)
 
 
 def test_build_oracles_checks_kinds_before_writing(tmp_path):

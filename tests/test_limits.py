@@ -12,7 +12,6 @@ from selfnorm import (
     OracleMissingError,
     ParameterDomainError,
     SeededStream,
-    TailConstants,
     brownian_functional_oracle,
     chf_exponent,
     dispersion_matrix,
@@ -58,15 +57,15 @@ CHF_REFS = [
 
 @pytest.mark.parametrize("alpha,p,r,t1,u,w,want", CHF_REFS)
 def test_chf_exponent_frozen_references(alpha, p, r, t1, u, w, want):
-    got = chf_exponent(u, w, alpha, p, TailConstants(r=r, s=r), t1=t1)
+    got = chf_exponent(u, w, alpha, p, r, t1=t1)
     assert abs(got - want) <= 1e-8 * abs(want)
 
 
 def test_chf_exponent_cauchy_checkpoint():
     # standard Cauchy tails, w = 0: c(1, 0) = -1, chf = 1/e exactly
-    tails = tail_constants(FamilySpec(kind="SymStable", alpha=1.0))
-    assert tails.r == pytest.approx(1.0 / np.pi, rel=1e-14)
-    z = limit_chf(1.0, 0.0, 1.0, 2.0, tails)
+    r = tail_constants(FamilySpec(kind="SymStable", alpha=1.0))
+    assert r == pytest.approx(1.0 / np.pi, rel=1e-14)
+    z = limit_chf(1.0, 0.0, 1.0, 2.0, r)
     assert abs(z - math.exp(-1.0)) <= 1e-6
 
 
@@ -82,11 +81,10 @@ def test_chf_exponent_cauchy_checkpoint():
 @example(alpha=1.0, frac=0.0, u=1.0, w=1.0, t1=1.0)
 def test_chf_invariants(alpha, frac, u, w, t1):
     p = alpha + 0.03 + frac * (2.5 - alpha - 0.03)  # p in (alpha + 0.03, 2.5]
-    tails = TailConstants(r=0.4, s=0.4)
-    z = limit_chf(u, w, alpha, p, tails, t1=t1)
+    z = limit_chf(u, w, alpha, p, 0.4, t1=t1)
     assert abs(z) <= 1.0 + 1e-12
-    assert abs(z - limit_chf(-u, w, alpha, p, tails, t1=t1)) <= 1e-10
-    assert abs(np.conj(z) - limit_chf(u, -w, alpha, p, tails, t1=t1)) <= 1e-10
+    assert abs(z - limit_chf(-u, w, alpha, p, 0.4, t1=t1)) <= 1e-10
+    assert abs(np.conj(z) - limit_chf(u, -w, alpha, p, 0.4, t1=t1)) <= 1e-10
 
 
 def test_fractional_origin_power_resolved():
@@ -101,24 +99,28 @@ def test_fractional_origin_power_resolved():
 
 
 def test_chf_exponent_domain():
-    tails = TailConstants(r=0.4, s=0.4)
     with pytest.raises(ParameterDomainError):
-        chf_exponent(1.0, 1.0, 1.5, 1.5, tails)  # needs p > alpha
+        chf_exponent(1.0, 1.0, 1.5, 1.5, 0.4)  # needs p > alpha
     with pytest.raises(ParameterDomainError):
-        chf_exponent(1.0, 1.0, 2.0, 2.5, tails)  # alpha must be < 2
+        chf_exponent(1.0, 1.0, 2.0, 2.5, 0.4)  # alpha must be < 2
+    # the tail constant must be a positive finite real
+    for r in (0.0, -0.4, math.inf, math.nan, "0.4", None):
+        with pytest.raises(ParameterDomainError, match="tail constant"):
+            chf_exponent(1.0, 1.0, 1.0, 2.0, r)
+        with pytest.raises(ParameterDomainError, match="tail constant"):
+            limit_chf(1.0, 1.0, 1.0, 2.0, r)
 
 
 def test_tail_constants_values():
     # SymPareto: P(|X| > x) = x^-a, so each side has r = a/2
-    tc = tail_constants(FamilySpec(kind="SymPareto", alpha=1.6))
-    assert tc.r == pytest.approx(0.8, rel=1e-14)
-    assert tc.r == tc.s
+    r = tail_constants(FamilySpec(kind="SymPareto", alpha=1.6))
+    assert type(r) is float and r == pytest.approx(0.8, rel=1e-14)
     # scale enters as scale^alpha
-    tc2 = tail_constants(FamilySpec(kind="SymPareto", alpha=1.6, scale=2.0))
-    assert tc2.r == pytest.approx(0.8 * 2.0**1.6, rel=1e-13)
+    r2 = tail_constants(FamilySpec(kind="SymPareto", alpha=1.6, scale=2.0))
+    assert r2 == pytest.approx(0.8 * 2.0**1.6, rel=1e-13)
     # StudentT(1) is the Cauchy: r = 1/pi
-    tct = tail_constants(FamilySpec(kind="StudentT", alpha=1.0))
-    assert tct.r == pytest.approx(1.0 / np.pi, rel=1e-12)
+    rt = tail_constants(FamilySpec(kind="StudentT", alpha=1.0))
+    assert rt == pytest.approx(1.0 / np.pi, rel=1e-12)
 
 
 def test_tail_constants_rejects_light_tails():
