@@ -1,9 +1,10 @@
 """Map the convergence regime across an (alpha, p) grid.
 
-For each cell the three scan experiments run at a shared derived seed on
-shared replications: each replication is drawn once, at the largest n, and
-every n and all three scans read its prefixes. One process pool serves the
-whole map. The path functionals are compared against the exact laws of their
+Each alpha row runs at one derived seed on shared replications: each
+replication is drawn once, at the largest n, and every n, every p of the row
+and all three scans of each p read its prefixes, so a row costs one draw and
+one set of prefix sums and rescales per replication and n. One process pool
+serves the whole map. The path functionals are compared against the exact laws of their
 Brownian limits, so the script needs no table on disk. The classifier labels
 the cell degenerate / not_tight / brownian / inconclusive.
 The expected picture: degenerate below and on the diagonal (p <= alpha < 2,

@@ -8,8 +8,10 @@ produces identical bytes.
 
 Each replication is drawn once per call, at the largest n, whatever the
 family: every n of the grid reads its length-n prefix, and every scan that
-shares the seed (the three scans of a regime_map cell) reads the same draw.
-One process pool serves the whole call.
+shares the seed reads the same draw. In a regime_map that is a whole alpha
+row: every p and its three scans share the row's seed, and each prefix's
+p-independent reductions are computed once for all of them. One process
+pool serves the whole call.
 """
 from __future__ import annotations
 
@@ -47,6 +49,7 @@ from .limits import (  # noqa: F401
     g2_law,
     g3_law,
     g4_law,
+    ks_critical_value,
     ks_statistic,
     ks_two_sample,
     limit_chf,
@@ -266,14 +269,17 @@ def report_payload(report: ExperimentReport) -> dict:
 # ---------------------------------------------------------------------------
 # per-replication kernel
 #
-# A cell is a tuple of configs that differ only in `experiment`: the scans
-# run on the same replications. Replication j of a cell is drawn once, from
+# A cell is a tuple of configs that differ only in `experiment` and `p`: the
+# scans run on the same replications (a regime_map cell is a whole alpha row,
+# every p with its three scans). Replication j of a cell is drawn once, from
 # SeededStream(master_seed, j) at the largest n, and every n reads its
 # length-n prefix, for every family: as in the paper, each Y_{n,p} is built
-# from the first n terms of one i.i.d. sequence. Every scan of the cell is
-# computed on each prefix, from one ProcessPath: the scans read its
-# reductions (prefix sums, the rescaled sample's power sums, Y on the node
-# grid), each computed once per prefix whichever scans ask for it.
+# from the first n terms of one i.i.d. sequence, and only its normalizer
+# V_{n,p} depends on p. Every scan of the cell is computed on each prefix,
+# from one ProcessPath per p: the scans read its reductions (prefix sums, the
+# rescaled sample's power sums, Y on the node grid), each computed once per
+# prefix whichever scans ask for it, and the paths at the other p share
+# (`ProcessPath.at_p`) all of them but V_{n,p} and Y.
 
 def _scan_stats(config: ExperimentConfig, x: np.ndarray, path) -> tuple[float, ...]:
     kind = config.experiment
@@ -309,12 +315,14 @@ def _rep_stats(cell: tuple[ExperimentConfig, ...], rep: int) -> list[list[tuple[
         first = int(np.argmin(np.isfinite(full)))
         raise _non_finite(config, rep, next(n for n in config.n_grid if n > first), "draw")
     # every scan but chf_compare reads the path Y_{n,p}
-    needs_path = any(c.experiment != "chf_compare" for c in cell)
+    path_ps = list(dict.fromkeys(c.p for c in cell if c.experiment != "chf_compare"))
     out = []
     for n in config.n_grid:
         x = full[:n]
-        path = ProcessPath(x, config.p) if needs_path else None
-        stats = [_scan_stats(c, x, path) for c in cell]
+        paths: dict[float, ProcessPath] = {}
+        for p in path_ps:
+            paths[p] = paths[path_ps[0]].at_p(p) if paths else ProcessPath(x, p)
+        stats = [_scan_stats(c, x, paths.get(c.p)) for c in cell]
         bad = [c.experiment for c, row in zip(cell, stats) if not all(map(math.isfinite, row))]
         if bad:
             raise _non_finite(config, rep, n, f"statistic in {', '.join(bad)}")
@@ -328,14 +336,22 @@ def _non_finite(config: ExperimentConfig, rep: int, n: int, what: str) -> NonFin
         f"seed {config.master_seed}): non-finite {what}")
 
 
-def _block_stats(cell: tuple[ExperimentConfig, ...], lo: int, hi: int) -> list:
-    return [_rep_stats(cell, rep) for rep in range(lo, hi)]
+def _block_stats(cell: tuple[ExperimentConfig, ...], lo: int, hi: int) -> list[list[np.ndarray]]:
+    """Replications lo..hi-1 as [scan][n] -> (hi - lo, statistics) arrays.
 
-
-def _arrays(cell: tuple[ExperimentConfig, ...], rows: list) -> list[list[np.ndarray]]:
-    # [scan][n] -> (reps, statistics) array from rows indexed [rep][n][scan]
-    return [[np.array([rep[i][k] for rep in rows]) for i in range(len(cell[0].n_grid))]
-            for k in range(len(cell))]
+    Each replication's statistics are stored as soon as they are computed,
+    so a block never holds them as Python floats, and a pool worker sends
+    back arrays.
+    """
+    out: list[list[np.ndarray]] = []
+    for i, rep in enumerate(range(lo, hi)):
+        stats = _rep_stats(cell, rep)
+        if not out:
+            out = [[np.empty((hi - lo, len(row[k]))) for row in stats] for k in range(len(cell))]
+        for j, row in enumerate(stats):
+            for k, values in enumerate(row):
+                out[k][j][i] = values
+    return out
 
 
 def _cell_slots(cells: list[tuple[ExperimentConfig, ...]]) -> list[list[list[np.ndarray]]]:
@@ -343,12 +359,11 @@ def _cell_slots(cells: list[tuple[ExperimentConfig, ...]]) -> list[list[list[np.
 
     The cells of one call share reps and workers; one process pool serves
     them all, each cell split into one contiguous block of replications per
-    worker. Each cell's rows become arrays as soon as they are read, so the
-    Python rows of the whole call are never held at once.
+    worker, and a cell's blocks are joined in replication order.
     """
     reps, workers = cells[0][0].reps, cells[0][0].workers
     if workers == 1 or reps < 2 * workers:
-        return [_arrays(cell, _block_stats(cell, 0, reps)) for cell in cells]
+        return [_block_stats(cell, 0, reps) for cell in cells]
     bounds = [round(i * reps / workers) for i in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = [[pool.submit(_block_stats, cell, lo, hi)
@@ -357,8 +372,10 @@ def _cell_slots(cells: list[tuple[ExperimentConfig, ...]]) -> list[list[list[np.
         out = []
         try:
             for index, cell in enumerate(cells):
-                futures, pending[index] = pending[index], None  # a read future holds its rows
-                out.append(_arrays(cell, [rep for fut in futures for rep in fut.result()]))
+                futures, pending[index] = pending[index], None  # a read future holds its arrays
+                blocks = [fut.result() for fut in futures]  # each [scan][n]
+                out.append([[np.concatenate(parts) for parts in zip(*scan)]
+                            for scan in zip(*blocks)])
         except BaseException:
             # one failed block fails the call: drop the blocks not yet started
             pool.shutdown(cancel_futures=True)
@@ -495,10 +512,13 @@ def load_default_thresholds() -> dict:
 
 def _validate_thresholds(th: dict) -> None:
     required = ("exceedance_final_max", "exceedance_slack_se", "mr_median_min",
-                "mr_stability_ks_max", "ek_ks_max", "splits")
+                "mr_stability_ks_max", "ek_ks_max", "ek_family_level", "splits")
     missing = [k for k in required if k not in th]
     if missing:
         raise ConfigError(f"thresholds missing keys: {missing}")
+    level = th["ek_family_level"]
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+        raise ConfigError(f"ek_family_level must lie in (0, 1), got {level!r}")
     splits = th["splits"]
     if "mr" not in splits or "exceedance" not in splits:
         raise ConfigError("thresholds splits must define 'mr' and 'exceedance'")
@@ -512,6 +532,19 @@ def _validate_thresholds(th: dict) -> None:
 
 def _series(rows, statistic: str) -> list[AggregateRow]:
     return sorted((r for r in rows if r.statistic == statistic), key=lambda r: r.n)
+
+
+def _ek_ks_bound(ek: list[AggregateRow], thresholds: dict) -> float:
+    """The largest EK KS distance a Brownian cell may show: ek_ks_max, or more at small reps.
+
+    Each distance against an exact law has Kolmogorov's null law, so the
+    critical value at level / m bounds all m distances together, by
+    Bonferroni, with probability at least 1 - level (ek_family_level). At
+    reps 400 and m = 12 it is 0.112; from reps 783 on, ek_ks_max binds,
+    the margin left for the finite-n bias.
+    """
+    level = thresholds["ek_family_level"] / len(ek)
+    return max(thresholds["ek_ks_max"], ks_critical_value(min(r.reps for r in ek), level))
 
 
 def decide_regime(aggregates, thresholds: dict) -> str:
@@ -556,8 +589,11 @@ def decide_regime(aggregates, thresholds: dict) -> str:
 
     brownian = False
     if ek:
-        brownian = (max(r.value for r in ek) <= thresholds["ek_ks_max"]
-                    and mr_low and exc_high)
+        # the reps-scaled bound passes whatever KS noise cannot reject; only
+        # the max-ratio and exceedance guards tell that from a nearby
+        # non-Brownian cell, so a decision without both keeps ek_ks_max
+        bound = _ek_ks_bound(ek, thresholds) if mr_med and exc else thresholds["ek_ks_max"]
+        brownian = max(r.value for r in ek) <= bound and mr_low and exc_high
 
     labels = [name for name, hit in
               (("degenerate", degenerate), ("brownian", brownian), ("not_tight", not_tight))
@@ -642,41 +678,48 @@ def _cell_config(base: ExperimentConfig, alpha: float, p: float, seed: int,
                    experiment=experiment or base.experiment)
 
 
-def _grid(alpha_list, p_list) -> list[tuple[float, float]]:
+def _grid(alpha_list, p_list) -> tuple[tuple[float, ...], tuple[float, ...]]:
     alphas = tuple(float(a) for a in alpha_list)
     ps = tuple(float(p) for p in p_list)
     if not alphas or not ps:
         raise ConfigError("alpha_list and p_list must be nonempty")
-    return [(a, p) for a in alphas for p in ps]
+    return alphas, ps
 
 
 def sweep(base: ExperimentConfig, alpha_list, p_list,
           thresholds: dict | None = None) -> tuple[ExperimentReport, ...]:
     """Cartesian product of runs; cell seeds derived from the base seed and index."""
+    alphas, ps = _grid(alpha_list, p_list)
     cells = [(_cell_config(base, alpha, p, derive_seed(base.master_seed, idx)),)
-             for idx, (alpha, p) in enumerate(_grid(alpha_list, p_list))]
+             for idx, (alpha, p) in enumerate((a, p) for a in alphas for p in ps)]
     return tuple(r for (r,) in _run_cells(cells, thresholds))
 
 
 def regime_map(base: ExperimentConfig, alpha_list, p_list, thresholds: dict | None = None,
                oracle_dir=None) -> tuple[tuple[ExperimentReport, ...], dict]:
-    """Run all three regime scans per cell on shared replications and classify jointly.
+    """Run all three regime scans per (alpha, p) on shared replications and classify jointly.
 
-    The scans of a cell use the cell seed, so they read the same draws: each
-    replication is drawn once and feeds all three. Returns (reports, matrix)
-    with matrix[(alpha, p)] in {degenerate, brownian, not_tight, inconclusive}.
-    `oracle_dir` is ignored, as in `run_experiment`.
+    Every p of an alpha row, with its three scans, uses the row seed
+    derive_seed(base seed, i * len(p_list)) for the i-th alpha, so the whole
+    row reads the same draws: each replication is drawn once and feeds every
+    p, and each prefix's sums and rescale serve them all. Each report still
+    equals `run_experiment(report.config)` byte for byte. Returns (reports,
+    matrix): the reports in (alpha, p, scan) order, and matrix[(alpha, p)] in
+    {degenerate, brownian, not_tight, inconclusive}. `oracle_dir` is
+    ignored, as in `run_experiment`.
     """
-    grid = _grid(alpha_list, p_list)
+    alphas, ps = _grid(alpha_list, p_list)
     if thresholds is None:
         thresholds = load_default_thresholds()
-    cells = [tuple(_cell_config(base, alpha, p, derive_seed(base.master_seed, idx), kind)
-                   for kind in REGIME_SCAN_KINDS)
-             for idx, (alpha, p) in enumerate(grid)]
-    per_cell = _run_cells(cells, thresholds)
-    matrix = {cell: decide_regime([row for r in reports for row in r.aggregates], thresholds)
-              for cell, reports in zip(grid, per_cell)}
-    return tuple(r for reports in per_cell for r in reports), matrix
+    rows = [tuple(_cell_config(base, alpha, p, derive_seed(base.master_seed, i * len(ps)), kind)
+                  for p in ps for kind in REGIME_SCAN_KINDS)
+            for i, alpha in enumerate(alphas)]
+    reports = [r for row in _run_cells(rows, thresholds) for r in row]
+    scans = len(REGIME_SCAN_KINDS)
+    matrix = {(alpha, p): decide_regime([row for r in reports[k * scans:(k + 1) * scans]
+                                         for row in r.aggregates], thresholds)
+              for k, (alpha, p) in enumerate((a, p) for a in alphas for p in ps)}
+    return tuple(reports), matrix
 
 
 # ---------------------------------------------------------------------------

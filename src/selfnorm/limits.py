@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import gamma as _gamma
-from scipy.special import ai_zeros, airy, binom, erfc, factorial, ndtr
+from scipy.special import ai_zeros, airy, binom, erfc, factorial, ndtr, smirnovi
 
 from ._files import write_text_atomic
 from .errors import InternalConsistencyError, OracleMissingError, ParameterDomainError
@@ -56,6 +56,7 @@ __all__ = [
     "load_oracle",
     "ks_statistic",
     "ks_two_sample",
+    "ks_critical_value",
     "empirical_chf",
     "tail_constants",
     "chf_exponent",
@@ -346,6 +347,20 @@ def ks_two_sample(a, b) -> float:
     fa = np.searchsorted(a, grid, side="right") / a.size
     fb = np.searchsorted(b, grid, side="right") / b.size
     return float(np.abs(fa - fb).max())
+
+
+def ks_critical_value(reps: int, level: float) -> float:
+    """The distance the one-sample KS statistic of `reps` draws exceeds with probability <= `level`.
+
+    The draws come from the reference law itself. Each one-sided Smirnov
+    distance gets level / 2 (`scipy.special.smirnovi`), so by the union
+    bound the two-sided distance exceeds the value with probability at most
+    `level`; the exact two-sided level is smaller only by the chance that
+    both one-sided distances exceed it.
+    """
+    if not (reps >= 1 and 0.0 < level < 1.0):
+        raise ParameterDomainError(f"need reps >= 1 and level in (0, 1), got {reps!r}, {level!r}")
+    return float(smirnovi(reps, level / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +736,9 @@ def chf_exponent(u: float, w: float, alpha: float, p: float, r: float,
     r is the Levy density constant of each (symmetric) tail, as returned by
     `tail_constants`.
     """
+    for name, value in (("u", u), ("w", w), ("alpha", alpha), ("p", p)):
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ParameterDomainError(f"{name} must be a finite real, got {value!r}")
     alpha = float(alpha)
     p = float(p)
     if not 0 < alpha < 2:
@@ -730,8 +748,8 @@ def chf_exponent(u: float, w: float, alpha: float, p: float, r: float,
     if not (isinstance(r, numbers.Real) and 0 < r < math.inf):
         raise ParameterDomainError(f"the tail constant r must be a positive finite real, got {r!r}")
     r = float(r)
-    if not 0 < t1 <= 1:
-        raise ParameterDomainError(f"t1 must lie in (0, 1], got {t1}")
+    if not (isinstance(t1, numbers.Real) and 0 < t1 <= 1):
+        raise ParameterDomainError(f"t1 must be a real in (0, 1], got {t1!r}")
     gamma = abs(float(u)) * t1 ** (1.0 / alpha)
     beta = abs(float(w)) * t1 ** (p / alpha)
 

@@ -141,7 +141,8 @@ class ProcessPath:
     Holds the sample as a float64 array and the reductions every statistic
     of the path reads: the prefix sums S_0..S_n, the rescaled sample with its
     power sums, the normalizer V_{n,p}, and, on first use, Y on the node
-    grid.
+    grid. Of these only V_{n,p} and Y depend on p: `at_p` gives the same
+    sample's path at another p, sharing the rest.
     """
 
     values: np.ndarray
@@ -149,14 +150,33 @@ class ProcessPath:
     sums: np.ndarray = field(init=False, repr=False)
     rescaled: _Rescaled = field(init=False, repr=False)
     v: float = field(init=False, repr=False)
+    # [V Y on the node grid, or None until first read]: p-independent, so one
+    # list is shared by every path `at_p` derives from the same sample
+    _node_sums: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "sums", partial_sums(self.values))
-        object.__setattr__(self, "rescaled", _Rescaled(self.values))
-        object.__setattr__(self, "v", self.rescaled.norm(self.p))
+        values = np.asarray(self.values, dtype=float)
+        self._share(values, partial_sums(values), _Rescaled(values), [None])
+
+    def _share(self, values: np.ndarray, sums: np.ndarray, rescaled: _Rescaled,
+               node_sums: list) -> None:
+        for name, value in (("values", values), ("sums", sums), ("rescaled", rescaled),
+                            ("_node_sums", node_sums), ("v", rescaled.norm(self.p))):
+            object.__setattr__(self, name, value)
         if self.v == 0.0:
             raise DegenerateSampleError("all-zero sample: Y_{n,p} undefined (V = 0)")
+
+    def at_p(self, p: float) -> ProcessPath:
+        """Y_{n,p} of the same sample at another p, equal to `ProcessPath(self.values, p)` bit for bit.
+
+        The prefix sums, the rescaled sample with its power sums and the
+        node-grid sums are this path's own objects; only V_{n,p} and Y are
+        computed anew.
+        """
+        path = object.__new__(ProcessPath)
+        object.__setattr__(path, "p", p)
+        path._share(self.values, self.sums, self.rescaled, self._node_sums)
+        return path
 
     @property
     def n(self) -> int:
@@ -165,7 +185,9 @@ class ProcessPath:
     @cached_property
     def y_nodes(self) -> np.ndarray:
         """Y_{n,p}(k/n) for k = 0..n, read-only: `y_path(self, np.arange(n + 1) / n)` bit for bit."""
-        y = _evaluate(self, *_node_index(self.n))
+        if self._node_sums[0] is None:
+            self._node_sums[0] = _numerator(self, *_node_index(self.n))
+        y = self._node_sums[0] / self.v
         y.flags.writeable = False
         return y
 
@@ -199,7 +221,7 @@ def y_path(path: ProcessPath, grid) -> np.ndarray:
         raise ParameterDomainError("grid points must lie in [0, 1]")
     if (tg[1:] <= tg[:-1]).any():
         raise ParameterDomainError("grid must be strictly increasing")
-    return _evaluate(path, *_grid_index(path.n, tg))
+    return _numerator(path, *_grid_index(path.n, tg)) / path.v
 
 
 def _grid_index(n: int, tg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,8 +241,9 @@ def _node_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return index
 
 
-def _evaluate(path: ProcessPath, ks: np.ndarray, frac: np.ndarray, js: np.ndarray) -> np.ndarray:
-    return (path.sums[ks] + frac * path.values[js]) / path.v
+def _numerator(path: ProcessPath, ks: np.ndarray, frac: np.ndarray, js: np.ndarray) -> np.ndarray:
+    # V Y(t) = S_[nt] + (nt - [nt]) X_{[nt]+1}, the same for every p
+    return path.sums[ks] + frac * path.values[js]
 
 
 @dataclass(frozen=True)

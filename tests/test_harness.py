@@ -280,23 +280,44 @@ def test_regime_map_shares_draws_pool_and_oracles(monkeypatch):
     # the counter sees only the parent's calls; at workers=1 every draw is local
     reports1, _ = regime_map(dataclasses.replace(base, workers=1), (1.0, 1.5), (1.0, 2.0))
     assert limits._g4_table.cache_info().misses == 1
-    assert len(draws) == 4 * 4  # four cells, one draw per replication for three scans
+    # two alpha rows, one draw per replication for both p and all three scans
+    assert len(draws) == 2 * 4
     blob = lambda r: json.dumps(report_payload(r), sort_keys=True, separators=(",", ":"))
     assert [blob(r) for r in reports] == [blob(r) for r in reports1]
 
 
 def test_one_reduction_per_replication_and_n(monkeypatch):
-    # the path's prefix sums and its one rescaled sample, from which V_{n,p}
-    # and the three ratios are read, serve every scan of the cell,
-    # ek_functionals included
+    # the path's prefix sums, its one rescaled sample, from which V_{n,p}
+    # and the three ratios are read, and its node-grid sums serve every p of
+    # the row and every scan, ek_functionals included
     sums = _counting(monkeypatch, "partial_sums", process)
     rescales = _counting(monkeypatch, "_Rescaled", process)
+    numerators = _counting(monkeypatch, "_numerator", process)
     rescales_in_diagnostics = _counting(monkeypatch, "_Rescaled", diagnostics)
     base = config(n_grid=(50, 100), reps=4, workers=1)
-    regime_map(base, (1.5,), (2.0,))
+    regime_map(base, (1.5,), (1.5, 2.0))
     assert len(sums) == 4 * 2
     assert len(rescales) == 4 * 2
+    assert len(numerators) == 4 * 2
     assert rescales_in_diagnostics == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_regime_map_rows_share_the_seed_and_each_report_is_pure(workers):
+    # every p of an alpha row reads the row's draws, at the seed of the row's
+    # first cell; each report is still what run_experiment gives its config
+    alphas, ps = (0.8, 1.5, 2.0), (0.8, 1.5, 2.0)
+    base = config(n_grid=(50, 120), reps=6, workers=workers)
+    reports, matrix = regime_map(base, alphas, ps)
+    assert [(r.config.family.alpha, r.config.p, r.config.experiment) for r in reports] == \
+        [(a, p, kind) for a in alphas for p in ps for kind in harness.REGIME_SCAN_KINDS]
+    assert list(matrix) == [(a, p) for a in alphas for p in ps]
+    for r in reports:
+        i = alphas.index(r.config.family.alpha)
+        assert r.config.master_seed == derive_seed(12345, i * len(ps))
+    blob = lambda r: json.dumps(report_payload(r), sort_keys=True, separators=(",", ":"))
+    assert [blob(r) for r in reports] == \
+        [blob(run_experiment(dataclasses.replace(r.config, workers=1))) for r in reports]
 
 
 def _load_tracing():
@@ -399,12 +420,12 @@ def test_write_report_wraps_os_errors(tmp_path):
 # regime decision
 
 
-def rows(**series) -> list[AggregateRow]:
+def rows(reps: int = 400, **series) -> list[AggregateRow]:
     out = []
     for stat, values in series.items():
         for i, v in enumerate(values):
             out.append(AggregateRow(n=100 * 2**i, statistic=stat, value=v,
-                                    stderr=0.005, reps=400))
+                                    stderr=0.005, reps=reps))
     return out
 
 
@@ -431,6 +452,47 @@ def test_decide_brownian():
     assert got == "brownian"
 
 
+def _brownian_rows(reps: int, worst_ks: float) -> list[AggregateRow]:
+    # twelve EK KS distances, as an ek_functionals scan over three n writes
+    ks = {name: (0.03, 0.03, 0.03) for name in
+          ("ks_max_g1", "ks_max_abs_g2", "ks_mean_sq_g3", "ks_mean_abs_g4")}
+    ks["ks_mean_sq_g3"] = (0.03, worst_ks, 0.03)
+    return rows(reps=reps, exceedance=(0.84, 0.84, 0.84), mr_median=(0.05, 0.03, 0.02), **ks)
+
+
+@pytest.mark.parametrize("reps,passes,fails", [
+    # smirnovi(400, 1e-3 / 24) = 0.11174: the bound scales with reps
+    (400, 0.111, 0.112),
+    # smirnovi(1500, 1e-3 / 24) = 0.0579: the ek_ks_max floor of 0.08 binds
+    (1500, 0.080, 0.081),
+])
+def test_brownian_ks_bound_scales_with_reps(reps, passes, fails):
+    th = load_default_thresholds()
+    assert th["ek_ks_max"] == 0.08 and th["ek_family_level"] == 0.001
+    assert decide_regime(_brownian_rows(reps, passes), th) == "brownian"
+    assert decide_regime(_brownian_rows(reps, fails), th) == "inconclusive"
+
+
+def test_brownian_ks_bound_is_bonferroni_over_the_rows_read():
+    # with only G3's three rows, m = 3: smirnovi(400, 1e-3 / 6) = 0.1038
+    th = load_default_thresholds()
+    base = dict(reps=400, exceedance=(0.84,), mr_median=(0.02,))
+    assert decide_regime(rows(ks_mean_sq_g3=(0.03, 0.103, 0.03), **base), th) == "brownian"
+    assert decide_regime(rows(ks_mean_sq_g3=(0.03, 0.104, 0.03), **base), th) == "inconclusive"
+
+
+def test_brownian_ks_bound_stays_fixed_without_the_guards():
+    # a lone ek_functionals report has no max-ratio or exceedance rows to rule
+    # out a nearby non-Brownian cell, so KS noise alone never widens its bound
+    th = load_default_thresholds()
+    ek = {name: (0.03, 0.1, 0.03) for name in
+          ("ks_max_g1", "ks_max_abs_g2", "ks_mean_sq_g3", "ks_mean_abs_g4")}
+    assert decide_regime(rows(reps=400, **ek), th) == "inconclusive"
+    assert decide_regime(rows(reps=400, mr_median=(0.02,), **ek), th) == "inconclusive"
+    assert decide_regime(rows(reps=400, mr_median=(0.02,), exceedance=(0.84,), **ek),
+                         th) == "brownian"
+
+
 def test_decide_inconclusive_when_no_rule_fires():
     th = load_default_thresholds()
     got = decide_regime(rows(exceedance=(0.5, 0.6, 0.7)), th)  # increasing, never low
@@ -455,10 +517,14 @@ def test_decide_rules_structurally_disjoint():
 
 def test_decide_validates_thresholds():
     th = load_default_thresholds()
-    bad = dict(th)
-    bad.pop("ek_ks_max")
-    with pytest.raises(ConfigError):
-        decide_regime(rows(exceedance=(0.5,)), bad)
+    for key in ("ek_ks_max", "ek_family_level"):
+        bad = dict(th)
+        bad.pop(key)
+        with pytest.raises(ConfigError, match=key):
+            decide_regime(rows(exceedance=(0.5,)), bad)
+    for level in (0.0, 1.0):
+        with pytest.raises(ConfigError, match="ek_family_level"):
+            decide_regime(rows(exceedance=(0.5,)), dict(th, ek_family_level=level))
     crossed = dict(th, exceedance_final_max=0.95)  # above the split: rules overlap
     with pytest.raises(ConfigError):
         decide_regime(rows(exceedance=(0.5,)), crossed)

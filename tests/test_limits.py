@@ -20,6 +20,7 @@ from selfnorm import (
     g2_law,
     g3_law,
     g4_law,
+    ks_critical_value,
     ks_statistic,
     ks_two_sample,
     limit_chf,
@@ -109,6 +110,22 @@ def test_chf_exponent_domain():
             chf_exponent(1.0, 1.0, 1.0, 2.0, r)
         with pytest.raises(ParameterDomainError, match="tail constant"):
             limit_chf(1.0, 1.0, 1.0, 2.0, r)
+    # u, w, alpha, p and t1 too: a string or None is refused, not compared or converted
+    for bad in ("1.5", None, 1j):
+        for name, args, kwargs in (("u", (bad, 1.0, 1.0, 2.0), {}), ("w", (1.0, bad, 1.0, 2.0), {}),
+                                   ("alpha", (1.0, 1.0, bad, 2.0), {}),
+                                   ("p", (1.0, 1.0, 1.0, bad), {}),
+                                   ("t1", (1.0, 1.0, 1.0, 2.0), {"t1": bad})):
+            with pytest.raises(ParameterDomainError, match=f"{name} must be"):
+                limit_chf(*args, 0.3, **kwargs)
+    for bad in (math.nan, math.inf):
+        for name, args in (("u", (bad, 1.0, 1.0, 2.0)), ("w", (1.0, bad, 1.0, 2.0)),
+                           ("p", (1.0, 1.0, 1.0, bad))):
+            with pytest.raises(ParameterDomainError, match=f"{name} must be"):
+                chf_exponent(*args, 0.3)
+    for t1 in (0.0, 1.5, math.nan):
+        with pytest.raises(ParameterDomainError, match="t1 must be"):
+            chf_exponent(1.0, 1.0, 1.0, 2.0, 0.3, t1=t1)
 
 
 def test_tail_constants_values():
@@ -340,3 +357,16 @@ def test_dispersion_matrix_is_min():
         dispersion_matrix((0.5, float("nan")))
     with pytest.raises(ParameterDomainError):
         dispersion_matrix((float("nan"),))
+
+
+@pytest.mark.parametrize("reps,level", [(8, 1e-3 / 8), (400, 1e-3 / 12), (1500, 1e-3 / 12), (400, 0.05)])
+def test_ks_critical_value_matches_kolmogorovs_two_sided_law(reps, level):
+    # the union of the two one-sided Smirnov tails is nearly the two-sided level
+    got = ks_critical_value(reps, level)
+    assert scipy.stats.kstwo.sf(got, reps) == pytest.approx(level, rel=level / 2)
+
+
+def test_ks_critical_value_domain():
+    for reps, level in ((0, 0.01), (400, 0.0), (400, 1.0), (400, math.nan)):
+        with pytest.raises(ParameterDomainError):
+            ks_critical_value(reps, level)

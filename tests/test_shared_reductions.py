@@ -1,10 +1,11 @@
 """The scans read one rescale and one node-grid evaluation per prefix.
 
-Each (replication, n) builds one ProcessPath; V_{n,p}, max_ratio,
-darling_ratio and sum_sq_ratio come from its rescaled sample's power sums,
-and Y(1) and the oscillations from its node-grid values. These tests hold
-what the scans get to the public functions, and to a reference that rescales
-the sample anew for each statistic, bit for bit.
+Each (replication, n) builds one ProcessPath, and one more per further p
+of a regime_map row, sharing its reductions (`ProcessPath.at_p`); V_{n,p},
+max_ratio, darling_ratio and sum_sq_ratio come from the rescaled sample's
+power sums, and Y(1) and the oscillations from the node-grid values. These
+tests hold what the scans get to the public functions, and to a reference
+that rescales the sample anew for each statistic, bit for bit.
 """
 import warnings
 
@@ -150,3 +151,33 @@ def test_degenerate_scan_still_refuses_alpha_above_two():
                            reps=2, master_seed=1, experiment="degenerate_scan")
     with pytest.raises(ParameterDomainError, match="alpha must lie in"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("n", (49, 4000))
+@pytest.mark.parametrize("family,p", CASES, ids=lambda v: getattr(v, "kind", v))
+def test_path_at_another_p_equals_a_fresh_path_bit_for_bit(family, p, n):
+    # a regime_map row reads every p of the row from one path's reductions
+    x = sample_family(family, SeededStream(11, n), n)
+    first = ProcessPath(x, 2.0 if p != 2.0 else 0.8)
+    first.y_nodes  # the node-grid sums exist before the second p reads them
+    path = first.at_p(p)
+    fresh = ProcessPath(x, p)
+    assert path.p == p and path.n == n
+    assert path.values is first.values and path.sums is first.sums
+    assert path.rescaled is first.rescaled
+    assert _hex([path.v]) == _hex([fresh.v])
+    assert path.y_nodes.tobytes() == fresh.y_nodes.tobytes()
+    assert not path.y_nodes.flags.writeable
+    cfg = _scan_configs(family, p, n)
+    assert [_hex(harness._scan_stats(c, x, path)) for c in cfg.values()] == \
+        [_hex(harness._scan_stats(c, x, fresh)) for c in cfg.values()]
+
+
+def test_path_at_another_p_refuses_what_a_fresh_path_refuses():
+    path = ProcessPath(np.array([1.0, -2.0]), 1.0)
+    with pytest.raises(ParameterDomainError):
+        path.at_p(2.5)
+    zeros = ProcessPath(np.array([1.0]), 1.0)
+    object.__setattr__(zeros.rescaled, "m", 0.0)  # V = 0 at every p
+    with pytest.raises(DegenerateSampleError):
+        zeros.at_p(1.5)
