@@ -29,11 +29,10 @@ import numpy as np
 from ._files import write_text_atomic
 # modulus_of_continuity, the three ratios, y_at and load_oracle are not called
 # here (the scans read the path's shared reductions, and the tightness scan
-# calls _max_oscillations once for its whole delta grid), but stay bound like
-# every other layer function, so the benchmark's tracer (perfbench/tracing.py)
-# finds them
+# reads the two-stage window pass of process.py once for its whole delta
+# grid), but stay bound like every other layer function, so the benchmark's
+# tracer (perfbench/tracing.py) finds them
 from .diagnostics import (  # noqa: F401
-    _max_oscillations,
     darling_ratio,
     max_ratio,
     modulus_of_continuity,
@@ -57,7 +56,14 @@ from .limits import (  # noqa: F401
     save_oracle,
     tail_constants,
 )
-from .process import ProcessPath, ek_functionals, y_at, y_path  # noqa: F401
+from .process import (  # noqa: F401
+    ProcessPath,
+    _endpoint,
+    _node_oscillations,
+    ek_functionals,
+    y_at,
+    y_path,
+)
 from .rng import SeededStream, derive_seed
 
 __all__ = [
@@ -276,24 +282,29 @@ def report_payload(report: ExperimentReport) -> dict:
 # length-n prefix, for every family: as in the paper, each Y_{n,p} is built
 # from the first n terms of one i.i.d. sequence, and only its normalizer
 # V_{n,p} depends on p. Every scan of the cell is computed on each prefix,
-# from one ProcessPath per p: the scans read its reductions (prefix sums, the
-# rescaled sample's power sums, Y on the node grid), each computed once per
-# prefix whichever scans ask for it, and the paths at the other p share
-# (`ProcessPath.at_p`) all of them but V_{n,p} and Y.
+# from one ProcessPath per p: the scans read its reductions, each computed
+# once per prefix whichever scans and p ask for it, and the paths at the
+# other p share (`ProcessPath.at_p`) all of them but V_{n,p}. These are the
+# prefix sums, the rescaled sample's power sums, the numerator N = V Y on the
+# node grid, stage one of the window pass over N (the window extremes of each
+# delta, cut to the candidate windows that can hold the largest oscillation
+# at any V), and max S_k, max |S_k| and |S_k|. Per p, a scan divides only
+# what it reads by V: the endpoint N(1), the candidates' extremes, and |S_k|
+# for the EK means.
 
 def _scan_stats(config: ExperimentConfig, x: np.ndarray, path) -> tuple[float, ...]:
     kind = config.experiment
     if kind == "degenerate_scan":
-        # Y(1) is the last node of the grid
-        return (float(path.y_nodes[-1]), path.rescaled.sum_sq_ratio(config.family.alpha))
+        # a tail index above 2 (StudentT, SymPareto) puts the family in DA(2)
+        return (_endpoint(path), path.rescaled.sum_sq_ratio(min(config.family.alpha, 2.0)))
     if kind == "ek_functionals":
         ek = ek_functionals(path)
         return (ek.max_sn, ek.max_abs_sn, ek.mean_sq, ek.mean_abs)
     if kind == "fdd_covariance":
         return tuple(float(v) for v in y_path(path, config.t_grid))
     if kind == "tightness_scan":
-        # one evaluation of the path on the node grid serves every delta
-        oms = _max_oscillations(path.y_nodes, config.delta_grid)
+        # one window pass over the shared numerator serves every delta and p
+        oms = _node_oscillations(path, config.delta_grid)
         return (path.rescaled.darling_ratio(), path.rescaled.max_ratio(config.p), *oms)
     # chf_compare: the pair (S_n / n^{1/a}, V^p / n^{p/a}), scaled before
     # summing so heavy-tailed powers cannot overflow; |xs|^p is taken in

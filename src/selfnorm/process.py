@@ -6,6 +6,22 @@ partial sums, with the convention that the interpolation term vanishes at
 t = 1. Heavy-tailed summands force two numerical choices here: prefix sums
 are compensated for long samples (cancellation between huge opposite-sign
 terms), and p-norms are computed max-rescaled (naive power sums overflow).
+
+Only V_{n,p} depends on p. The numerator N(t) = V Y(t) = S_[nt] +
+(nt - [nt]) X_{[nt]+1} does not, so the reductions a statistic needs of N
+or of S_k are taken once per sample and shared by its paths at every p,
+and each p divides only what it reads:
+
+- the window pass behind the modulus of continuity runs in two stages.
+  Stage one (`_candidate_windows`, once per sample and delta grid) doubles
+  the sliding-window max and min of N and keeps, for each width, the few
+  windows whose range lies within a derived rounding bound of the largest.
+  Stage two (`_window_oscillations`, per p) divides only those windows'
+  extremes by V. Division by V > 0 is monotone, so the result equals the
+  exact reduction over every window of Y bit for bit, and that exact pass
+  (`_max_oscillations`) runs instead wherever the bound does not hold;
+- the EK functionals read max S_k, max |S_k| and |S_k| from the shared
+  prefix and take per p only |S_k|/V and its two means.
 """
 
 from __future__ import annotations
@@ -13,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,15 +151,54 @@ def p_norm(x, p: float) -> float:
     return _Rescaled(x).norm(p)
 
 
+class _Prefix:
+    """The reductions of one sample X_1..X_n that no p changes.
+
+    One object is shared by every path that `ProcessPath.at_p` derives from
+    the same sample. The prefix sums and the rescaled sample are taken at
+    construction; the node-grid numerator N, the candidate windows of the
+    window pass over N, and the extremes of S_k and |S_k| for k = 1..n on
+    first read.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.sums = partial_sums(values)
+        self.rescaled = _Rescaled(values)
+        self._windows: _Windows | None = None
+
+    @cached_property
+    def numerator(self) -> np.ndarray:
+        """N(k/n) = V Y(k/n) for k = 0..n, read-only: `y_path`'s numerator through the index cached per n."""
+        numerator = _numerator(self.sums, self.values, *_node_index(self.values.size))
+        numerator.flags.writeable = False
+        return numerator
+
+    @cached_property
+    def sum_extremes(self) -> tuple[np.float64, np.float64, np.ndarray]:
+        """(max S_k, max |S_k|, |S_k|) over k = 1..n."""
+        s = self.sums[1:]
+        a = np.abs(s)
+        return s.max(), a.max(), a
+
+    def windows(self, deltas: tuple) -> _Windows:
+        """Stage one of the window pass over N for a delta grid; the last grid asked for is kept."""
+        if self._windows is None or self._windows.deltas != deltas:
+            self._windows = _candidate_windows(self.numerator, deltas)
+        return self._windows
+
+
 @dataclass(frozen=True, eq=False)
 class ProcessPath:
     """The interpolated process Y_{n,p} for one sample X_1..X_n, evaluable on [0,1].
 
     Holds the sample as a float64 array and the reductions every statistic
     of the path reads: the prefix sums S_0..S_n, the rescaled sample with its
-    power sums, the normalizer V_{n,p}, and, on first use, Y on the node
-    grid. Of these only V_{n,p} and Y depend on p: `at_p` gives the same
-    sample's path at another p, sharing the rest.
+    power sums, the normalizer V_{n,p}, and, on first use, the numerator
+    N = V Y on the node grid, the candidate windows of the window pass over
+    N, and the extremes of S_k and |S_k|. Of these only V_{n,p} depends on
+    p: `at_p` gives the same sample's path at another p, sharing the rest,
+    and each statistic divides by its own V last.
     """
 
     values: np.ndarray
@@ -150,18 +206,15 @@ class ProcessPath:
     sums: np.ndarray = field(init=False, repr=False)
     rescaled: _Rescaled = field(init=False, repr=False)
     v: float = field(init=False, repr=False)
-    # [V Y on the node grid, or None until first read]: p-independent, so one
-    # list is shared by every path `at_p` derives from the same sample
-    _node_sums: list = field(init=False, repr=False)
+    _prefix: _Prefix = field(init=False, repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        self._share(values, partial_sums(values), _Rescaled(values), [None])
+        self._share(_Prefix(np.asarray(self.values, dtype=float)))
 
-    def _share(self, values: np.ndarray, sums: np.ndarray, rescaled: _Rescaled,
-               node_sums: list) -> None:
-        for name, value in (("values", values), ("sums", sums), ("rescaled", rescaled),
-                            ("_node_sums", node_sums), ("v", rescaled.norm(self.p))):
+    def _share(self, prefix: _Prefix) -> None:
+        for name, value in (("values", prefix.values), ("sums", prefix.sums),
+                            ("rescaled", prefix.rescaled), ("_prefix", prefix),
+                            ("v", prefix.rescaled.norm(self.p))):
             object.__setattr__(self, name, value)
         if self.v == 0.0:
             raise DegenerateSampleError("all-zero sample: Y_{n,p} undefined (V = 0)")
@@ -170,26 +223,27 @@ class ProcessPath:
         """Y_{n,p} of the same sample at another p, equal to `ProcessPath(self.values, p)` bit for bit.
 
         The prefix sums, the rescaled sample with its power sums and the
-        node-grid sums are this path's own objects; only V_{n,p} and Y are
-        computed anew.
+        p-independent reductions of the prefix are this path's own objects;
+        only V_{n,p} is computed anew.
         """
         path = object.__new__(ProcessPath)
         object.__setattr__(path, "p", p)
-        path._share(self.values, self.sums, self.rescaled, self._node_sums)
+        path._share(self._prefix)
         return path
 
     @property
     def n(self) -> int:
         return self.values.size
 
-    @cached_property
-    def y_nodes(self) -> np.ndarray:
-        """Y_{n,p}(k/n) for k = 0..n, read-only: `y_path(self, np.arange(n + 1) / n)` bit for bit."""
-        if self._node_sums[0] is None:
-            self._node_sums[0] = _numerator(self, *_node_index(self.n))
-        y = self._node_sums[0] / self.v
-        y.flags.writeable = False
-        return y
+
+def _endpoint(path: ProcessPath) -> float:
+    """Y_{n,p}(1) = N(1)/V, the last node of the grid: `y_at(path, 1.0)` bit for bit."""
+    return float(path._prefix.numerator[-1] / path.v)
+
+
+def _node_oscillations(path: ProcessPath, deltas: tuple) -> tuple[float, ...]:
+    """The modulus of continuity of Y on the node grid for each delta, through the shared window pass."""
+    return _window_oscillations(path._prefix.windows(deltas), path.v)
 
 
 def y_at(path: ProcessPath, t: float) -> float:
@@ -210,9 +264,9 @@ def y_path(path: ProcessPath, grid) -> np.ndarray:
     t = k/n the value is not S_k/V at every node: n (k/n) != k in floating
     point at 35 of the 4 001 nodes at n = 4 000 and at 175 of the 16 001 at
     n = 16 000, and where it falls just below k the value is interpolated
-    from S_{k-1}. `ProcessPath.y_nodes` does this arithmetic with a
-    node-grid index cached per n, so it equals this function on that grid
-    bit for bit.
+    from S_{k-1}. A path's shared numerator N = V Y on the node grid does
+    this arithmetic with a node-grid index cached per n, so N/V equals this
+    function on that grid bit for bit.
     """
     tg = np.asarray(grid, dtype=float)
     if tg.size == 0:
@@ -221,7 +275,7 @@ def y_path(path: ProcessPath, grid) -> np.ndarray:
         raise ParameterDomainError("grid points must lie in [0, 1]")
     if (tg[1:] <= tg[:-1]).any():
         raise ParameterDomainError("grid must be strictly increasing")
-    return _numerator(path, *_grid_index(path.n, tg)) / path.v
+    return _numerator(path.sums, path.values, *_grid_index(path.n, tg)) / path.v
 
 
 def _grid_index(n: int, tg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,9 +295,159 @@ def _node_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return index
 
 
-def _numerator(path: ProcessPath, ks: np.ndarray, frac: np.ndarray, js: np.ndarray) -> np.ndarray:
-    # V Y(t) = S_[nt] + (nt - [nt]) X_{[nt]+1}, the same for every p
-    return path.sums[ks] + frac * path.values[js]
+def _numerator(sums: np.ndarray, values: np.ndarray, ks: np.ndarray, frac: np.ndarray,
+               js: np.ndarray) -> np.ndarray:
+    # N(t) = V Y(t) = S_[nt] + (nt - [nt]) X_{[nt]+1}, the same for every p
+    return sums[ks] + frac * values[js]
+
+
+def _widths(deltas, size: int) -> list[int]:
+    # mesh steps per window of each delta, on a grid of `size` evenly spaced points
+    return [int(np.floor(d * (size - 1) + 1e-9)) for d in deltas]
+
+
+def _window_extremes(y: np.ndarray, widths):
+    """(w, hi, lo) for each distinct width w >= 1 of `widths`, in increasing order.
+
+    hi[j] and lo[j] are the max and min of y[j:j + w + 1], the window of w
+    mesh steps that starts at node j. The window grows by doubling through
+    the sorted widths. Window cover: for k <= K <= 2k, the windows of k
+    points starting at j and at j + K - k overlap and together cover exactly
+    the K points starting at j, so since max and min are idempotent,
+    np.maximum and np.minimum of the two shifted arrays give the windows of
+    K points. Only max and min of y's own values appear, so no rounding
+    occurs.
+    """
+    hi = lo = y
+    k = 1
+    for w in sorted(set(widths)):
+        if w < 1:
+            continue
+        while k <= w:
+            step = min(k, w + 1 - k)
+            hi = np.maximum(hi[:-step], hi[step:])
+            lo = np.minimum(lo[:-step], lo[step:])
+            k += step
+        yield w, hi, lo
+
+
+def _max_oscillations(y: np.ndarray, deltas) -> tuple[float, ...]:
+    """Largest max-minus-min of y over windows of delta times its len(y) - 1 mesh steps.
+
+    y holds a path on an evenly spaced grid of [0, 1]; this is the modulus of
+    continuity once the grid is evaluated, reduced exactly over every
+    window. Results come back in the order of `deltas`; a window below one
+    mesh step gives 0.0, since no distinct grid pairs qualify.
+
+    This equals the centred scipy.ndimage maximum_filter1d/minimum_filter1d
+    of size K with mode="nearest" bit for bit. Each of its windows is either a
+    full window of K points (every full window is centred on some node), or
+    an edge window clipped by the mode; a clipped window is a run of fewer
+    than K nodes, and since K <= len(y) (delta <= 1) it lies inside some full
+    window, so its max is no larger and its min no smaller. Floating
+    subtraction is monotone, so its oscillation is no larger either, and the
+    largest oscillation is that of a full window. Only max, min and the same
+    pairwise differences hi - lo of node values appear, so no rounding
+    differs.
+    """
+    widths = _widths(deltas, y.size)
+    osc = dict.fromkeys(widths, 0.0)
+    for w, hi, lo in _window_extremes(y, widths):
+        osc[w] = float((hi - lo).max())
+    return tuple(osc[w] for w in widths)
+
+
+_TINY = float(np.finfo(float).tiny)  # 2^-1022, the smallest normal float64
+# tol / max|N| = c u, with c = 16 and u = 2^-53 the unit roundoff of float64;
+# derived in `_candidate_windows`
+_TOL = 16 * 2.0**-53
+
+
+class _Windows(NamedTuple):
+    numerator: np.ndarray
+    deltas: tuple
+    widths: list[int]
+    scale: float  # A = max|N|
+    # (the widths w >= 1 in increasing order, the max and min of N over their
+    # candidate windows, one width's run after another, and the index where
+    # each run starts), or None: every V takes the exact pass
+    candidates: tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray] | None
+
+
+def _candidate_windows(numerator: np.ndarray, deltas: tuple) -> _Windows:
+    """Stage one of the window pass: the windows of N that can hold Y = N/V's largest oscillation, for any V.
+
+    N is the numerator V Y on an evenly spaced grid, the same for every p.
+    Division by V > 0 is correctly rounded, hence monotone, so a window's
+    max and min of Y are fl(hi/V) and fl(lo/V), with hi and lo the window's
+    max and min of N (equal values; only a zero's sign may differ). So one
+    doubling pass over N serves every p. Of each width it keeps the windows
+    with fl(hi - lo) >= fl(R - tol), where R is the width's largest
+    fl(hi - lo), tol = c u A, u = 2^-53 and A = max|N|. tol is in units of
+    N, so one candidate set serves every V.
+
+    The bound, c = 16. Write r_j = hi_j - lo_j exactly and
+    d_j = fl(fl(hi_j/V) - fl(lo_j/V)), window j's oscillation of Y. Every
+    rounding errs by at most u times its exact result, or by 2^-1075 on
+    underflow, which is at most u A/V while A/V >= 2^-1022
+    (`_window_oscillations` checks that). Then:
+
+    - N side: |fl(r_j) - r_j| <= u r_j <= 2uA;
+    - Y side, two divisions and a subtraction:
+      |d_j - r_j/V| <= u (|hi_j| + |lo_j|)/V + u |fl(hi_j/V) - fl(lo_j/V)|
+      <= (4u + 2u^2) A/V;
+    - the threshold: fl(R - tol) <= R - tol + u |R - tol| <= R - tol + 2u(1 + u)A.
+
+    A window j left out has fl(r_j) < fl(R - tol), so r_j < R - tol + (4u + 2u^2)A
+    and d_j < (R - tol + (8u + 4u^2)A)/V. The window j* with fl(r_j*) = R
+    is kept, and d_j* >= (R - 2uA - (4u + 2u^2)A)/V. So d_j <= d_j* once
+    tol >= (14u + 6u^2)A, and the largest d over the kept windows is the
+    largest over all windows. c = 16 is the power of two above 14, so c u A
+    is exact while it is a normal number. A nonzero float has one bit
+    pattern, so that largest value is the exact pass's result bit for bit.
+
+    `candidates` is None, and every V falls back to the exact pass over
+    N/V, when N holds a NaN or inf, when some window's range overflows,
+    when tol is below 2^-1022 (A < 2^-973), where it would be rounded, or
+    when no window spans a mesh step.
+    """
+    widths = _widths(deltas, numerator.size)
+    scale = float(np.abs(numerator).max())
+    tol = _TOL * scale
+    runs = []
+    if math.isfinite(scale) and tol >= _TINY:
+        for w, hi, lo in _window_extremes(numerator, widths):
+            r = hi - lo
+            best = r.max()
+            if not math.isfinite(best):
+                runs = []
+                break
+            keep = r >= best - tol
+            runs.append((w, hi[keep], lo[keep]))
+    if not runs:
+        return _Windows(numerator, deltas, widths, scale, None)
+    kept, his, los = zip(*runs)
+    starts = np.cumsum([0] + [hi.size for hi in his[:-1]])
+    return _Windows(numerator, deltas, widths, scale,
+                    (kept, np.concatenate(his), np.concatenate(los), starts))
+
+
+def _window_oscillations(windows: _Windows, v: float) -> tuple[float, ...]:
+    """Stage two of the window pass: the largest oscillation of Y = N/V per delta, from the candidates alone.
+
+    Equal bit for bit to `_max_oscillations(N / v, deltas)`, the exact pass
+    over every window, which it runs instead when stage one kept no
+    candidates, when v is not finite, when A/V < 2^-1021 (a division may
+    underflow beyond the bound), or when a width's best candidate
+    oscillation is 0, whose sign only the exact pass fixes.
+    """
+    if windows.candidates is not None and math.isfinite(v) and windows.scale / v >= 2 * _TINY:
+        kept, hi, lo, starts = windows.candidates
+        osc = np.maximum.reduceat(hi / v - lo / v, starts)
+        if osc.all():
+            by_width = dict(zip(kept, osc.tolist()))
+            return tuple(by_width.get(w, 0.0) for w in windows.widths)
+    return _max_oscillations(windows.numerator / v, windows.deltas)
 
 
 @dataclass(frozen=True)
@@ -257,12 +461,25 @@ class EKFunctionals:
 
 
 def ek_functionals(path: ProcessPath) -> EKFunctionals:
-    """max, max-abs, mean-square and mean-abs of S_k/V_{n,p} over k = 1..n."""
-    s = path.sums[1:] / path.v
-    a = np.abs(s)
+    """max, max-abs, mean-square and mean-abs of S_k/V_{n,p} over k = 1..n.
+
+    The extremes and |S_k| come from the path's shared prefix; only the
+    divisions by V and the two means are taken per p. Each equals the
+    reduction of s = S_k/V bit for bit: division is monotone, so
+    max s = fl(max S_k / V) and max |s| = fl(max |S_k| / V) in value;
+    |fl(S/V)| = fl(|S|/V), and s s = |s| |s|. Only a zero max of s may
+    differ from fl(max S_k / V) in its sign, so it is taken from s itself.
+    Each mean is np.mean's own arithmetic, the sum divided by the count,
+    without its per-call overhead.
+    """
+    s_max, abs_max, abs_sums = path._prefix.sum_extremes
+    a = abs_sums / path.v
+    max_sn = float(s_max / path.v)
+    if max_sn == 0.0:
+        max_sn = float((path.sums[1:] / path.v).max())
     return EKFunctionals(
-        max_sn=float(s.max()),
-        max_abs_sn=float(a.max()),
-        mean_sq=float(np.mean(s * s)),
-        mean_abs=float(a.mean()),
+        max_sn=max_sn,
+        max_abs_sn=float(abs_max / path.v),
+        mean_sq=float((a * a).sum() / a.size),
+        mean_abs=float(a.sum() / a.size),
     )

@@ -6,6 +6,8 @@ seeds: a pass or fail here is exactly reproducible.
 """
 import dataclasses
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -75,6 +77,20 @@ def test_criterion_02_brownian_regime_gaussian():
                    f"{ks['ks_max_abs_g2']:.4f} (both <=0.05); cov(0.25,0.75)={c:.4f} (0.25+-0.02)")
 
 
+C3_FAMILY = FamilySpec(kind="SymPareto", alpha=2.0)
+C3_N_GRID = (10, 100, 1000)
+
+
+def _c3_block(seed: int, lo: int, hi: int) -> np.ndarray:
+    """S_n/V_{n,2} at every n of C3_N_GRID for replications lo..hi-1, one row each."""
+    last = np.array(C3_N_GRID) - 1
+    snv = np.empty((hi - lo, len(C3_N_GRID)))
+    for i, rep in enumerate(range(lo, hi)):
+        x = sample_family(C3_FAMILY, SeededStream(seed, rep), C3_N_GRID[-1])
+        snv[i] = np.cumsum(x)[last] / np.sqrt(np.cumsum(x * x)[last])
+    return snv
+
+
 def test_criterion_03_pareto_boundary_ks_trend():
     """KS(S_n/V_{n,2} vs N(0,1)) strictly decreasing along n, in >=4 of 5 seeds.
 
@@ -96,21 +112,21 @@ def test_criterion_03_pareto_boundary_ks_trend():
     the trichotomy.
     """
     law = std_normal_law()
-    fam = FamilySpec(kind="SymPareto", alpha=2.0)
-    n_grid = (10, 100, 1000)
-    last = np.array(n_grid) - 1
+    fam, n_grid, reps = C3_FAMILY, C3_N_GRID, 50_000
     wins, tables, gap = 0, [], 0.0
-    for s in range(5):
-        snv = np.empty((50_000, len(n_grid)))
-        for rep in range(snv.shape[0]):
-            x = sample_family(fam, SeededStream(SEED + s, rep), n_grid[-1])
-            snv[rep] = np.cumsum(x)[last] / np.sqrt(np.cumsum(x * x)[last])
-        for i, n in enumerate(n_grid):  # the prefix cut is the program's S_n/V_{n,2}
-            fresh = ProcessPath(sample_family(fam, SeededStream(SEED + s, 0), n), 2.0)
-            gap = max(gap, abs(snv[0, i] - y_at(fresh, 1.0)))
-        ks_vals = [ks_statistic(col, law) for col in snv.T]
-        wins += ks_vals[0] > ks_vals[1] > ks_vals[2]
-        tables.append("/".join(f"{v:.4f}" for v in ks_vals))
+    # each seed's replications in WORKERS contiguous blocks, joined in order
+    bounds = [round(i * reps / WORKERS) for i in range(WORKERS + 1)]
+    with ProcessPoolExecutor(WORKERS, mp_context=multiprocessing.get_context("spawn")) as pool:
+        blocks = [[pool.submit(_c3_block, SEED + s, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+                  for s in range(5)]
+        for s in range(5):
+            snv = np.concatenate([block.result() for block in blocks[s]])
+            for i, n in enumerate(n_grid):  # the prefix cut is the program's S_n/V_{n,2}
+                fresh = ProcessPath(sample_family(fam, SeededStream(SEED + s, 0), n), 2.0)
+                gap = max(gap, abs(snv[0, i] - y_at(fresh, 1.0)))
+            ks_vals = [ks_statistic(col, law) for col in snv.T]
+            wins += ks_vals[0] > ks_vals[1] > ks_vals[2]
+            tables.append("/".join(f"{v:.4f}" for v in ks_vals))
     verdict(3, wins >= 4 and gap <= 1e-12,
             f"KS vs StdNormal strictly decreasing in {wins}/5 seeds (need >=4); "
             f"KS(n=10/100/1000) per seed: {'; '.join(tables)}; "

@@ -23,7 +23,7 @@ from selfnorm import (
     sample_family,
     y_path,
 )
-from selfnorm.diagnostics import _max_oscillations
+from selfnorm.process import _candidate_windows, _max_oscillations, _window_oscillations
 
 nonzero_arrays = hnp.arrays(
     np.float64, st.integers(2, 50),
@@ -170,6 +170,15 @@ def test_max_oscillations_equal_brute_force_and_scipy(y, deltas):
     got = _max_oscillations(y, deltas)
     assert got == _brute_oscillations(y, deltas)
     assert got == _scipy_oscillations(y, deltas)
+
+
+@given(node_values, delta_lists, st.floats(1e-6, 1e6))
+@settings(max_examples=200, deadline=None)
+def test_two_stage_window_pass_equals_the_exact_pass(numerator, deltas, v):
+    # stage one on the numerator N, stage two per V, against every window of N/V
+    windows = _candidate_windows(numerator, tuple(deltas))
+    got = _window_oscillations(windows, v)
+    assert [x.hex() for x in got] == [x.hex() for x in _max_oscillations(numerator / v, deltas)]
 
 
 @pytest.mark.parametrize("y, deltas, want", [

@@ -1,11 +1,13 @@
-"""The scans read one rescale and one node-grid evaluation per prefix.
+"""The scans read one rescale and one node-grid numerator per prefix.
 
 Each (replication, n) builds one ProcessPath, and one more per further p
 of a regime_map row, sharing its reductions (`ProcessPath.at_p`); V_{n,p},
 max_ratio, darling_ratio and sum_sq_ratio come from the rescaled sample's
-power sums, and Y(1) and the oscillations from the node-grid values. These
-tests hold what the scans get to the public functions, and to a reference
-that rescales the sample anew for each statistic, bit for bit.
+power sums, Y(1) and the oscillations from the node-grid numerator N = V Y
+through the two-stage window pass, and the EK functionals from the shared
+extremes of S_k and |S_k|. These tests hold what the scans get to the
+public functions, and to a reference that rescales the sample anew for
+each statistic and reduces Y = N/V over every window, bit for bit.
 """
 import warnings
 
@@ -31,7 +33,7 @@ from selfnorm import (
     y_path,
 )
 from selfnorm import harness, process
-from selfnorm.diagnostics import _max_oscillations
+from selfnorm.process import _max_oscillations
 
 # (family, p): alpha == p, alpha = 2 with p = 2 and p < 2, p = 2 above alpha,
 # and alpha != p on both sides, over all four families
@@ -80,7 +82,7 @@ def test_scan_stats_equal_the_public_functions_bit_for_bit(family, p, n):
 
     fresh = ProcessPath(x, p)
     nodes = y_path(fresh, np.arange(n + 1) / n)
-    assert path.y_nodes.tobytes() == nodes.tobytes()
+    assert (path._prefix.numerator / path.v).tobytes() == nodes.tobytes()
     old = _old_ratios(x, p, family.alpha)
     assert _hex([path.v, p_norm(x, p)]) == _hex([old["v"]] * 2)
 
@@ -111,17 +113,17 @@ def test_node_grid_is_not_s_over_v_at_every_node():
         assert int(np.count_nonzero(n * (k / n) != k)) == inexact
     x = sample_family(FamilySpec(kind="SymStable", alpha=1.5), SeededStream(3), 4000)
     path = ProcessPath(x, 1.5)
-    assert not np.array_equal(path.y_nodes, path.sums / path.v)
+    assert not np.array_equal(path._prefix.numerator / path.v, path.sums / path.v)
 
 
 def test_node_index_is_built_once_per_n_and_read_only():
     process._node_index.cache_clear()
     family = FamilySpec(kind="SymStable", alpha=1.5)
     paths = [ProcessPath(sample_family(family, SeededStream(5, rep), 300), 1.5) for rep in range(3)]
-    ys = [path.y_nodes for path in paths]
+    numerators = [path._prefix.numerator for path in paths]
     assert process._node_index.cache_info().misses == 1
-    assert ys[0] is paths[0].y_nodes  # memoised on the path
-    for array in (*process._node_index(300), ys[0]):
+    assert numerators[0] is paths[0]._prefix.numerator  # memoised on the path
+    for array in (*process._node_index(300), numerators[0]):
         assert not array.flags.writeable
 
 
@@ -144,13 +146,23 @@ def test_edge_behaviour_of_the_shared_rescale():
         sum_sq_ratio(np.ones(3), 0.0)
 
 
-def test_degenerate_scan_still_refuses_alpha_above_two():
-    # sum_sq_ratio needs alpha in (0, 2]; a StudentT tail index of 3 is a valid
-    # family but has no V_{n,alpha}, as before the reductions were shared
-    cfg = ExperimentConfig(family=FamilySpec(kind="StudentT", alpha=3.0), p=2.0, n_grid=(50,),
-                           reps=2, master_seed=1, experiment="degenerate_scan")
+@pytest.mark.parametrize("family", [FamilySpec(kind="StudentT", alpha=3.0),
+                                    FamilySpec(kind="StudentT", alpha=5.0),
+                                    FamilySpec(kind="SymPareto", alpha=4.0)],
+                         ids=lambda f: f"{f.kind}-{f.alpha:g}")
+def test_degenerate_scan_reads_the_da_index_above_two(family):
+    # a tail index above 2 means a finite variance, so the family lies in
+    # DA(2): the scan's sum-of-squares ratio is read at min(alpha, 2) = 2,
+    # where it is exactly 1
+    cfg = ExperimentConfig(family=family, p=1.5, n_grid=(50, 200), reps=4, master_seed=1,
+                           experiment="degenerate_scan")
+    x = sample_family(family, SeededStream(1, 0), 200)
+    assert _hex(harness._scan_stats(cfg, x, ProcessPath(x, 1.5))) == \
+        _hex((y_at(ProcessPath(x, 1.5), 1.0), sum_sq_ratio(x, 2.0)))
+    rows = {(r.n, r.statistic): r.value for r in run_experiment(cfg).aggregates}
+    assert rows[(200, "mean_sum_sq_ratio")] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ParameterDomainError, match="alpha must lie in"):
-        run_experiment(cfg)
+        sum_sq_ratio(x, family.alpha)  # the public ratio still needs alpha in (0, 2]
 
 
 @pytest.mark.parametrize("n", (49, 4000))
@@ -159,15 +171,16 @@ def test_path_at_another_p_equals_a_fresh_path_bit_for_bit(family, p, n):
     # a regime_map row reads every p of the row from one path's reductions
     x = sample_family(family, SeededStream(11, n), n)
     first = ProcessPath(x, 2.0 if p != 2.0 else 0.8)
-    first.y_nodes  # the node-grid sums exist before the second p reads them
+    for c in _scan_configs(family, first.p, n).values():
+        harness._scan_stats(c, x, first)  # the shared reductions exist before the second p reads them
     path = first.at_p(p)
     fresh = ProcessPath(x, p)
     assert path.p == p and path.n == n
     assert path.values is first.values and path.sums is first.sums
-    assert path.rescaled is first.rescaled
+    assert path.rescaled is first.rescaled and path._prefix is first._prefix
     assert _hex([path.v]) == _hex([fresh.v])
-    assert path.y_nodes.tobytes() == fresh.y_nodes.tobytes()
-    assert not path.y_nodes.flags.writeable
+    assert path._prefix.numerator.tobytes() == fresh._prefix.numerator.tobytes()
+    assert not path._prefix.numerator.flags.writeable
     cfg = _scan_configs(family, p, n)
     assert [_hex(harness._scan_stats(c, x, path)) for c in cfg.values()] == \
         [_hex(harness._scan_stats(c, x, fresh)) for c in cfg.values()]
@@ -181,3 +194,154 @@ def test_path_at_another_p_refuses_what_a_fresh_path_refuses():
     object.__setattr__(zeros.rescaled, "m", 0.0)  # V = 0 at every p
     with pytest.raises(DegenerateSampleError):
         zeros.at_p(1.5)
+
+
+# ---------------------------------------------------------------------------
+# the two-stage window pass: stage one keeps the candidate windows of the
+# numerator N once per sample, stage two divides only those by each V; both
+# must give what the exact pass over every window of Y = N/V gives
+
+
+def _two_stage(numerator, deltas, v):
+    return process._window_oscillations(process._candidate_windows(numerator, deltas), v)
+
+
+def _exact(numerator, deltas, v):
+    return _max_oscillations(numerator / v, deltas)
+
+
+def _fallbacks(monkeypatch) -> list:
+    # counts stage two's calls of the exact pass
+    calls = []
+    exact = process._max_oscillations
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(process, "_max_oscillations", counted)
+    return calls
+
+
+# V over many binades and mantissas, so the two divisions round every way
+V_VALUES = tuple(np.random.default_rng(8).uniform(0.5, 1.0, 40) * 2.0 ** np.arange(-20, 20))
+
+
+@pytest.mark.parametrize("gap", [1, 2, 4, 8, 12, 16, 24, 32, 48, 64])
+def test_near_tie_windows_give_the_exact_pass(gap, monkeypatch):
+    # width-one windows whose ranges lie 0..gap ulps of max|N| below the
+    # largest, on both sides of the candidate tolerance (16 u max|N|)
+    rng = np.random.default_rng(gap)
+    a = 1.0 + rng.uniform(0, 1)
+    ulp = np.spacing(a)
+    size = 2001
+    lo = -rng.uniform(0.1, 0.9) * np.ones(size // 2 + 1)
+    hi = lo + a - rng.integers(0, gap + 1, size // 2 + 1) * ulp
+    numerator = np.empty(size)
+    numerator[0::2], numerator[1::2] = lo, hi[:-1]
+    windows = process._candidate_windows(numerator, (1.0 / (size - 1),))
+    kept = windows.candidates[1].size  # one width
+    assert 0 < kept < size - 1 if gap > 16 else kept > 0
+    calls = _fallbacks(monkeypatch)
+    for v in V_VALUES:
+        assert _hex(process._window_oscillations(windows, v)) == _hex(_exact(numerator, (1.0 / (size - 1),), v))
+    assert calls == []
+
+
+# (hi_a, lo_a, hi_b, lo_b, V), found by search: window b's range of N is 3.0
+# to 3.5 u max|N| below window a's, yet its range of Y = N/V is the larger
+ROUNDING_WINS = [
+    ("0x1.35f9027675f72p+0", "-0x1.9d8498b626997p-1", "0x1.b3ee868dae800p-1",
+     "-0x1.2ac40b8ab203dp+0", "0x1.156987e8f1228p-2"),
+    ("0x1.4627fce05ad7cp+0", "-0x1.f4610c17f2b8ep-1", "0x1.de183d61995cbp-1",
+     "-0x1.514c643b8785dp+0", "0x1.8a67c159c02bfp-3"),
+    ("0x1.4e42fbb92eec8p+0", "-0x1.1388173667ab2p+0", "0x1.d6918bac11ae4p-1",
+     "-0x1.76824d198dc07p+0", "0x1.48edbdb90aa07p+2"),
+    ("0x1.27eb3d2f26e96p+0", "-0x1.183e2593625c9p+0", "0x1.b3bdd8e662cbfp-1",
+     "-0x1.664a764f57dffp+0", "0x1.13f1bfead0e1dp-2"),
+    ("0x1.3eb556b03c281p+0", "-0x1.ae17227617434p-1", "0x1.30cb05cf8047cp+0",
+     "-0x1.c9ebc4378f03dp-1", "0x1.2a4db82f8e43cp+1"),
+]
+
+
+@pytest.mark.parametrize("case", ROUNDING_WINS)
+def test_a_window_with_a_smaller_range_of_n_can_hold_the_largest_oscillation(case):
+    hi_a, lo_a, hi_b, lo_b, v = (float.fromhex(h) for h in case)
+    assert hi_b - lo_b < hi_a - lo_a and hi_b / v - lo_b / v > hi_a / v - lo_a / v
+    # width-one windows; those through the middle value span about half the range
+    numerator = np.array([lo_a, hi_a, (hi_a + lo_b) / 2, lo_b, hi_b])
+    deltas = (0.25,)
+    assert _hex(_two_stage(numerator, deltas, v)) == _hex([hi_b / v - lo_b / v])
+    assert _hex(_two_stage(numerator, deltas, v)) == _hex(_exact(numerator, deltas, v))
+
+
+def test_plateaus_keep_every_tied_window(monkeypatch):
+    # thousands of windows share the largest range at every width
+    numerator = np.tile([0.0, 1.0, 0.5, -0.25], 2500)
+    deltas = (0.5, 0.2, 0.1, 1e-4, 3e-4)
+    windows = process._candidate_windows(numerator, deltas)
+    _, hi, _, starts = windows.candidates
+    assert np.diff(starts, append=hi.size).min() > 1000
+    calls = _fallbacks(monkeypatch)
+    for v in V_VALUES:
+        assert _hex(process._window_oscillations(windows, v)) == _hex(_exact(numerator, deltas, v))
+    assert calls == []
+
+
+@pytest.mark.parametrize("numerator, v, falls_back", [
+    ([0.0, 1.0, -0.5, 2.0], 3.0, False),
+    ([0.0, np.nan, 1.0], 1.0, True),  # N is not finite
+    ([0.0, np.inf, 1.0], 1.0, True),
+    ([0.0, 1.5e308, -1.5e308], 1.0, True),  # a window's range overflows
+    ([0.0, 1.0, -0.5, 2.0], np.inf, True),  # V is not finite
+    ([0.0, 1.0, -0.5, 2.0], 1e300, False),  # N/V is small but normal
+    ([0.0, 1.0, -0.5, 2.0], 2.0**1022 * 1.5, True),  # N/V underflows
+    ([-0.0, 0.0, -0.0, -0.0], 1.0, True),  # N is all zeros
+    ([-0.0, 1e-320, -1e-320, 0.0], 1.0, True),  # N is subnormal
+    ([3.0, 3.0, 3.0, 3.0], 1.0, True),  # the best oscillation is 0
+    ([-0.0, -1e-300, -0.0, -1e-300], 1e10, True),  # N/V is -0.0 or subnormal
+])
+def test_each_fallback_gives_the_exact_pass(numerator, v, falls_back, monkeypatch):
+    numerator = np.array(numerator)
+    deltas = (1.0, 0.5, 0.34, 0.2)
+    with np.errstate(all="ignore"):
+        want = _exact(numerator, deltas, v)
+        calls = _fallbacks(monkeypatch)
+        assert _hex(_two_stage(numerator, deltas, v)) == _hex(want)
+    assert len(calls) == falls_back
+
+
+def test_prefix_sums_that_overflow_still_raise_in_the_tightness_scan(monkeypatch):
+    x = np.array([1e308, 1e308, -1.0, 2.0] * 4)
+    cfg = ExperimentConfig(family=FamilySpec(kind="SymStable", alpha=1.5), p=2.0, n_grid=(16,),
+                           reps=1, master_seed=1, experiment="tightness_scan")
+    monkeypatch.setattr(harness, "sample_family", lambda family, stream, n: x[:n].copy())
+    with pytest.raises(harness.NonFiniteSampleError, match="tightness_scan"), \
+            np.errstate(all="ignore"):
+        harness._rep_stats((cfg,), 0)
+
+
+@pytest.mark.parametrize("values, p", [
+    ([1e300, -1e300, 1e300, 5e299], 0.05),  # V = inf, N finite: Y is all zeros
+    ([-0.0, 1e-310, -2e-310, 1e-310], 1.0),  # N is -0.0 or subnormal
+    ([-0.0, -0.0, 1.0, -1.0, -0.0], 2.0),  # S_k is -0.0
+    ([2.0], 1.5),  # n = 1
+    ([2.0, -3.0], 0.8),  # n = 2
+    ([1.0, -1.0, 0.5], 2.0),  # n = 3
+])
+def test_path_oscillations_and_ek_at_the_edges(values, p):
+    x = np.array(values)
+    path = ProcessPath(x, p)
+    fresh_at_p = ProcessPath(x, 2.0 if p != 2.0 else 1.0).at_p(p)
+    deltas = (0.5, 0.2, 0.1, 0.05, 1.0, 1e-3)  # widths below one mesh step give 0.0
+    with np.errstate(all="ignore"):
+        nodes = y_path(path, np.arange(x.size + 1) / x.size)
+        want = _max_oscillations(nodes, deltas)
+        assert _hex(process._node_oscillations(path, deltas)) == _hex(want)
+        assert _hex(process._node_oscillations(fresh_at_p, deltas)) == _hex(want)
+        assert _hex([modulus_of_continuity(path, d) for d in deltas]) == _hex(want)
+        s = path.sums[1:] / path.v  # reference: S_k/V divided anew
+        ref = (s.max(), np.abs(s).max(), np.mean(s * s), np.abs(s).mean())
+        assert _hex(ek_functionals(path).__dict__.values()) == _hex(ref)
+        assert _hex(ek_functionals(fresh_at_p).__dict__.values()) == _hex(ref)
+    assert _hex([harness._endpoint(path)]) == _hex([y_at(path, 1.0)])
