@@ -22,9 +22,10 @@ place, so the temporaries stay in L2 and are small enough for the allocator
 to reuse instead of handing them back to the kernel and refaulting them on
 every call. Blocking does not change a value: the generator fills rows in C
 order whatever the block height, and each variate's transform reads only
-its own row. At alpha = 1 SymStable skips the factor with exponent
-(1 - alpha)/alpha = 0.0, which is exact (t**0.0 == 1.0 for every t, inf and
-NaN included); it still draws that factor's uniform.
+its own row. At alpha = 1 SymStable computes the whole transform as one
+tan(T) (the Cauchy case) and still draws W's uniform, so the stream order
+does not depend on alpha; at alpha = 2 it computes cos(T) once for the two
+factors that read it.
 """
 
 from __future__ import annotations
@@ -100,9 +101,16 @@ def sample_sym_stable(alpha: float, stream: SeededStream, n: int, scale: float =
     renormalized: the standard scale convention of this parameterization).
 
     Variates are transformed in blocks of `_BLOCK` rows (see the module
-    docstring). At alpha = 1 the third factor is skipped: its exponent is 0.0
-    and t**0.0 == 1.0 for every t, inf and NaN included, so the values are
-    the same; W's uniform is still drawn, so the stream order is too.
+    docstring). At alpha = 1 each block is one `np.tan(T)`: that is the
+    transform itself (the third factor is W**0 == 1), it is within 1 ULP of
+    tan(T) where sin(T)/cos(T) is within 2, and it costs about a third as
+    much per variate. On an x86-64 numpy 2.4 build whose `np.show_runtime()`
+    reports 'found': ['X86_V3', 'X86_V4', 'AVX512_ICL', 'AVX512_SPR'],
+    float64 tan runs as a SIMD loop while sin and cos fall back to scalar
+    libm: about 3 ns against 15 ns each per value, on one block of T on a
+    2-vCPU Xeon. W's uniform is still drawn, so the stream order is the same
+    at every alpha. At alpha = 2, (1 - alpha) T = -T exactly and cos(-T) ==
+    cos(T) bit for bit, so cos(T) is computed once and serves both factors.
     """
     alpha = float(alpha)
     if not 0 < alpha <= 2:
@@ -116,21 +124,27 @@ def sample_sym_stable(alpha: float, stream: SeededStream, n: int, scale: float =
         u = g.random((len(seg), 2))
         theta = np.subtract(u[:, 0], 0.5)
         theta *= np.pi
+        if alpha == 1.0:
+            np.tan(theta, out=seg)  # the whole transform; W's uniform is drawn and unused
+            continue
         np.multiply(alpha, theta, out=seg)
         np.sin(seg, out=seg)
         c = np.cos(theta)
+        # at alpha = 2, (1 - alpha) T = -T exactly and cos(-T) == cos(T) bit for bit
+        c3 = c.copy() if alpha == 2.0 else None
         c **= 1.0 / alpha
         seg /= c
-        if e != 0.0:
-            np.multiply(1.0 - alpha, theta, out=c)
-            np.cos(c, out=c)
-            w = np.negative(u[:, 1], out=theta)  # theta is spent: W takes its buffer
-            np.log1p(w, out=w)
-            np.negative(w, out=w)  # inverse-CDF exponential: one uniform per variate
-            c /= w
-            c **= e
-            seg *= c
-    x *= scale
+        if c3 is None:
+            c3 = np.multiply(1.0 - alpha, theta, out=c)
+            np.cos(c3, out=c3)
+        w = np.negative(u[:, 1], out=theta)  # theta is spent: W takes its buffer
+        np.log1p(w, out=w)
+        np.negative(w, out=w)  # inverse-CDF exponential: one uniform per variate
+        c3 /= w
+        c3 **= e
+        seg *= c3
+    if scale != 1.0:  # x * 1.0 == x for every float: skip the pass
+        x *= scale
     return x
 
 
@@ -151,7 +165,8 @@ def sample_sym_pareto(alpha: float, stream: SeededStream, n: int, scale: float =
         np.subtract(1.0, u[:, 0], out=seg)
         seg **= -1.0 / alpha
         np.negative(seg, out=seg, where=u[:, 1] < 0.5)
-    x *= scale
+    if scale != 1.0:
+        x *= scale
     return x
 
 

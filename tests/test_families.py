@@ -128,8 +128,11 @@ def test_bad_n_rejected():
 
 
 def _stable_reference(alpha, u, scale):
-    # the whole-array transforms the blocked samplers must reproduce
+    # the whole-array transforms the blocked samplers must reproduce; at
+    # alpha = 1 the transform is tan(T) itself
     theta = (u[:, 0] - 0.5) * np.pi
+    if alpha == 1.0:
+        return scale * np.tan(theta)
     w = -np.log1p(-u[:, 1])
     x = (np.sin(alpha * theta) / np.cos(theta) ** (1.0 / alpha)
          * (np.cos((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha))
@@ -157,6 +160,35 @@ def test_blocks_match_whole_array_transform(n, kind, alpha, scale):
     expected = reference(alpha, u, scale)
     got = sample_family(FamilySpec(kind=kind, alpha=alpha, scale=scale), stream, n)
     assert got.tobytes() == expected.tobytes()
+
+
+class _FixedUniforms:
+    # stands in for a stream: hands out the rows of u in order, block by block
+    def __init__(self, u):
+        self.u, self.next = u, 0
+
+    def generator(self):
+        return self
+
+    def random(self, shape):
+        rows = self.u[self.next:self.next + shape[0]]
+        self.next += shape[0]
+        return rows
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is no wider than float64")
+def test_cauchy_draws_within_one_ulp_of_tan():
+    # X = tan(T) for the float T = (u0 - 0.5) pi, checked against tan(T) in
+    # long double, the forced tails u0 = k 2^-53 and 1 - k 2^-53 included;
+    # a float64 quotient sin(T)/cos(T) would be off by up to 2 ULP
+    k = np.arange(2000)
+    u0 = np.concatenate([k * 2.0**-53, 1.0 - (k + 1) * 2.0**-53,
+                         SeededStream(41).generator().random(3 * _BLOCK)])
+    u = np.column_stack([u0, np.full(u0.size, 0.5)])
+    x = sample_sym_stable(1.0, _FixedUniforms(u), u0.size)
+    exact = np.tan((u0 - 0.5) * np.pi, dtype=np.longdouble)
+    ulp = np.spacing(np.abs(exact.astype(np.float64)))
+    assert np.all(np.abs(x - exact) <= ulp)
 
 
 def test_stable_draw_memory_is_bounded():
