@@ -143,27 +143,11 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 
 
 def _experiment_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
-    if args.family is None:
-        raise ConfigError("--family is required (flag or config file)")
-    if args.alpha is None:
-        raise ConfigError("--alpha is required (flag or config file)")
-    if args.p is None:
-        raise ConfigError("--p is required (flag or config file)")
-    if args.n is None:
-        raise ConfigError("--n is required (flag or config file)")
-    if args.reps is None:
-        raise ConfigError("--reps is required (flag or config file)")
-    if args.seed is None:
-        raise ConfigError("--seed is required (flag or config file)")
-    kwargs = {}
-    if args.t_grid is not None:
-        kwargs["t_grid"] = args.t_grid
-    if args.epsilon is not None:
-        kwargs["epsilon"] = args.epsilon
-    if args.delta_grid is not None:
-        kwargs["delta_grid"] = args.delta_grid
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
+    for key in ("family", "alpha", "p", "n", "reps", "seed"):
+        if getattr(args, key) is None:
+            raise ConfigError(f"--{key} is required (flag or config file)")
+    kwargs = {key: getattr(args, key) for key in ("t_grid", "epsilon", "delta_grid", "workers")
+              if getattr(args, key) is not None}
     return ExperimentConfig(
         family=FamilySpec(kind=args.family, alpha=args.alpha),
         p=args.p, n_grid=args.n, reps=args.reps, master_seed=args.seed,

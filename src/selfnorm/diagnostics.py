@@ -19,11 +19,11 @@ from .errors import InternalConsistencyError, ParameterDomainError
 # (perfbench/tracing.py) rebinds it in this namespace
 from .process import (  # noqa: F401
     ProcessPath,
-    _candidate_windows,
+    _divided_ranges,
     _grid_index,
+    _max_oscillations,
     _numerator,
     _Rescaled,
-    _window_oscillations,
     p_norm,
     y_path,
 )
@@ -71,10 +71,11 @@ def modulus_of_continuity(path: ProcessPath, delta: float, grid_refinement: int 
         raise ParameterDomainError(f"delta must lie in (0, 1], got {delta}")
     if not isinstance(grid_refinement, numbers.Integral) or grid_refinement < 1:
         raise ParameterDomainError(f"grid_refinement must be an integer >= 1, got {grid_refinement!r}")
-    # the two stages of the window pass, on the numerator N = V Y of this grid
+    # the largest window range of the numerator N = V Y on this grid, divided by V
     npts = grid_refinement * path.n
     numerator = _numerator(path.sums, path.values, *_grid_index(path.n, np.arange(npts + 1) / npts))
-    return _window_oscillations(_candidate_windows(numerator, (delta,)), path.v)[0]
+    deltas = (delta,)
+    return _divided_ranges(numerator, deltas, _max_oscillations(numerator, deltas), path.v)[0]
 
 
 class NormChain(NamedTuple):

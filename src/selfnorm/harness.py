@@ -29,9 +29,9 @@ import numpy as np
 from ._files import write_text_atomic
 # modulus_of_continuity, the three ratios, y_at and load_oracle are not called
 # here (the scans read the path's shared reductions, and the tightness scan
-# reads the two-stage window pass of process.py once for its whole delta
-# grid), but stay bound like every other layer function, so the benchmark's
-# tracer (perfbench/tracing.py) finds them
+# divides the prefix's largest window ranges of N, taken once for its whole
+# delta grid), but stay bound like every other layer function, so the
+# benchmark's tracer (perfbench/tracing.py) finds them
 from .diagnostics import (  # noqa: F401
     darling_ratio,
     max_ratio,
@@ -286,11 +286,9 @@ def report_payload(report: ExperimentReport) -> dict:
 # once per prefix whichever scans and p ask for it, and the paths at the
 # other p share (`ProcessPath.at_p`) all of them but V_{n,p}. These are the
 # prefix sums, the rescaled sample's power sums, the numerator N = V Y on the
-# node grid, stage one of the window pass over N (the window extremes of each
-# delta, cut to the candidate windows that can hold the largest oscillation
-# at any V), and max S_k, max |S_k| and |S_k|. Per p, a scan divides only
-# what it reads by V: the endpoint N(1), the candidates' extremes, and |S_k|
-# for the EK means.
+# node grid, the largest window range of N for each delta, and max S_k,
+# max |S_k| and |S_k|. Per p, a scan divides only what it reads by V: the
+# endpoint N(1), one range per delta, and |S_k| for the EK means.
 
 def _scan_stats(config: ExperimentConfig, x: np.ndarray, path) -> tuple[float, ...]:
     kind = config.experiment
@@ -653,29 +651,41 @@ def write_report(report: ExperimentReport, format: str, path) -> None:
 
 
 def read_report(path) -> ExperimentReport:
-    """Rebuild a report from its JSON payload (workers defaults to 1)."""
+    """Rebuild a report from its JSON payload (workers defaults to 1).
+
+    A file that cannot be read raises OSError. One that is not a report
+    payload, or whose run_id is not the hash of its own config, raises
+    ConfigError.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise OSError(f"failed to read report from {path}: {exc}") from exc
-    cfg = payload["config"]
-    config = ExperimentConfig(
-        family=FamilySpec(kind=cfg["family"]["kind"], alpha=cfg["family"]["alpha"],
-                          scale=cfg["family"]["scale"]),
-        p=cfg["p"], n_grid=tuple(cfg["n_grid"]), reps=cfg["reps"],
-        master_seed=cfg["master_seed"], experiment=cfg["experiment"],
-        t_grid=tuple(cfg["t_grid"]), epsilon=cfg["epsilon"],
-        delta_grid=tuple(cfg["delta_grid"]),
-    )
-    rows = tuple(
-        AggregateRow(n=r["n"], statistic=r["statistic"], value=r["value"],
-                     stderr=r["stderr"], reps=r["reps"])
-        for r in payload["aggregates"])
-    return ExperimentReport(
-        config=config, run_id=payload["run_id"], aggregates=rows,
-        regime_decision=payload["regime_decision"], draw_count=payload["draw_count"],
-    )
+    try:
+        payload = json.loads(data)
+        cfg = payload["config"]
+        config = ExperimentConfig(
+            family=FamilySpec(kind=cfg["family"]["kind"], alpha=cfg["family"]["alpha"],
+                              scale=cfg["family"]["scale"]),
+            p=cfg["p"], n_grid=tuple(cfg["n_grid"]), reps=cfg["reps"],
+            master_seed=cfg["master_seed"], experiment=cfg["experiment"],
+            t_grid=tuple(cfg["t_grid"]), epsilon=cfg["epsilon"],
+            delta_grid=tuple(cfg["delta_grid"]),
+        )
+        rows = tuple(
+            AggregateRow(n=r["n"], statistic=r["statistic"], value=r["value"],
+                         stderr=r["stderr"], reps=r["reps"])
+            for r in payload["aggregates"])
+        report = ExperimentReport(
+            config=config, run_id=payload["run_id"], aggregates=rows,
+            regime_decision=payload["regime_decision"], draw_count=payload["draw_count"],
+        )
+    except (ValueError, KeyError, TypeError) as exc:  # a JSON or UTF-8 decode error is a ValueError
+        raise ConfigError(f"{path} is not a report payload: {exc!r}") from exc
+    if report.run_id != _run_id(config):
+        raise ConfigError(f"{path}: run_id {report.run_id!r} is not the hash of its config "
+                          f"({_run_id(config)!r})")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +704,9 @@ def _grid(alpha_list, p_list) -> tuple[tuple[float, ...], tuple[float, ...]]:
     ps = tuple(float(p) for p in p_list)
     if not alphas or not ps:
         raise ConfigError("alpha_list and p_list must be nonempty")
+    for name, values in (("alpha_list", alphas), ("p_list", ps)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{name} repeats a value: {values}")
     return alphas, ps
 
 

@@ -12,14 +12,10 @@ Only V_{n,p} depends on p. The numerator N(t) = V Y(t) = S_[nt] +
 or of S_k are taken once per sample and shared by its paths at every p,
 and each p divides only what it reads:
 
-- the window pass behind the modulus of continuity runs in two stages.
-  Stage one (`_candidate_windows`, once per sample and delta grid) doubles
-  the sliding-window max and min of N and keeps, for each width, the few
-  windows whose range lies within a derived rounding bound of the largest.
-  Stage two (`_window_oscillations`, per p) divides only those windows'
-  extremes by V. Division by V > 0 is monotone, so the result equals the
-  exact reduction over every window of Y bit for bit, and that exact pass
-  (`_max_oscillations`) runs instead wherever the bound does not hold;
+- the modulus of continuity of Y = N/V is the largest range of N over the
+  windows of each delta, divided by V: V > 0 does not depend on t. The
+  ranges are taken once per sample and delta grid (`_max_oscillations` on
+  N), and each p takes one division per delta;
 - the EK functionals read max S_k, max |S_k| and |S_k| from the shared
   prefix and take per p only |S_k|/V and its two means.
 """
@@ -29,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -156,16 +151,16 @@ class _Prefix:
 
     One object is shared by every path that `ProcessPath.at_p` derives from
     the same sample. The prefix sums and the rescaled sample are taken at
-    construction; the node-grid numerator N, the candidate windows of the
-    window pass over N, and the extremes of S_k and |S_k| for k = 1..n on
-    first read.
+    construction; the node-grid numerator N, the largest window ranges of N
+    per delta grid, and the extremes of S_k and |S_k| for k = 1..n on first
+    read.
     """
 
     def __init__(self, values: np.ndarray):
         self.values = values
         self.sums = partial_sums(values)
         self.rescaled = _Rescaled(values)
-        self._windows: _Windows | None = None
+        self._ranges: dict[tuple, tuple[float, ...]] = {}
 
     @cached_property
     def numerator(self) -> np.ndarray:
@@ -181,11 +176,12 @@ class _Prefix:
         a = np.abs(s)
         return s.max(), a.max(), a
 
-    def windows(self, deltas: tuple) -> _Windows:
-        """Stage one of the window pass over N for a delta grid; the last grid asked for is kept."""
-        if self._windows is None or self._windows.deltas != deltas:
-            self._windows = _candidate_windows(self.numerator, deltas)
-        return self._windows
+    def ranges(self, deltas: tuple) -> tuple[float, ...]:
+        """The largest range of N over the windows of each delta, once per delta grid."""
+        ranges = self._ranges.get(deltas)
+        if ranges is None:
+            ranges = self._ranges[deltas] = _max_oscillations(self.numerator, deltas)
+        return ranges
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,10 +191,10 @@ class ProcessPath:
     Holds the sample as a float64 array and the reductions every statistic
     of the path reads: the prefix sums S_0..S_n, the rescaled sample with its
     power sums, the normalizer V_{n,p}, and, on first use, the numerator
-    N = V Y on the node grid, the candidate windows of the window pass over
-    N, and the extremes of S_k and |S_k|. Of these only V_{n,p} depends on
-    p: `at_p` gives the same sample's path at another p, sharing the rest,
-    and each statistic divides by its own V last.
+    N = V Y on the node grid, its largest window ranges per delta, and the
+    extremes of S_k and |S_k|. Of these only V_{n,p} depends on p: `at_p`
+    gives the same sample's path at another p, sharing the rest, and each
+    statistic divides by its own V last.
     """
 
     values: np.ndarray
@@ -242,8 +238,9 @@ def _endpoint(path: ProcessPath) -> float:
 
 
 def _node_oscillations(path: ProcessPath, deltas: tuple) -> tuple[float, ...]:
-    """The modulus of continuity of Y on the node grid for each delta, through the shared window pass."""
-    return _window_oscillations(path._prefix.windows(deltas), path.v)
+    """The modulus of continuity of Y on the node grid for each delta, from the prefix's shared ranges."""
+    prefix = path._prefix
+    return _divided_ranges(prefix.numerator, deltas, prefix.ranges(deltas), path.v)
 
 
 def y_at(path: ProcessPath, t: float) -> float:
@@ -301,36 +298,6 @@ def _numerator(sums: np.ndarray, values: np.ndarray, ks: np.ndarray, frac: np.nd
     return sums[ks] + frac * values[js]
 
 
-def _widths(deltas, size: int) -> list[int]:
-    # mesh steps per window of each delta, on a grid of `size` evenly spaced points
-    return [int(np.floor(d * (size - 1) + 1e-9)) for d in deltas]
-
-
-def _window_extremes(y: np.ndarray, widths):
-    """(w, hi, lo) for each distinct width w >= 1 of `widths`, in increasing order.
-
-    hi[j] and lo[j] are the max and min of y[j:j + w + 1], the window of w
-    mesh steps that starts at node j. The window grows by doubling through
-    the sorted widths. Window cover: for k <= K <= 2k, the windows of k
-    points starting at j and at j + K - k overlap and together cover exactly
-    the K points starting at j, so since max and min are idempotent,
-    np.maximum and np.minimum of the two shifted arrays give the windows of
-    K points. Only max and min of y's own values appear, so no rounding
-    occurs.
-    """
-    hi = lo = y
-    k = 1
-    for w in sorted(set(widths)):
-        if w < 1:
-            continue
-        while k <= w:
-            step = min(k, w + 1 - k)
-            hi = np.maximum(hi[:-step], hi[step:])
-            lo = np.minimum(lo[:-step], lo[step:])
-            k += step
-        yield w, hi, lo
-
-
 def _max_oscillations(y: np.ndarray, deltas) -> tuple[float, ...]:
     """Largest max-minus-min of y over windows of delta times its len(y) - 1 mesh steps.
 
@@ -338,6 +305,13 @@ def _max_oscillations(y: np.ndarray, deltas) -> tuple[float, ...]:
     continuity once the grid is evaluated, reduced exactly over every
     window. Results come back in the order of `deltas`; a window below one
     mesh step gives 0.0, since no distinct grid pairs qualify.
+
+    The window grows by doubling through the sorted widths. Window cover:
+    for k <= K <= 2k, the windows of k points starting at j and at
+    j + K - k overlap and together cover exactly the K points starting at
+    j, so since max and min are idempotent, np.maximum and np.minimum of
+    the two shifted arrays give the windows of K points, and hi[j] and lo[j]
+    are the max and min of y[j:j + w + 1] without rounding.
 
     This equals the centred scipy.ndimage maximum_filter1d/minimum_filter1d
     of size K with mode="nearest" bit for bit. Each of its windows is either a
@@ -350,104 +324,37 @@ def _max_oscillations(y: np.ndarray, deltas) -> tuple[float, ...]:
     pairwise differences hi - lo of node values appear, so no rounding
     differs.
     """
-    widths = _widths(deltas, y.size)
+    # mesh steps per window of each delta
+    widths = [int(np.floor(d * (y.size - 1) + 1e-9)) for d in deltas]
     osc = dict.fromkeys(widths, 0.0)
-    for w, hi, lo in _window_extremes(y, widths):
+    hi = lo = y
+    k = 1
+    for w in sorted(set(widths)):
+        if w < 1:
+            continue
+        while k <= w:
+            step = min(k, w + 1 - k)
+            hi = np.maximum(hi[:-step], hi[step:])
+            lo = np.minimum(lo[:-step], lo[step:])
+            k += step
         osc[w] = float((hi - lo).max())
     return tuple(osc[w] for w in widths)
 
 
-_TINY = float(np.finfo(float).tiny)  # 2^-1022, the smallest normal float64
-# tol / max|N| = c u, with c = 16 and u = 2^-53 the unit roundoff of float64;
-# derived in `_candidate_windows`
-_TOL = 16 * 2.0**-53
+def _divided_ranges(numerator: np.ndarray, deltas, ranges, v: float) -> tuple[float, ...]:
+    """The modulus of continuity of Y = N/V per delta, from `ranges`, N's largest window ranges.
 
-
-class _Windows(NamedTuple):
-    numerator: np.ndarray
-    deltas: tuple
-    widths: list[int]
-    scale: float  # A = max|N|
-    # (the widths w >= 1 in increasing order, the max and min of N over their
-    # candidate windows, one width's run after another, and the index where
-    # each run starts), or None: every V takes the exact pass
-    candidates: tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray] | None
-
-
-def _candidate_windows(numerator: np.ndarray, deltas: tuple) -> _Windows:
-    """Stage one of the window pass: the windows of N that can hold Y = N/V's largest oscillation, for any V.
-
-    N is the numerator V Y on an evenly spaced grid, the same for every p.
-    Division by V > 0 is correctly rounded, hence monotone, so a window's
-    max and min of Y are fl(hi/V) and fl(lo/V), with hi and lo the window's
-    max and min of N (equal values; only a zero's sign may differ). So one
-    doubling pass over N serves every p. Of each width it keeps the windows
-    with fl(hi - lo) >= fl(R - tol), where R is the width's largest
-    fl(hi - lo), tol = c u A, u = 2^-53 and A = max|N|. tol is in units of
-    N, so one candidate set serves every V.
-
-    The bound, c = 16. Write r_j = hi_j - lo_j exactly and
-    d_j = fl(fl(hi_j/V) - fl(lo_j/V)), window j's oscillation of Y. Every
-    rounding errs by at most u times its exact result, or by 2^-1075 on
-    underflow, which is at most u A/V while A/V >= 2^-1022
-    (`_window_oscillations` checks that). Then:
-
-    - N side: |fl(r_j) - r_j| <= u r_j <= 2uA;
-    - Y side, two divisions and a subtraction:
-      |d_j - r_j/V| <= u (|hi_j| + |lo_j|)/V + u |fl(hi_j/V) - fl(lo_j/V)|
-      <= (4u + 2u^2) A/V;
-    - the threshold: fl(R - tol) <= R - tol + u |R - tol| <= R - tol + 2u(1 + u)A.
-
-    A window j left out has fl(r_j) < fl(R - tol), so r_j < R - tol + (4u + 2u^2)A
-    and d_j < (R - tol + (8u + 4u^2)A)/V. The window j* with fl(r_j*) = R
-    is kept, and d_j* >= (R - 2uA - (4u + 2u^2)A)/V. So d_j <= d_j* once
-    tol >= (14u + 6u^2)A, and the largest d over the kept windows is the
-    largest over all windows. c = 16 is the power of two above 14, so c u A
-    is exact while it is a normal number. A nonzero float has one bit
-    pattern, so that largest value is the exact pass's result bit for bit.
-
-    `candidates` is None, and every V falls back to the exact pass over
-    N/V, when N holds a NaN or inf, when some window's range overflows,
-    when tol is below 2^-1022 (A < 2^-973), where it would be rounded, or
-    when no window spans a mesh step.
+    V > 0 does not depend on t, so a window's range of Y is its range of N
+    divided by V, and the largest range of Y is R/V with R the largest of N.
+    `_max_oscillations` gives fl(R), the correctly rounded R, since fl is
+    monotone; each value is then one division, fl(fl(R)/V). Where one is not
+    finite, N holds a NaN or inf, or a range of N overflows where the range
+    of Y need not, and the exact pass over N/V runs instead.
     """
-    widths = _widths(deltas, numerator.size)
-    scale = float(np.abs(numerator).max())
-    tol = _TOL * scale
-    runs = []
-    if math.isfinite(scale) and tol >= _TINY:
-        for w, hi, lo in _window_extremes(numerator, widths):
-            r = hi - lo
-            best = r.max()
-            if not math.isfinite(best):
-                runs = []
-                break
-            keep = r >= best - tol
-            runs.append((w, hi[keep], lo[keep]))
-    if not runs:
-        return _Windows(numerator, deltas, widths, scale, None)
-    kept, his, los = zip(*runs)
-    starts = np.cumsum([0] + [hi.size for hi in his[:-1]])
-    return _Windows(numerator, deltas, widths, scale,
-                    (kept, np.concatenate(his), np.concatenate(los), starts))
-
-
-def _window_oscillations(windows: _Windows, v: float) -> tuple[float, ...]:
-    """Stage two of the window pass: the largest oscillation of Y = N/V per delta, from the candidates alone.
-
-    Equal bit for bit to `_max_oscillations(N / v, deltas)`, the exact pass
-    over every window, which it runs instead when stage one kept no
-    candidates, when v is not finite, when A/V < 2^-1021 (a division may
-    underflow beyond the bound), or when a width's best candidate
-    oscillation is 0, whose sign only the exact pass fixes.
-    """
-    if windows.candidates is not None and math.isfinite(v) and windows.scale / v >= 2 * _TINY:
-        kept, hi, lo, starts = windows.candidates
-        osc = np.maximum.reduceat(hi / v - lo / v, starts)
-        if osc.all():
-            by_width = dict(zip(kept, osc.tolist()))
-            return tuple(by_width.get(w, 0.0) for w in windows.widths)
-    return _max_oscillations(windows.numerator / v, windows.deltas)
+    osc = tuple(r / v for r in ranges)
+    if all(map(math.isfinite, osc)):
+        return osc
+    return _max_oscillations(numerator / v, deltas)
 
 
 @dataclass(frozen=True)

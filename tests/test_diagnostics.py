@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from selfnorm import (
     sample_family,
     y_path,
 )
-from selfnorm.process import _candidate_windows, _max_oscillations, _window_oscillations
+from selfnorm.process import _divided_ranges, _max_oscillations, _node_oscillations
 
 nonzero_arrays = hnp.arrays(
     np.float64, st.integers(2, 50),
@@ -172,13 +173,60 @@ def test_max_oscillations_equal_brute_force_and_scipy(y, deltas):
     assert got == _scipy_oscillations(y, deltas)
 
 
-@given(node_values, delta_lists, st.floats(1e-6, 1e6))
-@settings(max_examples=200, deadline=None)
-def test_two_stage_window_pass_equals_the_exact_pass(numerator, deltas, v):
-    # stage one on the numerator N, stage two per V, against every window of N/V
-    windows = _candidate_windows(numerator, tuple(deltas))
-    got = _window_oscillations(windows, v)
-    assert [x.hex() for x in got] == [x.hex() for x in _max_oscillations(numerator / v, deltas)]
+def _ulps(got, want) -> float:
+    return max(abs(g - w) / np.spacing(abs(w)) for g, w in zip(got, want))
+
+
+def _exact_ranges(y, deltas):
+    """The largest max-minus-min of y over every window, in exact rational arithmetic."""
+    exact = [Fraction(v) for v in y]
+    out = []
+    for d in deltas:
+        w = int(np.floor(d * (y.size - 1) + 1e-9))
+        out.append(Fraction(0) if w < 1 else
+                   max(max(exact[j:j + w + 1]) - min(exact[j:j + w + 1])
+                       for j in range(y.size - w)))
+    return out
+
+
+@given(nonzero_arrays, delta_lists, st.floats(0.5, 2.0))
+@settings(max_examples=400, deadline=None)
+def test_modulus_is_the_largest_range_of_n_divided_by_v(values, deltas, p):
+    # the spec: fl(fl(R)/V), R the exact largest window range of the node-grid
+    # numerator N = V Y, once per delta grid for the scans and per delta for
+    # the public function; two roundings leave it within 2 ulps of R/V
+    path = ProcessPath(values, p)
+    ranges = _exact_ranges(path._prefix.numerator, deltas)
+    want = tuple(float(r) / path.v for r in ranges)
+    assert [x.hex() for x in _node_oscillations(path, tuple(deltas))] == [x.hex() for x in want]
+    assert [modulus_of_continuity(path, d).hex() for d in deltas] == [x.hex() for x in want]
+    for x, r in zip(want, ranges):
+        assert abs(Fraction(x) - r / Fraction(path.v)) <= 2 * Fraction(np.spacing(x))
+
+
+def test_modulus_where_n_is_large_against_its_ranges():
+    # N in [1e6, 1e6 + 1]: the pass over Y = N/V rounds each node near 3e5
+    # before subtracting and lands 699 051 ulps off 1/3; the range of N is exact
+    numerator, deltas, v = np.array([1e6, 1e6 + 1, 1e6 + 0.5]), (0.5,), 3.0
+    assert _divided_ranges(numerator, deltas, _max_oscillations(numerator, deltas), v) == (1 / 3,)
+    assert _ulps((1 / 3,), _max_oscillations(numerator / v, deltas)) > 699_000
+
+
+def test_modulus_of_unit_steps_is_one_step_over_v():
+    # every window of one mesh step rises by exactly 1 in N; the exact pass
+    # over Y = N/V rounds k/V and (k - 1)/V apart and lands about 400 ulps off
+    path = ProcessPath(np.ones(1000), 2.0)
+    assert modulus_of_continuity(path, 1e-3) == 1.0 / path.v
+    assert _node_oscillations(path, (1e-3, 0.5)) == (1.0 / path.v, 500.0 / path.v)
+
+
+def test_modulus_where_a_range_of_n_overflows_takes_the_exact_pass():
+    # N = 0.9e308 and -0.9e308 lie one window apart: their range overflows,
+    # the range of Y = N/V does not
+    path = ProcessPath(np.array([0.9e308, -1.0e308, -0.8e308, 1.0]), 2.0)
+    with np.errstate(over="ignore"):
+        assert modulus_of_continuity(path, 0.5) == 1.1499778169998915
+        assert _node_oscillations(path, (1.0, 0.5)) == (1.1499778169998915,) * 2
 
 
 @pytest.mark.parametrize("y, deltas, want", [
@@ -199,8 +247,14 @@ def test_modulus_matches_one_pass_over_delta_grid(refinement):
     path = ProcessPath(x, 1.5)
     deltas = ExperimentConfig.delta_grid
     npts = refinement * x.size
-    oms = _max_oscillations(y_path(path, np.arange(npts + 1) / npts), deltas)
+    grid = np.arange(npts + 1) / npts
+    # N = V Y on the refined grid, S_[nt] + (nt - [nt]) X_{[nt]+1}, and its window ranges
+    nt = x.size * grid
+    k = np.minimum(nt.astype(int), x.size)
+    numerator = path.sums[k] + (nt - k) * x[np.minimum(k, x.size - 1)]
+    oms = tuple(r / path.v for r in _scipy_oscillations(numerator, deltas))
     assert oms == tuple(modulus_of_continuity(path, d, grid_refinement=refinement) for d in deltas)
+    assert _ulps(oms, _max_oscillations(y_path(path, grid), deltas)) <= 4
 
 
 def test_import_leaves_scipy_ndimage_unloaded():

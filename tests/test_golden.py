@@ -37,18 +37,26 @@ RUNS = {
     "degenerate_compensated": _cfg("SymStable", 1.0, 1.0, (1000, 100_000), 4, 107,
                                    "degenerate_scan"),
 }
-# one regime_map cell: its three scans
+# one regime_map row of two p, each with its three scans; the second p reads
+# the first one's shared reductions (`ProcessPath.at_p`), and the row seed
+# is that of a one-p row, so the p = 2 cell's files are the one-p cell's
 CELL = _cfg("SymStable", 1.5, 2.0, (100, 400), 8, 108, "degenerate_scan", epsilon=0.2)
+CELL_PS = (2.0, 1.5)
 CELL_KINDS = ("degenerate_scan", "tightness_scan", "ek_functionals")
-NAMES = [*RUNS, *(f"regime_cell_{kind}" for kind in CELL_KINDS)]
+
+
+def _cell_name(p: float, kind: str) -> str:
+    return f"regime_cell_{kind}" if p == CELL_PS[0] else f"regime_cell_p{p:g}_{kind}"
+
+
+NAMES = [*RUNS, *(_cell_name(p, kind) for p in CELL_PS for kind in CELL_KINDS)]
 
 
 def _reports(workers: int) -> dict:
     reports = {name: run_experiment(dataclasses.replace(cfg, workers=workers))
                for name, cfg in RUNS.items()}
-    cell, _ = regime_map(dataclasses.replace(CELL, workers=workers), (CELL.family.alpha,),
-                         (CELL.p,))
-    reports.update((f"regime_cell_{r.config.experiment}", r) for r in cell)
+    row, _ = regime_map(dataclasses.replace(CELL, workers=workers), (CELL.family.alpha,), CELL_PS)
+    reports.update((_cell_name(r.config.p, r.config.experiment), r) for r in row)
     return reports
 
 

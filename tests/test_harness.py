@@ -376,6 +376,24 @@ def test_json_round_trip(tmp_path):
     assert back.config == dataclasses.replace(r.config, workers=1)
 
 
+@pytest.mark.parametrize("text", [
+    lambda payload: "{}",
+    lambda payload: "[]",
+    lambda payload: json.dumps(payload)[:-7],  # cut short: not valid JSON
+    lambda payload: json.dumps({**payload, "run_id": "0123456789ab"}),
+    # reps edited under the old config's run_id
+    lambda payload: json.dumps({**payload, "config": {**payload["config"], "reps": 17}}),
+], ids=["empty_object", "list", "malformed_json", "tampered_run_id", "edited_reps"])
+def test_read_report_refuses_what_is_not_its_own_payload(text, tmp_path):
+    payload = report_payload(run_experiment(config()))
+    dest = tmp_path / "r.json"
+    dest.write_text(text(payload))
+    with pytest.raises(ConfigError, match="r.json"):
+        read_report(dest)
+    with pytest.raises(OSError):
+        read_report(tmp_path / "missing.json")  # an unreadable file stays an OSError
+
+
 def test_report_files_byte_identical_across_workers(tmp_path):
     for fmt in ("csv", "json"):
         a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
@@ -580,6 +598,18 @@ def test_sweep_rejects_empty_grid():
         sweep(config(), (), (1.0,))
 
 
+@pytest.mark.parametrize("alphas, ps", [((1.5, 1.5), (2.0,)), ((1.5,), (2.0, 1.0, 2.0))])
+def test_grids_refuse_a_repeated_value(alphas, ps, capsys):
+    # a repeated value would fold cells into one matrix entry
+    for run in (sweep, regime_map):
+        with pytest.raises(ConfigError, match="repeats"):
+            run(config(), alphas, ps)
+    flags = ["--alpha", ",".join(map(str, alphas)), "--p", ",".join(map(str, ps))]
+    assert cli.main(["sweep", "--family", "SymStable", *flags, "--n", "50", "--reps", "4",
+                     "--seed", "1"]) == 1
+    assert "repeats a value" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -611,6 +641,17 @@ def test_cli_config_file_overrides_flags(tmp_path, capsys):
     code = cli.main(["run", "--config", str(cfg), "--seed", "1"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["config"]["master_seed"] == 77
+
+
+RUN_FLAGS = {"--family": "SymStable", "--alpha": "1.0", "--p": "1.0", "--n": "50",
+             "--reps": "4", "--seed": "1"}
+
+
+@pytest.mark.parametrize("missing", RUN_FLAGS)
+def test_cli_names_each_missing_required_flag(missing, capsys):
+    args = [tok for flag, value in RUN_FLAGS.items() if flag != missing for tok in (flag, value)]
+    assert cli.main(["run", *args, "--experiment", "degenerate_scan"]) == 1
+    assert capsys.readouterr().err == f"error: {missing} is required (flag or config file)\n"
 
 
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):

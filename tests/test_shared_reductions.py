@@ -3,11 +3,12 @@
 Each (replication, n) builds one ProcessPath, and one more per further p
 of a regime_map row, sharing its reductions (`ProcessPath.at_p`); V_{n,p},
 max_ratio, darling_ratio and sum_sq_ratio come from the rescaled sample's
-power sums, Y(1) and the oscillations from the node-grid numerator N = V Y
-through the two-stage window pass, and the EK functionals from the shared
-extremes of S_k and |S_k|. These tests hold what the scans get to the
-public functions, and to a reference that rescales the sample anew for
-each statistic and reduces Y = N/V over every window, bit for bit.
+power sums, Y(1) from the node-grid numerator N = V Y, the oscillations
+from N's largest window ranges divided by V, and the EK functionals from
+the shared extremes of S_k and |S_k|. These tests hold what the scans get
+to the public functions, and to a reference that rescales the sample anew
+for each statistic, bit for bit; the oscillations also lie within 4 ulps
+of the exact pass over every window of Y = N/V.
 """
 import warnings
 
@@ -53,6 +54,10 @@ def _hex(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+def _ulps(got, want) -> float:
+    return max(abs(g - w) / np.spacing(abs(w)) for g, w in zip(got, want))
+
+
 def _scan_configs(family: FamilySpec, p: float, n: int) -> dict[str, ExperimentConfig]:
     return {kind: ExperimentConfig(family=family, p=p, n_grid=(n,), reps=2, master_seed=1,
                                    experiment=kind)
@@ -92,8 +97,10 @@ def test_scan_stats_equal_the_public_functions_bit_for_bit(family, p, n):
     deltas = configs["tightness_scan"].delta_grid
     oms = [modulus_of_continuity(fresh, d) for d in deltas]
     assert _hex(got["tightness_scan"]) == _hex((darling_ratio(x), max_ratio(x, p), *oms))
+    ranges = _max_oscillations(path._prefix.numerator, deltas)
     assert _hex(got["tightness_scan"]) == _hex(
-        (old["darling_ratio"], old["max_ratio"], *_max_oscillations(nodes, deltas)))
+        (old["darling_ratio"], old["max_ratio"], *(r / old["v"] for r in ranges)))
+    assert _ulps(got["tightness_scan"][2:], _max_oscillations(nodes, deltas)) <= 4
 
     ek = ek_functionals(fresh)
     assert _hex(got["ek_functionals"]) == _hex((ek.max_sn, ek.max_abs_sn, ek.mean_sq, ek.mean_abs))
@@ -196,60 +203,9 @@ def test_path_at_another_p_refuses_what_a_fresh_path_refuses():
         zeros.at_p(1.5)
 
 
-# ---------------------------------------------------------------------------
-# the two-stage window pass: stage one keeps the candidate windows of the
-# numerator N once per sample, stage two divides only those by each V; both
-# must give what the exact pass over every window of Y = N/V gives
-
-
-def _two_stage(numerator, deltas, v):
-    return process._window_oscillations(process._candidate_windows(numerator, deltas), v)
-
-
-def _exact(numerator, deltas, v):
-    return _max_oscillations(numerator / v, deltas)
-
-
-def _fallbacks(monkeypatch) -> list:
-    # counts stage two's calls of the exact pass
-    calls = []
-    exact = process._max_oscillations
-
-    def counted(*args):
-        calls.append(args)
-        return exact(*args)
-
-    monkeypatch.setattr(process, "_max_oscillations", counted)
-    return calls
-
-
-# V over many binades and mantissas, so the two divisions round every way
-V_VALUES = tuple(np.random.default_rng(8).uniform(0.5, 1.0, 40) * 2.0 ** np.arange(-20, 20))
-
-
-@pytest.mark.parametrize("gap", [1, 2, 4, 8, 12, 16, 24, 32, 48, 64])
-def test_near_tie_windows_give_the_exact_pass(gap, monkeypatch):
-    # width-one windows whose ranges lie 0..gap ulps of max|N| below the
-    # largest, on both sides of the candidate tolerance (16 u max|N|)
-    rng = np.random.default_rng(gap)
-    a = 1.0 + rng.uniform(0, 1)
-    ulp = np.spacing(a)
-    size = 2001
-    lo = -rng.uniform(0.1, 0.9) * np.ones(size // 2 + 1)
-    hi = lo + a - rng.integers(0, gap + 1, size // 2 + 1) * ulp
-    numerator = np.empty(size)
-    numerator[0::2], numerator[1::2] = lo, hi[:-1]
-    windows = process._candidate_windows(numerator, (1.0 / (size - 1),))
-    kept = windows.candidates[1].size  # one width
-    assert 0 < kept < size - 1 if gap > 16 else kept > 0
-    calls = _fallbacks(monkeypatch)
-    for v in V_VALUES:
-        assert _hex(process._window_oscillations(windows, v)) == _hex(_exact(numerator, (1.0 / (size - 1),), v))
-    assert calls == []
-
-
 # (hi_a, lo_a, hi_b, lo_b, V), found by search: window b's range of N is 3.0
-# to 3.5 u max|N| below window a's, yet its range of Y = N/V is the larger
+# to 3.5 u max|N| below window a's, yet the exact pass over Y = N/V rounds
+# its range of Y above a's
 ROUNDING_WINS = [
     ("0x1.35f9027675f72p+0", "-0x1.9d8498b626997p-1", "0x1.b3ee868dae800p-1",
      "-0x1.2ac40b8ab203dp+0", "0x1.156987e8f1228p-2"),
@@ -265,50 +221,18 @@ ROUNDING_WINS = [
 
 
 @pytest.mark.parametrize("case", ROUNDING_WINS)
-def test_a_window_with_a_smaller_range_of_n_can_hold_the_largest_oscillation(case):
+def test_the_largest_range_of_n_gives_the_modulus_where_rounding_favours_another_window(case):
     hi_a, lo_a, hi_b, lo_b, v = (float.fromhex(h) for h in case)
     assert hi_b - lo_b < hi_a - lo_a and hi_b / v - lo_b / v > hi_a / v - lo_a / v
     # width-one windows; those through the middle value span about half the range
     numerator = np.array([lo_a, hi_a, (hi_a + lo_b) / 2, lo_b, hi_b])
     deltas = (0.25,)
-    assert _hex(_two_stage(numerator, deltas, v)) == _hex([hi_b / v - lo_b / v])
-    assert _hex(_two_stage(numerator, deltas, v)) == _hex(_exact(numerator, deltas, v))
-
-
-def test_plateaus_keep_every_tied_window(monkeypatch):
-    # thousands of windows share the largest range at every width
-    numerator = np.tile([0.0, 1.0, 0.5, -0.25], 2500)
-    deltas = (0.5, 0.2, 0.1, 1e-4, 3e-4)
-    windows = process._candidate_windows(numerator, deltas)
-    _, hi, _, starts = windows.candidates
-    assert np.diff(starts, append=hi.size).min() > 1000
-    calls = _fallbacks(monkeypatch)
-    for v in V_VALUES:
-        assert _hex(process._window_oscillations(windows, v)) == _hex(_exact(numerator, deltas, v))
-    assert calls == []
-
-
-@pytest.mark.parametrize("numerator, v, falls_back", [
-    ([0.0, 1.0, -0.5, 2.0], 3.0, False),
-    ([0.0, np.nan, 1.0], 1.0, True),  # N is not finite
-    ([0.0, np.inf, 1.0], 1.0, True),
-    ([0.0, 1.5e308, -1.5e308], 1.0, True),  # a window's range overflows
-    ([0.0, 1.0, -0.5, 2.0], np.inf, True),  # V is not finite
-    ([0.0, 1.0, -0.5, 2.0], 1e300, False),  # N/V is small but normal
-    ([0.0, 1.0, -0.5, 2.0], 2.0**1022 * 1.5, True),  # N/V underflows
-    ([-0.0, 0.0, -0.0, -0.0], 1.0, True),  # N is all zeros
-    ([-0.0, 1e-320, -1e-320, 0.0], 1.0, True),  # N is subnormal
-    ([3.0, 3.0, 3.0, 3.0], 1.0, True),  # the best oscillation is 0
-    ([-0.0, -1e-300, -0.0, -1e-300], 1e10, True),  # N/V is -0.0 or subnormal
-])
-def test_each_fallback_gives_the_exact_pass(numerator, v, falls_back, monkeypatch):
-    numerator = np.array(numerator)
-    deltas = (1.0, 0.5, 0.34, 0.2)
-    with np.errstate(all="ignore"):
-        want = _exact(numerator, deltas, v)
-        calls = _fallbacks(monkeypatch)
-        assert _hex(_two_stage(numerator, deltas, v)) == _hex(want)
-    assert len(calls) == falls_back
+    got = process._divided_ranges(numerator, deltas, _max_oscillations(numerator, deltas), v)
+    assert _hex(got) == _hex([(hi_a - lo_a) / v])
+    # the exact pass over Y reads window b, within 4 ulps
+    exact_pass = _max_oscillations(numerator / v, deltas)
+    assert _hex(exact_pass) == _hex([hi_b / v - lo_b / v])
+    assert _ulps(got, exact_pass) <= 4
 
 
 def test_prefix_sums_that_overflow_still_raise_in_the_tightness_scan(monkeypatch):
@@ -336,10 +260,11 @@ def test_path_oscillations_and_ek_at_the_edges(values, p):
     deltas = (0.5, 0.2, 0.1, 0.05, 1.0, 1e-3)  # widths below one mesh step give 0.0
     with np.errstate(all="ignore"):
         nodes = y_path(path, np.arange(x.size + 1) / x.size)
-        want = _max_oscillations(nodes, deltas)
+        want = [r / path.v for r in _max_oscillations(path._prefix.numerator, deltas)]
         assert _hex(process._node_oscillations(path, deltas)) == _hex(want)
         assert _hex(process._node_oscillations(fresh_at_p, deltas)) == _hex(want)
         assert _hex([modulus_of_continuity(path, d) for d in deltas]) == _hex(want)
+        assert _ulps(want, _max_oscillations(nodes, deltas)) <= 4
         s = path.sums[1:] / path.v  # reference: S_k/V divided anew
         ref = (s.max(), np.abs(s).max(), np.mean(s * s), np.abs(s).mean())
         assert _hex(ek_functionals(path).__dict__.values()) == _hex(ref)
