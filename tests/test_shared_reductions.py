@@ -235,6 +235,43 @@ def test_the_largest_range_of_n_gives_the_modulus_where_rounding_favours_another
     assert _ulps(got, exact_pass) <= 4
 
 
+def _brute_ranges(numerator, deltas):
+    # max - min over every window of N, one width at a time
+    out = []
+    for d in deltas:
+        w = int(np.floor(d * (numerator.size - 1) + 1e-9))
+        out.append(max(numerator[j:j + w + 1].max() - numerator[j:j + w + 1].min()
+                       for j in range(numerator.size - w)))
+    return out
+
+
+@pytest.mark.parametrize("numerator, v, falls_back", [
+    ([0.0, 1.0, -0.5, 2.0], 3.0, False),
+    ([0.0, np.nan, 1.0], 1.0, True),  # N is not finite
+    ([0.0, np.inf, 1.0], 1.0, True),
+    ([0.0, 1.5e308, -1.5e308], 1.0, True),  # a window's range overflows
+    ([0.0, 1.0, -0.5, 2.0], np.inf, False),  # V is not finite: every R/V is 0
+    ([0.0, 1.0, -0.5, 2.0], 1e300, False),  # N/V is small but normal
+    ([0.0, 1.0, -0.5, 2.0], 2.0**1022 * 1.5, False),  # R/V underflows
+    ([-0.0, 0.0, -0.0, -0.0], 1.0, False),  # N is all zeros
+    ([-0.0, 1e-320, -1e-320, 0.0], 1.0, False),  # N is subnormal
+    ([3.0, 3.0, 3.0, 3.0], 1.0, False),  # the largest range is 0
+    ([-0.0, -1e-300, -0.0, -1e-300], 1e10, False),  # R/V is subnormal
+])
+def test_divided_ranges_at_the_edges(numerator, v, falls_back, monkeypatch):
+    # only a range divided by V that is not finite sends the exact pass over N/V
+    numerator = np.array(numerator)
+    deltas = (1.0, 0.5, 0.34, 0.2)
+    calls = []
+    exact = process._max_oscillations
+    with np.errstate(all="ignore"):
+        ranges = exact(numerator, deltas)
+        want = exact(numerator / v, deltas) if falls_back else [r / v for r in _brute_ranges(numerator, deltas)]
+        monkeypatch.setattr(process, "_max_oscillations", lambda *a: calls.append(a) or exact(*a))
+        assert _hex(process._divided_ranges(numerator, deltas, ranges, v)) == _hex(want)
+    assert len(calls) == falls_back
+
+
 def test_prefix_sums_that_overflow_still_raise_in_the_tightness_scan(monkeypatch):
     x = np.array([1e308, 1e308, -1.0, 2.0] * 4)
     cfg = ExperimentConfig(family=FamilySpec(kind="SymStable", alpha=1.5), p=2.0, n_grid=(16,),
