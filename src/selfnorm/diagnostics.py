@@ -75,7 +75,9 @@ def modulus_of_continuity(path: ProcessPath, delta: float, grid_refinement: int 
     npts = grid_refinement * path.n
     numerator = _numerator(path.sums, path.values, *_grid_index(path.n, np.arange(npts + 1) / npts))
     deltas = (delta,)
-    return _divided_ranges(numerator, deltas, _max_oscillations(numerator, deltas), path.v)[0]
+    with np.errstate(over="ignore"):  # an overflowing range is `_divided_ranges`' to handle
+        ranges = _max_oscillations(numerator, deltas)
+    return _divided_ranges(numerator, deltas, ranges, path.v)[0]
 
 
 class NormChain(NamedTuple):

@@ -19,10 +19,12 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -505,7 +507,8 @@ def run_experiment(config: ExperimentConfig, thresholds: dict | None = None,
 
     `oracle_dir` is ignored: every reference law is exact and needs no file.
     It stays only because the benchmark's workloads still pass it; the
-    benchmark change of ROADMAP item 2 stops passing it, and then it goes.
+    benchmark change that the ROADMAP lists stops passing it, and then it
+    goes.
     """
     return _run_cells([(config,)], thresholds)[0][0]
 
@@ -543,71 +546,68 @@ def _series(rows, statistic: str) -> list[AggregateRow]:
     return sorted((r for r in rows if r.statistic == statistic), key=lambda r: r.n)
 
 
-def _ek_ks_bound(ek: list[AggregateRow], thresholds: dict) -> float:
-    """The largest EK KS distance a Brownian cell may show: ek_ks_max, or more at small reps.
+class _Clause(NamedTuple):
+    """One test of a decision rule, `value comparison bound`, and whether it passed."""
 
-    Each distance against an exact law has Kolmogorov's null law, so the
-    critical value at level / m bounds all m distances together, by
-    Bonferroni, with probability at least 1 - level (ek_family_level). At
-    reps 400 and m = 12 it is 0.112; from reps 783 on, ek_ks_max binds,
-    the margin left for the finite-n bias.
-    """
-    level = thresholds["ek_family_level"] / len(ek)
-    return max(thresholds["ek_ks_max"], ks_critical_value(min(r.reps for r in ek), level))
+    label: str
+    statistic: str
+    value: float
+    comparison: str
+    bound: float
+    passed: bool
 
 
-def decide_regime(aggregates, thresholds: dict) -> str:
-    """Classify aggregates as degenerate / brownian / not_tight / inconclusive.
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_EK_STATISTICS = ("ks_max_g1", "ks_max_abs_g2", "ks_mean_sq_g3", "ks_mean_abs_g4")
 
-    Pure function of the aggregates and documented thresholds. Each rule
-    requires its own statistics; cross-statistic guards apply only when those
-    statistics are present. The fixed split constants make the three definite
-    rules structurally disjoint.
+
+def _decide(aggregates, thresholds: dict) -> tuple[str, list[_Clause]]:
+    """The label and the table of clauses, rule by rule, it was decided from.
+
+    A clause enters the table when the statistics it reads are present. A label is a
+    candidate when its rule's own statistics are present, and holds when all its clauses pass.
     """
     _validate_thresholds(thresholds)
     rows = list(aggregates)
-    exc = _series(rows, "exceedance")
-    mr_med = _series(rows, "mr_median")
-    mr_ks = _series(rows, "mr_ks_prev")
-    ek = [r for name in ("ks_max_g1", "ks_max_abs_g2", "ks_mean_sq_g3", "ks_mean_abs_g4")
-          for r in _series(rows, name)]
-    if not exc and not mr_med and not ek:
-        raise MissingStatisticsError(
-            "no exceedance, max-ratio, or path-functional statistics to decide from")
-
-    mr_split = thresholds["splits"]["mr"]
-    exc_split = thresholds["splits"]["exceedance"]
-    mr_low = (not mr_med) or mr_med[-1].value < mr_split
-    exc_high = (not exc) or exc[-1].value > exc_split
-
-    degenerate = False
+    exc, mr, mr_ks = (_series(rows, name) for name in ("exceedance", "mr_median", "mr_ks_prev"))
+    ek = [r for name in _EK_STATISTICS for r in _series(rows, name)]
+    candidates = {"degenerate": bool(exc), "not_tight": len(mr) >= 2 and bool(mr_ks), "brownian": bool(ek)}
+    table = []
+    for a, b in zip(exc, exc[1:]):
+        # fl(x - y) has the sign of x - y, so this decides exactly as b <= a + slack
+        slack = thresholds["exceedance_slack_se"] * math.hypot(a.stderr or 0.0, b.stderr or 0.0)
+        table.append(("degenerate", f"exceedance_rise_n{b.n}", b.value - (a.value + slack), "<=", 0.0))
     if exc:
-        slack_k = thresholds["exceedance_slack_se"]
-        non_increasing = all(
-            b.value <= a.value + slack_k * math.hypot(a.stderr or 0.0, b.stderr or 0.0)
-            for a, b in zip(exc, exc[1:]))
-        degenerate = (non_increasing
-                      and exc[-1].value <= thresholds["exceedance_final_max"]
-                      and mr_low)
-
-    not_tight = False
-    if len(mr_med) >= 2 and mr_ks:
-        stable = mr_ks[-1].value <= thresholds["mr_stability_ks_max"]
-        high = min(mr_med[-1].value, mr_med[-2].value) >= thresholds["mr_median_min"]
-        not_tight = stable and high
-
-    brownian = False
+        table.append(("degenerate", "exceedance", exc[-1].value, "<=", thresholds["exceedance_final_max"]))
+    if mr:
+        table.append(("degenerate", "mr_median", mr[-1].value, "<", thresholds["splits"]["mr"]))
+    if candidates["not_tight"]:
+        table.append(("not_tight", "mr_ks_prev", mr_ks[-1].value, "<=", thresholds["mr_stability_ks_max"]))
+        table.append(("not_tight", "mr_median_last_two_min", min(mr[-1].value, mr[-2].value), ">=",
+                      thresholds["mr_median_min"]))
     if ek:
-        # the reps-scaled bound passes whatever KS noise cannot reject; only
-        # the max-ratio and exceedance guards tell that from a nearby
-        # non-Brownian cell, so a decision without both keeps ek_ks_max
-        bound = _ek_ks_bound(ek, thresholds) if mr_med and exc else thresholds["ek_ks_max"]
-        brownian = max(r.value for r in ek) <= bound and mr_low and exc_high
+        # the Bonferroni critical value of the m distances passes whatever KS noise
+        # cannot reject, so it widens ek_ks_max only where both guards are present
+        bound = thresholds["ek_ks_max"]
+        if mr and exc:
+            level = thresholds["ek_family_level"] / len(ek)
+            bound = max(bound, ks_critical_value(min(r.reps for r in ek), level))
+        table.append(("brownian", "ek_ks_largest", max(r.value for r in ek), "<=", bound))
+    if mr:
+        table.append(("brownian", "mr_median", mr[-1].value, "<", thresholds["splits"]["mr"]))
+    if exc:
+        table.append(("brownian", "exceedance", exc[-1].value, ">", thresholds["splits"]["exceedance"]))
+    if not table:
+        raise MissingStatisticsError("no exceedance, max-ratio, or path-functional statistics to decide from")
+    table = [_Clause(*c, _COMPARE[c[3]](c[2], c[4])) for c in table]
+    held = [label for label, present in candidates.items()
+            if present and all(c.passed for c in table if c.label == label)]
+    return (held[0] if len(held) == 1 else "inconclusive"), table
 
-    labels = [name for name, hit in
-              (("degenerate", degenerate), ("brownian", brownian), ("not_tight", not_tight))
-              if hit]
-    return labels[0] if len(labels) == 1 else "inconclusive"
+
+def decide_regime(aggregates, thresholds: dict) -> str:
+    """Classify aggregates as degenerate / brownian / not_tight / inconclusive (`_decide`'s label)."""
+    return _decide(aggregates, thresholds)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +654,10 @@ def read_report(path) -> ExperimentReport:
     """Rebuild a report from its JSON payload (workers defaults to 1).
 
     A file that cannot be read raises OSError. One that is not a report
-    payload, or whose run_id is not the hash of its own config, raises
-    ConfigError.
+    payload, or whose run_id, label or draw count is not what its own config
+    gives, raises ConfigError: the run_id is the config's hash, a regime
+    scan's label one of the four, any other scan's inconclusive, and the
+    draw count reps x sum(n_grid).
     """
     try:
         data = Path(path).read_bytes()
@@ -685,6 +687,15 @@ def read_report(path) -> ExperimentReport:
     if report.run_id != _run_id(config):
         raise ConfigError(f"{path}: run_id {report.run_id!r} is not the hash of its config "
                           f"({_run_id(config)!r})")
+    labels = ("degenerate", "brownian", "not_tight", "inconclusive")
+    if config.experiment not in REGIME_SCAN_KINDS:
+        labels = ("inconclusive",)
+    if report.regime_decision not in labels:
+        raise ConfigError(f"{path}: regime_decision {report.regime_decision!r} of a "
+                          f"{config.experiment} report is not one of {labels}")
+    draws = config.reps * sum(config.n_grid)
+    if type(report.draw_count) is not int or report.draw_count != draws:
+        raise ConfigError(f"{path}: draw_count {report.draw_count!r} is not reps x sum(n_grid) = {draws}")
     return report
 
 

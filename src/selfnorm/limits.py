@@ -729,8 +729,7 @@ def _j_quad(beta: float, gamma: float, alpha: float, p: float) -> complex:
         f"beta={beta:g}, gamma={gamma:g}, alpha={alpha:g}, p={p:g}")
 
 
-def chf_exponent(u: float, w: float, alpha: float, p: float, r: float,
-                 t1: float = 1.0) -> complex:
+def chf_exponent(u: float, w: float, alpha: float, p: float, r: float) -> complex:
     """The exponent c(u, w) with chf = exp(c); non-positive real part.
 
     r is the Levy density constant of each (symmetric) tail, as returned by
@@ -748,10 +747,8 @@ def chf_exponent(u: float, w: float, alpha: float, p: float, r: float,
     if not (isinstance(r, numbers.Real) and 0 < r < math.inf):
         raise ParameterDomainError(f"the tail constant r must be a positive finite real, got {r!r}")
     r = float(r)
-    if not (isinstance(t1, numbers.Real) and 0 < t1 <= 1):
-        raise ParameterDomainError(f"t1 must be a real in (0, 1], got {t1!r}")
-    gamma = abs(float(u)) * t1 ** (1.0 / alpha)
-    beta = abs(float(w)) * t1 ** (p / alpha)
+    gamma = abs(float(u))
+    beta = abs(float(w))
 
     c_cos = -_cos_tail_const(alpha) * gamma**alpha if gamma > 0 else 0.0
     if beta == 0.0:
@@ -770,10 +767,9 @@ def chf_exponent(u: float, w: float, alpha: float, p: float, r: float,
     return complex(c)
 
 
-def limit_chf(u: float, w: float, alpha: float, p: float, r: float,
-              t1: float = 1.0) -> complex:
+def limit_chf(u: float, w: float, alpha: float, p: float, r: float) -> complex:
     """Limiting joint chf value exp(c(u, w)); modulus at most 1."""
-    c = chf_exponent(u, w, alpha, p, r, t1)
+    c = chf_exponent(u, w, alpha, p, r)
     return complex(np.exp(c))
 
 

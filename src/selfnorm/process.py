@@ -180,7 +180,8 @@ class _Prefix:
         """The largest range of N over the windows of each delta, once per delta grid."""
         ranges = self._ranges.get(deltas)
         if ranges is None:
-            ranges = self._ranges[deltas] = _max_oscillations(self.numerator, deltas)
+            with np.errstate(over="ignore"):  # an overflowing range is `_divided_ranges`' to handle
+                ranges = self._ranges[deltas] = _max_oscillations(self.numerator, deltas)
         return ranges
 
 

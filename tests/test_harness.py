@@ -383,7 +383,10 @@ def test_json_round_trip(tmp_path):
     lambda payload: json.dumps({**payload, "run_id": "0123456789ab"}),
     # reps edited under the old config's run_id
     lambda payload: json.dumps({**payload, "config": {**payload["config"], "reps": 17}}),
-], ids=["empty_object", "list", "malformed_json", "tampered_run_id", "edited_reps"])
+    lambda payload: json.dumps({**payload, "regime_decision": "banana"}),
+    lambda payload: json.dumps({**payload, "draw_count": -5}),
+], ids=["empty_object", "list", "malformed_json", "tampered_run_id", "edited_reps", "unknown_label",
+        "wrong_draw_count"])
 def test_read_report_refuses_what_is_not_its_own_payload(text, tmp_path):
     payload = report_payload(run_experiment(config()))
     dest = tmp_path / "r.json"
@@ -392,6 +395,18 @@ def test_read_report_refuses_what_is_not_its_own_payload(text, tmp_path):
         read_report(dest)
     with pytest.raises(OSError):
         read_report(tmp_path / "missing.json")  # an unreadable file stays an OSError
+
+
+@pytest.mark.parametrize("experiment", ["fdd_covariance", "chf_compare"])
+def test_read_report_refuses_a_label_on_a_scan_no_rule_reads(experiment, tmp_path):
+    payload = report_payload(run_experiment(config(experiment=experiment, p=1.5, reps=4)))
+    assert payload["regime_decision"] == "inconclusive"
+    dest = tmp_path / "r.json"
+    dest.write_text(json.dumps(payload))
+    read_report(dest)
+    dest.write_text(json.dumps({**payload, "regime_decision": "degenerate"}))
+    with pytest.raises(ConfigError, match="regime_decision"):
+        read_report(dest)
 
 
 def test_report_files_byte_identical_across_workers(tmp_path):
@@ -447,27 +462,63 @@ def rows(reps: int = 400, **series) -> list[AggregateRow]:
     return out
 
 
+# one cell per label, each row's stderr 0.005 at reps 400
+CELLS = {
+    "degenerate": dict(exceedance=(0.5, 0.4, 0.3), mr_median=(0.2, 0.15, 0.1)),
+    "not_tight": dict(exceedance=(0.95, 0.96, 0.95), mr_median=(0.7, 0.72, 0.71),
+                      mr_ks_prev=(0.05, 0.04)),
+    "brownian": dict(exceedance=(0.84, 0.84, 0.84), mr_median=(0.05, 0.03, 0.02),
+                     ks_max_g1=(0.03,), ks_max_abs_g2=(0.02,), ks_mean_sq_g3=(0.03,),
+                     ks_mean_abs_g4=(0.025,)),
+}
+
+
+def _trace(*clauses):
+    return [harness._Clause(*c) for c in clauses]
+
+
 def test_decide_degenerate():
     th = load_default_thresholds()
-    got = decide_regime(rows(exceedance=(0.6, 0.5, 0.4), mr_median=(0.2, 0.15, 0.1)), th)
-    assert got == "degenerate"
+    aggregates = rows(**CELLS["degenerate"])
+    # no EK rows: brownian's guards are in the table, but brownian is no candidate
+    assert harness._decide(aggregates, th) == ("degenerate", _trace(
+        ("degenerate", "exceedance_rise_n200", -0.11414213562373088, "<=", 0.0, True),
+        ("degenerate", "exceedance_rise_n400", -0.11414213562373099, "<=", 0.0, True),
+        ("degenerate", "exceedance", 0.3, "<=", 0.755, True),
+        ("degenerate", "mr_median", 0.1, "<", 0.4, True),
+        ("brownian", "mr_median", 0.1, "<", 0.4, True),
+        ("brownian", "exceedance", 0.3, ">", 0.785, False)))
+    assert decide_regime(aggregates, th) == "degenerate"
 
 
 def test_decide_not_tight():
     th = load_default_thresholds()
-    got = decide_regime(
-        rows(exceedance=(0.95, 0.96, 0.95), mr_median=(0.7, 0.72, 0.71),
-             mr_ks_prev=(0.05, 0.04)), th)
-    assert got == "not_tight"
+    aggregates = rows(**CELLS["not_tight"])
+    assert harness._decide(aggregates, th) == ("not_tight", _trace(
+        ("degenerate", "exceedance_rise_n200", -0.0041421356237308915, "<=", 0.0, True),
+        ("degenerate", "exceedance_rise_n400", -0.02414213562373091, "<=", 0.0, True),
+        ("degenerate", "exceedance", 0.95, "<=", 0.755, False),
+        ("degenerate", "mr_median", 0.71, "<", 0.4, False),
+        ("not_tight", "mr_ks_prev", 0.04, "<=", 0.1, True),
+        ("not_tight", "mr_median_last_two_min", 0.71, ">=", 0.45, True),
+        ("brownian", "mr_median", 0.71, "<", 0.4, False),
+        ("brownian", "exceedance", 0.95, ">", 0.785, True)))
+    assert decide_regime(aggregates, th) == "not_tight"
 
 
 def test_decide_brownian():
     th = load_default_thresholds()
-    got = decide_regime(
-        rows(exceedance=(0.84, 0.84, 0.84), mr_median=(0.05, 0.03, 0.02),
-             ks_max_g1=(0.03,), ks_max_abs_g2=(0.02,), ks_mean_sq_g3=(0.03,),
-             ks_mean_abs_g4=(0.025,)), th)
-    assert got == "brownian"
+    aggregates = rows(**CELLS["brownian"])
+    # the EK bound is smirnovi(400, 1e-3 / 8): Bonferroni over the four rows
+    assert harness._decide(aggregates, th) == ("brownian", _trace(
+        ("degenerate", "exceedance_rise_n200", -0.0141421356237309, "<=", 0.0, True),
+        ("degenerate", "exceedance_rise_n400", -0.0141421356237309, "<=", 0.0, True),
+        ("degenerate", "exceedance", 0.84, "<=", 0.755, False),
+        ("degenerate", "mr_median", 0.02, "<", 0.4, True),
+        ("brownian", "ek_ks_largest", 0.03, "<=", 0.10547214203979575, True),
+        ("brownian", "mr_median", 0.02, "<", 0.4, True),
+        ("brownian", "exceedance", 0.84, ">", 0.785, True)))
+    assert decide_regime(aggregates, th) == "brownian"
 
 
 def _brownian_rows(reps: int, worst_ks: float) -> list[AggregateRow]:
@@ -515,6 +566,9 @@ def test_decide_inconclusive_when_no_rule_fires():
     th = load_default_thresholds()
     got = decide_regime(rows(exceedance=(0.5, 0.6, 0.7)), th)  # increasing, never low
     assert got == "inconclusive"
+    # every brownian guard passes, but without EK rows brownian is no candidate
+    guards = rows(exceedance=CELLS["brownian"]["exceedance"], mr_median=CELLS["brownian"]["mr_median"])
+    assert decide_regime(guards, th) == "inconclusive"
 
 
 def test_decide_requires_some_statistic():
@@ -535,7 +589,8 @@ def test_decide_rules_structurally_disjoint():
 
 def test_decide_validates_thresholds():
     th = load_default_thresholds()
-    for key in ("ek_ks_max", "ek_family_level"):
+    for key in ("exceedance_final_max", "exceedance_slack_se", "mr_median_min",
+                "mr_stability_ks_max", "ek_ks_max", "ek_family_level", "splits"):
         bad = dict(th)
         bad.pop(key)
         with pytest.raises(ConfigError, match=key):
@@ -548,17 +603,127 @@ def test_decide_validates_thresholds():
         decide_regime(rows(exceedance=(0.5,)), crossed)
 
 
-@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
-       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
-       st.floats(0.0, 0.5))
-@settings(max_examples=100, deadline=None)
-def test_decide_always_returns_a_label(exc, mr, ks):
-    th = load_default_thresholds()
-    series = rows(exceedance=exc, mr_median=mr)
-    if len(mr) >= 2:
-        series += rows(mr_ks_prev=(ks,))
-    got = decide_regime(series, th)
-    assert got in ("degenerate", "not_tight", "brownian", "inconclusive")
+# The three rules as hand-wired before they became one clause table, frozen
+# as the reference the evaluator must reproduce label for label.
+
+def _frozen_series(rows, statistic):
+    return sorted((r for r in rows if r.statistic == statistic), key=lambda r: r.n)
+
+
+def _frozen_decide(aggregates, thresholds):
+    rows = list(aggregates)
+    exc = _frozen_series(rows, "exceedance")
+    mr_med = _frozen_series(rows, "mr_median")
+    mr_ks = _frozen_series(rows, "mr_ks_prev")
+    ek = [r for name in ("ks_max_g1", "ks_max_abs_g2", "ks_mean_sq_g3", "ks_mean_abs_g4")
+          for r in _frozen_series(rows, name)]
+    if not exc and not mr_med and not ek:
+        raise MissingStatisticsError("no statistics")
+    mr_low = (not mr_med) or mr_med[-1].value < thresholds["splits"]["mr"]
+    exc_high = (not exc) or exc[-1].value > thresholds["splits"]["exceedance"]
+    degenerate = False
+    if exc:
+        slack_k = thresholds["exceedance_slack_se"]
+        non_increasing = all(
+            b.value <= a.value + slack_k * math.hypot(a.stderr or 0.0, b.stderr or 0.0)
+            for a, b in zip(exc, exc[1:]))
+        degenerate = non_increasing and exc[-1].value <= thresholds["exceedance_final_max"] and mr_low
+    not_tight = False
+    if len(mr_med) >= 2 and mr_ks:
+        stable = mr_ks[-1].value <= thresholds["mr_stability_ks_max"]
+        high = min(mr_med[-1].value, mr_med[-2].value) >= thresholds["mr_median_min"]
+        not_tight = stable and high
+    brownian = False
+    if ek:
+        bound = thresholds["ek_ks_max"]
+        if mr_med and exc:
+            level = thresholds["ek_family_level"] / len(ek)
+            bound = max(bound, limits.ks_critical_value(min(r.reps for r in ek), level))
+        brownian = max(r.value for r in ek) <= bound and mr_low and exc_high
+    labels = [name for name, hit in
+              (("degenerate", degenerate), ("brownian", brownian), ("not_tight", not_tight)) if hit]
+    return labels[0] if len(labels) == 1 else "inconclusive"
+
+
+_TH = load_default_thresholds()
+_REPS = st.sampled_from((8, 400, 783, 1500))
+_STDERR = st.sampled_from((None, 0.0, 0.003, 0.01, 0.04))
+_EK = harness._EK_STATISTICS
+
+
+def _beside(x: float) -> tuple[float, ...]:
+    """x, one ulp either side of x, and 0.01 either side."""
+    return (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf), x - 0.01, x + 0.01)
+
+
+def _values(edges, top):
+    # on or beside a bound the statistic's clauses compare with, or anywhere in [0, top]
+    return st.one_of(st.sampled_from([v for x in edges for v in _beside(x)]), st.floats(0.0, top))
+
+
+# EK and lagged KS distances are small
+_VALUES = {"exceedance": _values((_TH["exceedance_final_max"], _TH["splits"]["exceedance"]), 1.0),
+           "mr_median": _values((_TH["splits"]["mr"], _TH["mr_median_min"]), 1.0),
+           "mr_ks_prev": _values((_TH["mr_stability_ks_max"],), 0.3),
+           **{name: _values((_TH["ek_ks_max"],), 0.15) for name in _EK}}
+
+
+@st.composite
+def _aggregate_sets(draw):
+    """Rows of every statistic a rule reads, on, beside and off each bound its clauses use."""
+    out = []
+    for name, values in _VALUES.items():
+        prev = None
+        for i in range(draw(st.integers(0, 4 if name == "exceedance" else 3))):
+            stderr = draw(_STDERR)
+            value = draw(values)
+            if name == "exceedance" and prev is not None and draw(st.booleans()):
+                # a rise of exactly k combined standard errors: the edge of a step
+                slack = _TH["exceedance_slack_se"] * math.hypot(prev.stderr or 0.0, stderr or 0.0)
+                value = draw(st.sampled_from(_beside(prev.value + slack)))
+            prev = AggregateRow(n=100 * 2**i, statistic=name, value=value, stderr=stderr,
+                                reps=draw(_REPS))
+            out.append(prev)
+    ek = [r for r in out if r.statistic in _EK]
+    if ek and draw(st.booleans()):
+        # the last EK distance on or beside the Bonferroni bound of the rows drawn
+        crit = limits.ks_critical_value(min(r.reps for r in ek), _TH["ek_family_level"] / len(ek))
+        out[-1] = dataclasses.replace(out[-1], value=draw(st.sampled_from(_beside(crit))))
+    return out
+
+
+@given(_aggregate_sets())
+@settings(max_examples=400, deadline=None)
+def test_decide_equals_the_frozen_rules(aggregates):
+    try:
+        want = _frozen_decide(aggregates, _TH)
+    except MissingStatisticsError:
+        with pytest.raises(MissingStatisticsError):
+            decide_regime(aggregates, _TH)
+        return
+    assert decide_regime(aggregates, _TH) == want
+
+
+@pytest.mark.parametrize("label, statistic, at, bound", [
+    # a step's rise: fl(0.5 + slack) rounds down, fl(0.4 + slack) up
+    ("degenerate", "exceedance", (1,), 0.5 + 2.0 * math.hypot(0.005, 0.005)),
+    ("degenerate", "exceedance", (2,), 0.4 + 2.0 * math.hypot(0.005, 0.005)),
+    ("degenerate", "exceedance", (0, 1, 2), _TH["exceedance_final_max"]),
+    ("degenerate", "mr_median", (2,), _TH["splits"]["mr"]),
+    ("not_tight", "mr_ks_prev", (1,), _TH["mr_stability_ks_max"]),
+    ("not_tight", "mr_median", (2,), _TH["mr_median_min"]),
+    ("not_tight", "mr_median", (1,), _TH["mr_median_min"]),  # the smaller of the last two
+    ("brownian", "ks_max_g1", (0,), limits.ks_critical_value(400, _TH["ek_family_level"] / 4)),
+    ("brownian", "mr_median", (2,), _TH["splits"]["mr"]),
+    ("brownian", "exceedance", (2,), _TH["splits"]["exceedance"]),
+])
+def test_each_bound_decides_as_the_frozen_rules(label, statistic, at, bound):
+    # rows `at` of one statistic of a label's cell on its clause's bound and beside it
+    for value in _beside(bound):
+        series = dict(CELLS[label])
+        series[statistic] = tuple(value if i in at else v for i, v in enumerate(series[statistic]))
+        aggregates = rows(**series)
+        assert decide_regime(aggregates, _TH) == _frozen_decide(aggregates, _TH)
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,13 @@ from selfnorm.limits import _j_closed_w_only, _j_quad, _kac_laplace, g1_cdf, g2_
 # hiding inside a refinement that never converges
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-# frozen high-precision references for the limiting chf exponent
-# c(u, w) = 2r int (exp(i |w| t^(p/a) y^p) cos(|u| t^(1/a) y) - 1) y^(-a-1) dy,
-# computed once with 50-digit arbitrary-precision quadrature and pinned here
+# frozen high-precision references for the limiting chf exponent at time t,
+# t c(u, w) = 2r int (exp(i |w| t^(p/a) y^p) cos(|u| t^(1/a) y) - 1) y^(-a-1) dy,
+# computed once with 50-digit arbitrary-precision quadrature and pinned here;
+# substituting z = t^(1/a) y gives the factor t, so the rows with t != 1 test
+# t chf_exponent(u, w)
 CHF_REFS = [
-    # (alpha, p, r, t1, u, w, expected c)
+    # (alpha, p, r, t, u, w, expected t c(u, w))
     (1.0, 2.0, 1 / np.pi, 1.0, 1.0, 0.0, complex(-1.0, 0.0)),
     (1.0, 2.0, 1 / np.pi, 1.0, 1.0, 0.5, complex(-0.867248960009258923, 0.30772844065377427)),
     (1.0, 2.0, 1 / np.pi, 1.0, 1.0, 1.0, complex(-1.00523362693252106, 0.607121034833881908)),
@@ -56,9 +58,9 @@ CHF_REFS = [
 ]
 
 
-@pytest.mark.parametrize("alpha,p,r,t1,u,w,want", CHF_REFS)
-def test_chf_exponent_frozen_references(alpha, p, r, t1, u, w, want):
-    got = chf_exponent(u, w, alpha, p, r, t1=t1)
+@pytest.mark.parametrize("alpha,p,r,t,u,w,want", CHF_REFS)
+def test_chf_exponent_frozen_references(alpha, p, r, t, u, w, want):
+    got = t * chf_exponent(u, w, alpha, p, r)
     assert abs(got - want) <= 1e-8 * abs(want)
 
 
@@ -75,17 +77,19 @@ def test_chf_exponent_cauchy_checkpoint():
 @settings(max_examples=30, deadline=None)
 # stationary point of the minus-frequency branch beyond the panel budget
 # (p = 1.255 and 1.099): once raised InternalConsistencyError
-@example(alpha=0.875, frac=0.15625, u=2.0, w=0.125, t1=1.0)
-@example(alpha=0.3125, frac=0.3125, u=1.0, w=0.25, t1=1.0)
+@example(alpha=0.875, frac=0.15625, u=2.0, w=0.125, t=1.0)
+@example(alpha=0.3125, frac=0.3125, u=1.0, w=0.25, t=1.0)
 # p = 1.03, near the diagonal: a power substitution at the origin once
 # overflowed there and raised InternalConsistencyError
-@example(alpha=1.0, frac=0.0, u=1.0, w=1.0, t1=1.0)
-def test_chf_invariants(alpha, frac, u, w, t1):
+@example(alpha=1.0, frac=0.0, u=1.0, w=1.0, t=1.0)
+def test_chf_invariants(alpha, frac, u, w, t):
     p = alpha + 0.03 + frac * (2.5 - alpha - 0.03)  # p in (alpha + 0.03, 2.5]
-    z = limit_chf(u, w, alpha, p, 0.4, t1=t1)
+    # the point (u, w) seen at time t
+    u, w = u * t ** (1.0 / alpha), w * t ** (p / alpha)
+    z = limit_chf(u, w, alpha, p, 0.4)
     assert abs(z) <= 1.0 + 1e-12
-    assert abs(z - limit_chf(-u, w, alpha, p, 0.4, t1=t1)) <= 1e-10
-    assert abs(np.conj(z) - limit_chf(u, -w, alpha, p, 0.4, t1=t1)) <= 1e-10
+    assert abs(z - limit_chf(-u, w, alpha, p, 0.4)) <= 1e-10
+    assert abs(np.conj(z) - limit_chf(u, -w, alpha, p, 0.4)) <= 1e-10
 
 
 def test_fractional_origin_power_resolved():
@@ -110,22 +114,17 @@ def test_chf_exponent_domain():
             chf_exponent(1.0, 1.0, 1.0, 2.0, r)
         with pytest.raises(ParameterDomainError, match="tail constant"):
             limit_chf(1.0, 1.0, 1.0, 2.0, r)
-    # u, w, alpha, p and t1 too: a string or None is refused, not compared or converted
+    # u, w, alpha and p too: a string or None is refused, not compared or converted
     for bad in ("1.5", None, 1j):
-        for name, args, kwargs in (("u", (bad, 1.0, 1.0, 2.0), {}), ("w", (1.0, bad, 1.0, 2.0), {}),
-                                   ("alpha", (1.0, 1.0, bad, 2.0), {}),
-                                   ("p", (1.0, 1.0, 1.0, bad), {}),
-                                   ("t1", (1.0, 1.0, 1.0, 2.0), {"t1": bad})):
+        for name, args in (("u", (bad, 1.0, 1.0, 2.0)), ("w", (1.0, bad, 1.0, 2.0)),
+                           ("alpha", (1.0, 1.0, bad, 2.0)), ("p", (1.0, 1.0, 1.0, bad))):
             with pytest.raises(ParameterDomainError, match=f"{name} must be"):
-                limit_chf(*args, 0.3, **kwargs)
+                limit_chf(*args, 0.3)
     for bad in (math.nan, math.inf):
         for name, args in (("u", (bad, 1.0, 1.0, 2.0)), ("w", (1.0, bad, 1.0, 2.0)),
                            ("p", (1.0, 1.0, 1.0, bad))):
             with pytest.raises(ParameterDomainError, match=f"{name} must be"):
                 chf_exponent(*args, 0.3)
-    for t1 in (0.0, 1.5, math.nan):
-        with pytest.raises(ParameterDomainError, match="t1 must be"):
-            chf_exponent(1.0, 1.0, 1.0, 2.0, 0.3, t1=t1)
 
 
 def test_tail_constants_values():

@@ -20,6 +20,11 @@ from selfnorm import (
     y_path,
 )
 
+# a numpy RuntimeWarning fails the test: the path layer raises or handles
+# each overflow and invalid operation itself, and a test that makes one on
+# purpose says so with np.errstate
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 finite_arrays = hnp.arrays(
     np.float64, st.integers(1, 60),
     elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))

@@ -36,6 +36,11 @@ from selfnorm import (
 from selfnorm import harness, process
 from selfnorm.process import _max_oscillations
 
+# a numpy RuntimeWarning fails the test: the path layer raises or handles
+# each overflow and invalid operation itself, and a test that makes one on
+# purpose says so with np.errstate
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # (family, p): alpha == p, alpha = 2 with p = 2 and p < 2, p = 2 above alpha,
 # and alpha != p on both sides, over all four families
 CASES = [
