@@ -16,7 +16,7 @@ import argparse
 import os
 import time
 
-from selfnorm import ExperimentConfig, FamilySpec, regime_map
+from selfnorm import ConfigError, ExperimentConfig, FamilySpec, ParameterDomainError, regime_map
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -35,16 +35,20 @@ def main() -> None:
                     help="worker processes (default: the CPUs this process may run on)")
     args = ap.parse_args()
 
-    base = ExperimentConfig(
-        family=FamilySpec(kind="SymStable", alpha=args.alpha[0]),
-        p=args.p[0],
-        n_grid=tuple(int(n) for n in args.n),
-        reps=args.reps,
-        master_seed=args.seed,
-        experiment="degenerate_scan",
-        epsilon=args.epsilon,
-        workers=args.workers,
-    )
+    try:
+        # n_grid takes integral floats (1e3) and refuses 100.7 rather than truncating it
+        base = ExperimentConfig(
+            family=FamilySpec(kind="SymStable", alpha=args.alpha[0]),
+            p=args.p[0],
+            n_grid=args.n,
+            reps=args.reps,
+            master_seed=args.seed,
+            experiment="degenerate_scan",
+            epsilon=args.epsilon,
+            workers=args.workers,
+        )
+    except (ConfigError, ParameterDomainError) as exc:
+        ap.error(str(exc))
     t0 = time.perf_counter()
     _, matrix = regime_map(base, args.alpha, args.p)
     dt = time.perf_counter() - t0

@@ -9,7 +9,6 @@ regime.
 
 from __future__ import annotations
 
-import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -19,10 +18,7 @@ from .errors import InternalConsistencyError, ParameterDomainError
 # (perfbench/tracing.py) rebinds it in this namespace
 from .process import (  # noqa: F401
     ProcessPath,
-    _divided_ranges,
-    _grid_index,
-    _max_oscillations,
-    _numerator,
+    _node_oscillations,
     _Rescaled,
     p_norm,
     y_path,
@@ -57,27 +53,18 @@ def sum_sq_ratio(x, alpha: float) -> float:
     return _Rescaled(x).sum_sq_ratio(alpha)
 
 
-def modulus_of_continuity(path: ProcessPath, delta: float, grid_refinement: int = 1) -> float:
-    """sup |Y(t) - Y(s)| over grid pairs with |t - s| <= delta.
+def modulus_of_continuity(path: ProcessPath, delta: float) -> float:
+    """sup |Y(k/n) - Y(j/n)| over nodes with |k - j| <= delta n.
 
-    The grid has mesh 1/(grid_refinement * n) and contains every node k/n, so
-    the value is exact for the piecewise-linear path whenever delta is a
-    multiple of the mesh (window widths below one mesh step return 0, since
-    no distinct grid pairs qualify). grid_refinement must be an integer
-    >= 1.
+    Y is piecewise linear between the nodes k/n, where it is S_k/V, so the
+    value is exact for the path whenever delta n is an integer (a window
+    below one mesh step returns 0, since no distinct nodes qualify). The
+    scans read the same value from the path's shared ranges of S.
     """
     delta = float(delta)
     if not 0 < delta <= 1:
         raise ParameterDomainError(f"delta must lie in (0, 1], got {delta}")
-    if not isinstance(grid_refinement, numbers.Integral) or grid_refinement < 1:
-        raise ParameterDomainError(f"grid_refinement must be an integer >= 1, got {grid_refinement!r}")
-    # the largest window range of the numerator N = V Y on this grid, divided by V
-    npts = grid_refinement * path.n
-    numerator = _numerator(path.sums, path.values, *_grid_index(path.n, np.arange(npts + 1) / npts))
-    deltas = (delta,)
-    with np.errstate(over="ignore"):  # an overflowing range is `_divided_ranges`' to handle
-        ranges = _max_oscillations(numerator, deltas)
-    return _divided_ranges(numerator, deltas, ranges, path.v)[0]
+    return _node_oscillations(path, (delta,))[0]
 
 
 class NormChain(NamedTuple):

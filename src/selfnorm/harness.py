@@ -287,10 +287,10 @@ def report_payload(report: ExperimentReport) -> dict:
 # from one ProcessPath per p: the scans read its reductions, each computed
 # once per prefix whichever scans and p ask for it, and the paths at the
 # other p share (`ProcessPath.at_p`) all of them but V_{n,p}. These are the
-# prefix sums, the rescaled sample's power sums, the numerator N = V Y on the
-# node grid, the largest window range of N for each delta, and max S_k,
+# prefix sums S_k, which are V Y on the node grid k/n, the rescaled sample's
+# power sums, the largest window range of S for each delta, and max S_k,
 # max |S_k| and |S_k|. Per p, a scan divides only what it reads by V: the
-# endpoint N(1), one range per delta, and |S_k| for the EK means.
+# endpoint S_n, one range per delta, and |S_k| for the EK means.
 
 def _scan_stats(config: ExperimentConfig, x: np.ndarray, path) -> tuple[float, ...]:
     kind = config.experiment
@@ -303,7 +303,7 @@ def _scan_stats(config: ExperimentConfig, x: np.ndarray, path) -> tuple[float, .
     if kind == "fdd_covariance":
         return tuple(float(v) for v in y_path(path, config.t_grid))
     if kind == "tightness_scan":
-        # one window pass over the shared numerator serves every delta and p
+        # one window pass over the shared prefix sums serves every delta and p
         oms = _node_oscillations(path, config.delta_grid)
         return (path.rescaled.darling_ratio(), path.rescaled.max_ratio(config.p), *oms)
     # chf_compare: the pair (S_n / n^{1/a}, V^p / n^{p/a}), scaled before
@@ -654,10 +654,12 @@ def read_report(path) -> ExperimentReport:
     """Rebuild a report from its JSON payload (workers defaults to 1).
 
     A file that cannot be read raises OSError. One that is not a report
-    payload, or whose run_id, label or draw count is not what its own config
-    gives, raises ConfigError: the run_id is the config's hash, a regime
-    scan's label one of the four, any other scan's inconclusive, and the
-    draw count reps x sum(n_grid).
+    payload, or whose run_id, label, draw count or aggregate rows are not
+    what its own config gives, raises ConfigError: the run_id is the
+    config's hash, a regime scan's label one of the four, any other scan's
+    inconclusive, the draw count reps x sum(n_grid), and each row has an
+    integer n of n_grid, the config's reps, a finite value, and a stderr
+    that is null or finite and >= 0.
     """
     try:
         data = Path(path).read_bytes()
@@ -696,6 +698,19 @@ def read_report(path) -> ExperimentReport:
     draws = config.reps * sum(config.n_grid)
     if type(report.draw_count) is not int or report.draw_count != draws:
         raise ConfigError(f"{path}: draw_count {report.draw_count!r} is not reps x sum(n_grid) = {draws}")
+    for raw, row in zip(payload["aggregates"], rows):
+        # n and reps are read as written, before AggregateRow casts them to int
+        if type(raw["n"]) is not int or raw["n"] not in config.n_grid:
+            raise ConfigError(f"{path}: aggregate n {raw['n']!r} is not an n of n_grid {config.n_grid}")
+        if type(raw["reps"]) is not int or raw["reps"] != config.reps:
+            raise ConfigError(f"{path}: aggregate reps {raw['reps']!r} of {row.statistic} at n = {row.n} "
+                              f"is not the config's reps = {config.reps}")
+        if not math.isfinite(row.value):
+            raise ConfigError(f"{path}: aggregate value {row.value!r} of {row.statistic} at n = {row.n} "
+                              "is not finite")
+        if row.stderr is not None and not (math.isfinite(row.stderr) and row.stderr >= 0.0):
+            raise ConfigError(f"{path}: aggregate stderr {row.stderr!r} of {row.statistic} at n = {row.n} "
+                              "is not null or finite and >= 0")
     return report
 
 

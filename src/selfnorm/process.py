@@ -7,15 +7,15 @@ t = 1. Heavy-tailed summands force two numerical choices here: prefix sums
 are compensated for long samples (cancellation between huge opposite-sign
 terms), and p-norms are computed max-rescaled (naive power sums overflow).
 
-Only V_{n,p} depends on p. The numerator N(t) = V Y(t) = S_[nt] +
-(nt - [nt]) X_{[nt]+1} does not, so the reductions a statistic needs of N
-or of S_k are taken once per sample and shared by its paths at every p,
-and each p divides only what it reads:
+The interpolation term vanishes at every node, so Y(k/n) = S_k/V: the node
+grid of Y is the prefix sums divided by V. Only V_{n,p} depends on p, so the
+reductions a statistic needs of S_k are taken once per sample and shared by
+its paths at every p, and each p divides only what it reads:
 
-- the modulus of continuity of Y = N/V is the largest range of N over the
-  windows of each delta, divided by V: V > 0 does not depend on t. The
-  ranges are taken once per sample and delta grid (`_max_oscillations` on
-  N), and each p takes one division per delta;
+- the modulus of continuity of Y on the node grid is the largest range of
+  S_k over the windows of each delta, divided by V: V > 0 does not depend
+  on t. The ranges are taken once per sample and delta grid
+  (`_max_oscillations` on S), and each p takes one division per delta;
 - the EK functionals read max S_k, max |S_k| and |S_k| from the shared
   prefix and take per p only |S_k|/V and its two means.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -151,9 +151,8 @@ class _Prefix:
 
     One object is shared by every path that `ProcessPath.at_p` derives from
     the same sample. The prefix sums and the rescaled sample are taken at
-    construction; the node-grid numerator N, the largest window ranges of N
-    per delta grid, and the extremes of S_k and |S_k| for k = 1..n on first
-    read.
+    construction; the largest window ranges of S per delta grid, and the
+    extremes of S_k and |S_k| for k = 1..n on first read.
     """
 
     def __init__(self, values: np.ndarray):
@@ -163,13 +162,6 @@ class _Prefix:
         self._ranges: dict[tuple, tuple[float, ...]] = {}
 
     @cached_property
-    def numerator(self) -> np.ndarray:
-        """N(k/n) = V Y(k/n) for k = 0..n, read-only: `y_path`'s numerator through the index cached per n."""
-        numerator = _numerator(self.sums, self.values, *_node_index(self.values.size))
-        numerator.flags.writeable = False
-        return numerator
-
-    @cached_property
     def sum_extremes(self) -> tuple[np.float64, np.float64, np.ndarray]:
         """(max S_k, max |S_k|, |S_k|) over k = 1..n."""
         s = self.sums[1:]
@@ -177,11 +169,11 @@ class _Prefix:
         return s.max(), a.max(), a
 
     def ranges(self, deltas: tuple) -> tuple[float, ...]:
-        """The largest range of N over the windows of each delta, once per delta grid."""
+        """The largest range of S over the windows of each delta, once per delta grid."""
         ranges = self._ranges.get(deltas)
         if ranges is None:
             with np.errstate(over="ignore"):  # an overflowing range is `_divided_ranges`' to handle
-                ranges = self._ranges[deltas] = _max_oscillations(self.numerator, deltas)
+                ranges = self._ranges[deltas] = _max_oscillations(self.sums, deltas)
         return ranges
 
 
@@ -191,9 +183,9 @@ class ProcessPath:
 
     Holds the sample as a float64 array and the reductions every statistic
     of the path reads: the prefix sums S_0..S_n, the rescaled sample with its
-    power sums, the normalizer V_{n,p}, and, on first use, the numerator
-    N = V Y on the node grid, its largest window ranges per delta, and the
-    extremes of S_k and |S_k|. Of these only V_{n,p} depends on p: `at_p`
+    power sums, the normalizer V_{n,p}, and, on first use, the largest
+    window ranges of S per delta and the extremes of S_k and |S_k|. Y on
+    the node grid k/n is S_k/V. Of these only V_{n,p} depends on p: `at_p`
     gives the same sample's path at another p, sharing the rest, and each
     statistic divides by its own V last.
     """
@@ -234,14 +226,14 @@ class ProcessPath:
 
 
 def _endpoint(path: ProcessPath) -> float:
-    """Y_{n,p}(1) = N(1)/V, the last node of the grid: `y_at(path, 1.0)` bit for bit."""
-    return float(path._prefix.numerator[-1] / path.v)
+    """Y_{n,p}(1) = S_n/V, the last node of the grid: `y_at(path, 1.0)` bit for bit."""
+    return float(path.sums[-1] / path.v)
 
 
 def _node_oscillations(path: ProcessPath, deltas: tuple) -> tuple[float, ...]:
     """The modulus of continuity of Y on the node grid for each delta, from the prefix's shared ranges."""
     prefix = path._prefix
-    return _divided_ranges(prefix.numerator, deltas, prefix.ranges(deltas), path.v)
+    return _divided_ranges(prefix.sums, deltas, prefix.ranges(deltas), path.v)
 
 
 def y_at(path: ProcessPath, t: float) -> float:
@@ -258,13 +250,11 @@ def y_at(path: ProcessPath, t: float) -> float:
 def y_path(path: ProcessPath, grid) -> np.ndarray:
     """Y_{n,p}(t) = S_[nt]/V + (nt - [nt]) X_{[nt]+1}/V on an increasing grid in [0, 1].
 
-    At t = 1 the interpolation term is zero by convention. On the node grid
-    t = k/n the value is not S_k/V at every node: n (k/n) != k in floating
-    point at 35 of the 4 001 nodes at n = 4 000 and at 175 of the 16 001 at
-    n = 16 000, and where it falls just below k the value is interpolated
-    from S_{k-1}. A path's shared numerator N = V Y on the node grid does
-    this arithmetic with a node-grid index cached per n, so N/V equals this
-    function on that grid bit for bit.
+    At t = 1 the interpolation term is zero by convention. The time is a
+    float: n (k/n) != k at 35 of the 4 001 nodes k/n at n = 4 000 and at 175
+    of the 16 001 at n = 16 000, and where it falls just below k the value
+    is interpolated from S_{k-1}, so this function on the node grid is not
+    S_k/V at every node. The scans read the node grid as S_k/V.
     """
     tg = np.asarray(grid, dtype=float)
     if tg.size == 0:
@@ -273,30 +263,12 @@ def y_path(path: ProcessPath, grid) -> np.ndarray:
         raise ParameterDomainError("grid points must lie in [0, 1]")
     if (tg[1:] <= tg[:-1]).any():
         raise ParameterDomainError("grid must be strictly increasing")
-    return _numerator(path.sums, path.values, *_grid_index(path.n, tg)) / path.v
-
-
-def _grid_index(n: int, tg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (k, frac, j) with nt = k + frac, k = [nt] capped at n, and j = min(k, n - 1):
-    # frac is 0 at k = n (t = 1), so X_n stands in for the missing X_{n+1}
+    # nt = k + frac with k = [nt] capped at n: frac is 0 at k = n (t = 1), so
+    # X_n stands in for the missing X_{n+1}
+    n = path.n
     nt = n * tg
     ks = np.minimum(nt.astype(int), n)
-    return ks, nt - ks, np.minimum(ks, n - 1)
-
-
-@lru_cache(maxsize=8)
-def _node_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # the node grid's index depends on n alone, so every replication shares it
-    index = _grid_index(n, np.arange(n + 1) / n)
-    for a in index:
-        a.flags.writeable = False
-    return index
-
-
-def _numerator(sums: np.ndarray, values: np.ndarray, ks: np.ndarray, frac: np.ndarray,
-               js: np.ndarray) -> np.ndarray:
-    # N(t) = V Y(t) = S_[nt] + (nt - [nt]) X_{[nt]+1}, the same for every p
-    return sums[ks] + frac * values[js]
+    return (path.sums[ks] + (nt - ks) * path.values[np.minimum(ks, n - 1)]) / path.v
 
 
 def _max_oscillations(y: np.ndarray, deltas) -> tuple[float, ...]:
@@ -342,20 +314,20 @@ def _max_oscillations(y: np.ndarray, deltas) -> tuple[float, ...]:
     return tuple(osc[w] for w in widths)
 
 
-def _divided_ranges(numerator: np.ndarray, deltas, ranges, v: float) -> tuple[float, ...]:
-    """The modulus of continuity of Y = N/V per delta, from `ranges`, N's largest window ranges.
+def _divided_ranges(sums: np.ndarray, deltas, ranges, v: float) -> tuple[float, ...]:
+    """The modulus of continuity of Y = S/V per delta, from `ranges`, S's largest window ranges.
 
-    V > 0 does not depend on t, so a window's range of Y is its range of N
-    divided by V, and the largest range of Y is R/V with R the largest of N.
+    V > 0 does not depend on t, so a window's range of Y is its range of S
+    divided by V, and the largest range of Y is R/V with R the largest of S.
     `_max_oscillations` gives fl(R), the correctly rounded R, since fl is
     monotone; each value is then one division, fl(fl(R)/V). Where one is not
-    finite, N holds a NaN or inf, or a range of N overflows where the range
-    of Y need not, and the exact pass over N/V runs instead.
+    finite, S holds a NaN or inf, or a range of S overflows where the range
+    of Y need not, and the exact pass over S/V runs instead.
     """
     osc = tuple(r / v for r in ranges)
     if all(map(math.isfinite, osc)):
         return osc
-    return _max_oscillations(numerator / v, deltas)
+    return _max_oscillations(sums / v, deltas)
 
 
 @dataclass(frozen=True)

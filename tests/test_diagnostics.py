@@ -104,32 +104,12 @@ def test_modulus_monotone_in_delta():
     assert all(a <= b + 1e-12 for a, b in zip(oms, oms[1:]))
 
 
-def test_modulus_refinement_consistent():
-    # knots already lie on the coarse grid; refining cannot change node values,
-    # only add interpolated points between them
-    x = sample_family(FamilySpec(kind="Gaussian"), SeededStream(37), 50)
-    path = ProcessPath(x, 2.0)
-    coarse = modulus_of_continuity(path, 0.2)
-    fine = modulus_of_continuity(path, 0.2, grid_refinement=4)
-    assert fine == pytest.approx(coarse, rel=1e-10)
-
-
 def test_modulus_domain():
     path = ProcessPath(np.array([1.0, 2.0]), 1.0)
     with pytest.raises(ParameterDomainError):
         modulus_of_continuity(path, 0.0)
     with pytest.raises(ParameterDomainError):
         modulus_of_continuity(path, 1.5)
-    with pytest.raises(ParameterDomainError):
-        modulus_of_continuity(path, 0.5, grid_refinement=0)
-
-
-@pytest.mark.parametrize("refinement", [1.5, 2.0, "2", None, -1])
-def test_modulus_refuses_refinement_that_is_not_a_positive_integer(refinement):
-    # 1.5 at n = 100 would build a 151-point grid that misses nodes k/n
-    x = sample_family(FamilySpec(kind="Gaussian"), SeededStream(43), 100)
-    with pytest.raises(ParameterDomainError, match="grid_refinement"):
-        modulus_of_continuity(ProcessPath(x, 2.0), 0.2, grid_refinement=refinement)
 
 
 def _brute_oscillations(y, deltas):
@@ -196,12 +176,12 @@ def _exact_ranges(y, deltas):
 
 @given(nonzero_arrays, delta_lists, st.floats(0.5, 2.0))
 @settings(max_examples=400, deadline=None)
-def test_modulus_is_the_largest_range_of_n_divided_by_v(values, deltas, p):
-    # the spec: fl(fl(R)/V), R the exact largest window range of the node-grid
-    # numerator N = V Y, once per delta grid for the scans and per delta for
-    # the public function; two roundings leave it within 2 ulps of R/V
+def test_modulus_is_the_largest_range_of_s_divided_by_v(values, deltas, p):
+    # the spec: fl(fl(R)/V), R the exact largest window range of the prefix
+    # sums S_k = V Y(k/n), once per delta grid for the scans and per delta
+    # for the public function; two roundings leave it within 2 ulps of R/V
     path = ProcessPath(values, p)
-    ranges = _exact_ranges(path._prefix.numerator, deltas)
+    ranges = _exact_ranges(path.sums, deltas)
     want = tuple(float(r) / path.v for r in ranges)
     assert [x.hex() for x in _node_oscillations(path, tuple(deltas))] == [x.hex() for x in want]
     assert [modulus_of_continuity(path, d).hex() for d in deltas] == [x.hex() for x in want]
@@ -210,24 +190,24 @@ def test_modulus_is_the_largest_range_of_n_divided_by_v(values, deltas, p):
 
 
 def test_modulus_where_n_is_large_against_its_ranges():
-    # N in [1e6, 1e6 + 1]: the pass over Y = N/V rounds each node near 3e5
-    # before subtracting and lands 699 051 ulps off 1/3; the range of N is exact
-    numerator, deltas, v = np.array([1e6, 1e6 + 1, 1e6 + 0.5]), (0.5,), 3.0
-    assert _divided_ranges(numerator, deltas, _max_oscillations(numerator, deltas), v) == (1 / 3,)
-    assert _ulps((1 / 3,), _max_oscillations(numerator / v, deltas)) > 699_000
+    # S in [1e6, 1e6 + 1]: the pass over Y = S/V rounds each node near 3e5
+    # before subtracting and lands 699 051 ulps off 1/3; the range of S is exact
+    sums, deltas, v = np.array([1e6, 1e6 + 1, 1e6 + 0.5]), (0.5,), 3.0
+    assert _divided_ranges(sums, deltas, _max_oscillations(sums, deltas), v) == (1 / 3,)
+    assert _ulps((1 / 3,), _max_oscillations(sums / v, deltas)) > 699_000
 
 
 def test_modulus_of_unit_steps_is_one_step_over_v():
-    # every window of one mesh step rises by exactly 1 in N; the exact pass
-    # over Y = N/V rounds k/V and (k - 1)/V apart and lands about 400 ulps off
+    # every window of one mesh step rises by exactly 1 in S; the exact pass
+    # over Y = S/V rounds k/V and (k - 1)/V apart and lands about 400 ulps off
     path = ProcessPath(np.ones(1000), 2.0)
     assert modulus_of_continuity(path, 1e-3) == 1.0 / path.v
     assert _node_oscillations(path, (1e-3, 0.5)) == (1.0 / path.v, 500.0 / path.v)
 
 
 def test_modulus_where_a_range_of_n_overflows_takes_the_exact_pass():
-    # N = 0.9e308 and -0.9e308 lie one window apart: their range overflows,
-    # the range of Y = N/V does not, and no overflow warning is raised
+    # S = 0.9e308 and -0.9e308 lie one window apart: their range overflows,
+    # the range of Y = S/V does not, and no overflow warning is raised
     path = ProcessPath(np.array([0.9e308, -1.0e308, -0.8e308, 1.0]), 2.0)
     assert modulus_of_continuity(path, 0.5) == 1.1499778169998915
     assert _node_oscillations(path, (1.0, 0.5)) == (1.1499778169998915,) * 2
@@ -245,30 +225,38 @@ def test_max_oscillations_edge_cases(y, deltas, want):
     assert _scipy_oscillations(y, deltas) == want
 
 
-@pytest.mark.parametrize("refinement", [1, 4])
-def test_modulus_matches_one_pass_over_delta_grid(refinement):
+def test_modulus_matches_one_pass_over_delta_grid():
     x = sample_family(FamilySpec(kind="SymStable", alpha=1.5), SeededStream(41), 500)
     path = ProcessPath(x, 1.5)
     deltas = ExperimentConfig.delta_grid
-    npts = refinement * x.size
-    grid = np.arange(npts + 1) / npts
-    # N = V Y on the refined grid, S_[nt] + (nt - [nt]) X_{[nt]+1}, and its window ranges
-    nt = x.size * grid
-    k = np.minimum(nt.astype(int), x.size)
-    numerator = path.sums[k] + (nt - k) * x[np.minimum(k, x.size - 1)]
-    oms = tuple(r / path.v for r in _scipy_oscillations(numerator, deltas))
-    assert oms == tuple(modulus_of_continuity(path, d, grid_refinement=refinement) for d in deltas)
-    assert _ulps(oms, _max_oscillations(y_path(path, grid), deltas)) <= 4
+    # the window ranges of S, Y's node grid times V, by the scipy filters
+    oms = tuple(r / path.v for r in _scipy_oscillations(path.sums, deltas))
+    assert oms == tuple(modulus_of_continuity(path, d) for d in deltas)
+    assert oms == _node_oscillations(path, deltas)
+    assert _ulps(oms, _max_oscillations(y_path(path, np.arange(x.size + 1) / x.size), deltas)) <= 4
 
 
-def test_import_leaves_scipy_ndimage_unloaded():
+def test_modulus_reads_the_node_grid_exactly():
+    # the largest one-step rise is the spike X_1001 = 1e12 = V, from S_1000 to
+    # S_1001; n (k/n) != k at k = 1001, and interpolating at that float time
+    # reads 0.1136 below S_1001, which would leave the modulus 512 ulps low
+    x = np.ones(4000)
+    x[1000] = 1e12
+    path = ProcessPath(x, 2.0)
+    assert modulus_of_continuity(path, 1 / 4000) == 1.0
+    assert 4000 * (1001 / 4000) != 1001
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.stats alone costs about 47 MB of resident memory
     import selfnorm
     src = str(Path(selfnorm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, selfnorm; print('scipy.ndimage' in sys.modules)"
+    heavy = ("scipy.ndimage", "scipy.stats", "scipy.integrate", "scipy.linalg")
+    code = f"import sys, selfnorm; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 @given(nonzero_arrays, st.floats(0.05, 1.0), st.floats(1.0, 2.0))

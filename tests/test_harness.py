@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -288,17 +289,17 @@ def test_regime_map_shares_draws_pool_and_oracles(monkeypatch):
 
 def test_one_reduction_per_replication_and_n(monkeypatch):
     # the path's prefix sums, its one rescaled sample, from which V_{n,p}
-    # and the three ratios are read, and its node-grid sums serve every p of
-    # the row and every scan, ek_functionals included
+    # and the three ratios are read, and the window ranges of its sums serve
+    # every p of the row and every scan, ek_functionals included
     sums = _counting(monkeypatch, "partial_sums", process)
     rescales = _counting(monkeypatch, "_Rescaled", process)
-    numerators = _counting(monkeypatch, "_numerator", process)
+    window_passes = _counting(monkeypatch, "_max_oscillations", process)
     rescales_in_diagnostics = _counting(monkeypatch, "_Rescaled", diagnostics)
     base = config(n_grid=(50, 100), reps=4, workers=1)
     regime_map(base, (1.5,), (1.5, 2.0))
     assert len(sums) == 4 * 2
     assert len(rescales) == 4 * 2
-    assert len(numerators) == 4 * 2
+    assert len(window_passes) == 4 * 2
     assert rescales_in_diagnostics == []
 
 
@@ -320,18 +321,38 @@ def test_regime_map_rows_share_the_seed_and_each_report_is_pure(workers):
         [blob(run_experiment(dataclasses.replace(r.config, workers=1))) for r in reports]
 
 
-def _load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _load(relpath: str, name: str):
+    path = Path(__file__).resolve().parents[1] / relpath
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_regime_map_script_passes_n_through_unchanged(monkeypatch, capsys):
+    script = _load("scripts/regime_map.py", "regime_map_script")
+    grids = []
+
+    def fake_map(base, alphas, ps):
+        grids.append(base.n_grid)
+        return [], {(a, p): "inconclusive" for a in alphas for p in ps}
+
+    monkeypatch.setattr(script, "regime_map", fake_map)
+    monkeypatch.setattr(sys, "argv", ["regime_map.py", "--n", "1e3,4e3", "--workers", "1"])
+    script.main()
+    assert grids == [(1000, 4000)]
+    # 100.7 is refused, not run at n = 100
+    monkeypatch.setattr(sys, "argv", ["regime_map.py", "--n", "100.7,200", "--workers", "1"])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2 and grids == [(1000, 4000)]
+    assert "n_grid must be an integer, got 100.7" in capsys.readouterr().err
+
+
 def test_benchmark_trace_installs_and_restores():
     # the benchmark's tracer rebinds layer names in harness and diagnostics;
     # each must still exist, be called through that name, and come back
-    tracing = _load_tracing()
+    tracing = _load("perfbench/tracing.py", "perfbench_tracing")
     bound = [(module, attr, getattr(module, attr))
              for module, table in ((harness, tracing._HARNESS_NAMES),
                                    (diagnostics, tracing._DIAGNOSTICS_NAMES))
@@ -376,6 +397,11 @@ def test_json_round_trip(tmp_path):
     assert back.config == dataclasses.replace(r.config, workers=1)
 
 
+def _edit_first_row(payload: dict, **edit) -> str:
+    first, *rest = payload["aggregates"]
+    return json.dumps({**payload, "aggregates": [{**first, **edit}, *rest]})
+
+
 @pytest.mark.parametrize("text", [
     lambda payload: "{}",
     lambda payload: "[]",
@@ -385,8 +411,15 @@ def test_json_round_trip(tmp_path):
     lambda payload: json.dumps({**payload, "config": {**payload["config"], "reps": 17}}),
     lambda payload: json.dumps({**payload, "regime_decision": "banana"}),
     lambda payload: json.dumps({**payload, "draw_count": -5}),
+    # one aggregate row edited: Python's json writes and reads the NaN literal
+    lambda payload: _edit_first_row(payload, value=math.nan),
+    lambda payload: _edit_first_row(payload, stderr=-1.0),
+    lambda payload: _edit_first_row(payload, reps=3),
+    lambda payload: _edit_first_row(payload, n=7),
+    lambda payload: _edit_first_row(payload, n=float(payload["aggregates"][0]["n"])),  # 50.0
 ], ids=["empty_object", "list", "malformed_json", "tampered_run_id", "edited_reps", "unknown_label",
-        "wrong_draw_count"])
+        "wrong_draw_count", "nan_value", "negative_stderr", "row_reps", "row_n_off_grid",
+        "row_n_not_int"])
 def test_read_report_refuses_what_is_not_its_own_payload(text, tmp_path):
     payload = report_payload(run_experiment(config()))
     dest = tmp_path / "r.json"

@@ -1,14 +1,14 @@
-"""The scans read one rescale and one node-grid numerator per prefix.
+"""The scans read one rescale and one set of prefix sums per prefix.
 
 Each (replication, n) builds one ProcessPath, and one more per further p
 of a regime_map row, sharing its reductions (`ProcessPath.at_p`); V_{n,p},
 max_ratio, darling_ratio and sum_sq_ratio come from the rescaled sample's
-power sums, Y(1) from the node-grid numerator N = V Y, the oscillations
-from N's largest window ranges divided by V, and the EK functionals from
-the shared extremes of S_k and |S_k|. These tests hold what the scans get
-to the public functions, and to a reference that rescales the sample anew
-for each statistic, bit for bit; the oscillations also lie within 4 ulps
-of the exact pass over every window of Y = N/V.
+power sums, Y(1) from S_n, the oscillations from the largest window ranges
+of S divided by V (Y(k/n) = S_k/V on the node grid), and the EK
+functionals from the shared extremes of S_k and |S_k|. These tests hold
+what the scans get to the public functions, and to a reference that
+rescales the sample anew for each statistic, bit for bit; the oscillations
+also lie within 4 ulps of the exact pass over every window of S/V.
 """
 import warnings
 
@@ -91,8 +91,7 @@ def test_scan_stats_equal_the_public_functions_bit_for_bit(family, p, n):
     got = {kind: harness._scan_stats(cfg, x, path) for kind, cfg in configs.items()}
 
     fresh = ProcessPath(x, p)
-    nodes = y_path(fresh, np.arange(n + 1) / n)
-    assert (path._prefix.numerator / path.v).tobytes() == nodes.tobytes()
+    nodes = fresh.sums / fresh.v  # Y(k/n) = S_k/V, divided anew
     old = _old_ratios(x, p, family.alpha)
     assert _hex([path.v, p_norm(x, p)]) == _hex([old["v"]] * 2)
 
@@ -102,7 +101,7 @@ def test_scan_stats_equal_the_public_functions_bit_for_bit(family, p, n):
     deltas = configs["tightness_scan"].delta_grid
     oms = [modulus_of_continuity(fresh, d) for d in deltas]
     assert _hex(got["tightness_scan"]) == _hex((darling_ratio(x), max_ratio(x, p), *oms))
-    ranges = _max_oscillations(path._prefix.numerator, deltas)
+    ranges = _max_oscillations(path.sums, deltas)
     assert _hex(got["tightness_scan"]) == _hex(
         (old["darling_ratio"], old["max_ratio"], *(r / old["v"] for r in ranges)))
     assert _ulps(got["tightness_scan"][2:], _max_oscillations(nodes, deltas)) <= 4
@@ -118,25 +117,28 @@ def test_scan_stats_equal_the_public_functions_bit_for_bit(family, p, n):
     assert set(path.rescaled._sums) == {p, 2.0, family.alpha}
 
 
-def test_node_grid_is_not_s_over_v_at_every_node():
-    # the counts the y_path docstring and the README state
+def test_the_scans_node_grid_is_s_over_v_at_every_node(monkeypatch):
+    # y_path's float time: n (k/n) != k at the counts its docstring and the
+    # README state, and there it may interpolate from S_{k-1}
     for n, inexact in ((1000, 0), (4000, 35), (16000, 175)):
         k = np.arange(n + 1)
         assert int(np.count_nonzero(n * (k / n) != k)) == inexact
     x = sample_family(FamilySpec(kind="SymStable", alpha=1.5), SeededStream(3), 4000)
     path = ProcessPath(x, 1.5)
-    assert not np.array_equal(path._prefix.numerator / path.v, path.sums / path.v)
-
-
-def test_node_index_is_built_once_per_n_and_read_only():
-    process._node_index.cache_clear()
-    family = FamilySpec(kind="SymStable", alpha=1.5)
-    paths = [ProcessPath(sample_family(family, SeededStream(5, rep), 300), 1.5) for rep in range(3)]
-    numerators = [path._prefix.numerator for path in paths]
-    assert process._node_index.cache_info().misses == 1
-    assert numerators[0] is paths[0]._prefix.numerator  # memoised on the path
-    for array in (*process._node_index(300), numerators[0]):
-        assert not array.flags.writeable
+    k = np.arange(x.size + 1)
+    exact = x.size * (k / x.size) == k
+    nodes, s = y_path(path, k / x.size), path.sums / path.v
+    assert nodes[exact].tobytes() == s[exact].tobytes()
+    assert not np.array_equal(nodes, s)
+    # the scans read S_k itself: the window pass runs on the path's sums
+    seen = []
+    exact_pass = process._max_oscillations
+    monkeypatch.setattr(process, "_max_oscillations", lambda y, d: seen.append(y) or exact_pass(y, d))
+    deltas = ExperimentConfig.delta_grid
+    assert _hex(process._node_oscillations(path, deltas)) == \
+        _hex([r / path.v for r in exact_pass(path.sums, deltas)])
+    assert len(seen) == 1 and seen[0] is path.sums
+    assert _hex([harness._endpoint(path)]) == _hex([s[-1]])
 
 
 def test_edge_behaviour_of_the_shared_rescale():
@@ -191,8 +193,7 @@ def test_path_at_another_p_equals_a_fresh_path_bit_for_bit(family, p, n):
     assert path.values is first.values and path.sums is first.sums
     assert path.rescaled is first.rescaled and path._prefix is first._prefix
     assert _hex([path.v]) == _hex([fresh.v])
-    assert path._prefix.numerator.tobytes() == fresh._prefix.numerator.tobytes()
-    assert not path._prefix.numerator.flags.writeable
+    assert path.sums.tobytes() == fresh.sums.tobytes()
     cfg = _scan_configs(family, p, n)
     assert [_hex(harness._scan_stats(c, x, path)) for c in cfg.values()] == \
         [_hex(harness._scan_stats(c, x, fresh)) for c in cfg.values()]
@@ -208,8 +209,8 @@ def test_path_at_another_p_refuses_what_a_fresh_path_refuses():
         zeros.at_p(1.5)
 
 
-# (hi_a, lo_a, hi_b, lo_b, V), found by search: window b's range of N is 3.0
-# to 3.5 u max|N| below window a's, yet the exact pass over Y = N/V rounds
+# (hi_a, lo_a, hi_b, lo_b, V), found by search: window b's range of S is 3.0
+# to 3.5 u max|S| below window a's, yet the exact pass over Y = S/V rounds
 # its range of Y above a's
 ROUNDING_WINS = [
     ("0x1.35f9027675f72p+0", "-0x1.9d8498b626997p-1", "0x1.b3ee868dae800p-1",
@@ -230,50 +231,50 @@ def test_the_largest_range_of_n_gives_the_modulus_where_rounding_favours_another
     hi_a, lo_a, hi_b, lo_b, v = (float.fromhex(h) for h in case)
     assert hi_b - lo_b < hi_a - lo_a and hi_b / v - lo_b / v > hi_a / v - lo_a / v
     # width-one windows; those through the middle value span about half the range
-    numerator = np.array([lo_a, hi_a, (hi_a + lo_b) / 2, lo_b, hi_b])
+    sums = np.array([lo_a, hi_a, (hi_a + lo_b) / 2, lo_b, hi_b])
     deltas = (0.25,)
-    got = process._divided_ranges(numerator, deltas, _max_oscillations(numerator, deltas), v)
+    got = process._divided_ranges(sums, deltas, _max_oscillations(sums, deltas), v)
     assert _hex(got) == _hex([(hi_a - lo_a) / v])
     # the exact pass over Y reads window b, within 4 ulps
-    exact_pass = _max_oscillations(numerator / v, deltas)
+    exact_pass = _max_oscillations(sums / v, deltas)
     assert _hex(exact_pass) == _hex([hi_b / v - lo_b / v])
     assert _ulps(got, exact_pass) <= 4
 
 
-def _brute_ranges(numerator, deltas):
-    # max - min over every window of N, one width at a time
+def _brute_ranges(sums, deltas):
+    # max - min over every window of S, one width at a time
     out = []
     for d in deltas:
-        w = int(np.floor(d * (numerator.size - 1) + 1e-9))
-        out.append(max(numerator[j:j + w + 1].max() - numerator[j:j + w + 1].min()
-                       for j in range(numerator.size - w)))
+        w = int(np.floor(d * (sums.size - 1) + 1e-9))
+        out.append(max(sums[j:j + w + 1].max() - sums[j:j + w + 1].min()
+                       for j in range(sums.size - w)))
     return out
 
 
-@pytest.mark.parametrize("numerator, v, falls_back", [
+@pytest.mark.parametrize("sums, v, falls_back", [
     ([0.0, 1.0, -0.5, 2.0], 3.0, False),
-    ([0.0, np.nan, 1.0], 1.0, True),  # N is not finite
+    ([0.0, np.nan, 1.0], 1.0, True),  # S is not finite
     ([0.0, np.inf, 1.0], 1.0, True),
     ([0.0, 1.5e308, -1.5e308], 1.0, True),  # a window's range overflows
     ([0.0, 1.0, -0.5, 2.0], np.inf, False),  # V is not finite: every R/V is 0
-    ([0.0, 1.0, -0.5, 2.0], 1e300, False),  # N/V is small but normal
+    ([0.0, 1.0, -0.5, 2.0], 1e300, False),  # S/V is small but normal
     ([0.0, 1.0, -0.5, 2.0], 2.0**1022 * 1.5, False),  # R/V underflows
-    ([-0.0, 0.0, -0.0, -0.0], 1.0, False),  # N is all zeros
-    ([-0.0, 1e-320, -1e-320, 0.0], 1.0, False),  # N is subnormal
+    ([-0.0, 0.0, -0.0, -0.0], 1.0, False),  # S is all zeros
+    ([-0.0, 1e-320, -1e-320, 0.0], 1.0, False),  # S is subnormal
     ([3.0, 3.0, 3.0, 3.0], 1.0, False),  # the largest range is 0
     ([-0.0, -1e-300, -0.0, -1e-300], 1e10, False),  # R/V is subnormal
 ])
-def test_divided_ranges_at_the_edges(numerator, v, falls_back, monkeypatch):
-    # only a range divided by V that is not finite sends the exact pass over N/V
-    numerator = np.array(numerator)
+def test_divided_ranges_at_the_edges(sums, v, falls_back, monkeypatch):
+    # only a range divided by V that is not finite sends the exact pass over S/V
+    sums = np.array(sums)
     deltas = (1.0, 0.5, 0.34, 0.2)
     calls = []
     exact = process._max_oscillations
     with np.errstate(all="ignore"):
-        ranges = exact(numerator, deltas)
-        want = exact(numerator / v, deltas) if falls_back else [r / v for r in _brute_ranges(numerator, deltas)]
+        ranges = exact(sums, deltas)
+        want = exact(sums / v, deltas) if falls_back else [r / v for r in _brute_ranges(sums, deltas)]
         monkeypatch.setattr(process, "_max_oscillations", lambda *a: calls.append(a) or exact(*a))
-        assert _hex(process._divided_ranges(numerator, deltas, ranges, v)) == _hex(want)
+        assert _hex(process._divided_ranges(sums, deltas, ranges, v)) == _hex(want)
     assert len(calls) == falls_back
 
 
@@ -301,8 +302,8 @@ def test_path_oscillations_and_ek_at_the_edges(values, p):
     fresh_at_p = ProcessPath(x, 2.0 if p != 2.0 else 1.0).at_p(p)
     deltas = (0.5, 0.2, 0.1, 0.05, 1.0, 1e-3)  # widths below one mesh step give 0.0
     with np.errstate(all="ignore"):
-        nodes = y_path(path, np.arange(x.size + 1) / x.size)
-        want = [r / path.v for r in _max_oscillations(path._prefix.numerator, deltas)]
+        nodes = path.sums / path.v  # Y(k/n) = S_k/V, divided anew
+        want = [r / path.v for r in _max_oscillations(path.sums, deltas)]
         assert _hex(process._node_oscillations(path, deltas)) == _hex(want)
         assert _hex(process._node_oscillations(fresh_at_p, deltas)) == _hex(want)
         assert _hex([modulus_of_continuity(path, d) for d in deltas]) == _hex(want)
