@@ -236,15 +236,16 @@ def test_modulus_matches_one_pass_over_delta_grid():
     assert _ulps(oms, _max_oscillations(y_path(path, np.arange(x.size + 1) / x.size), deltas)) <= 4
 
 
-def test_modulus_reads_the_node_grid_exactly():
+@pytest.mark.parametrize("n", [4000, 16000])
+def test_modulus_reads_the_node_grid_exactly(n):
     # the largest one-step rise is the spike X_1001 = 1e12 = V, from S_1000 to
     # S_1001; n (k/n) != k at k = 1001, and interpolating at that float time
     # reads 0.1136 below S_1001, which would leave the modulus 512 ulps low
-    x = np.ones(4000)
+    x = np.ones(n)
     x[1000] = 1e12
     path = ProcessPath(x, 2.0)
-    assert modulus_of_continuity(path, 1 / 4000) == 1.0
-    assert 4000 * (1001 / 4000) != 1001
+    assert modulus_of_continuity(path, 1 / n) == 1.0
+    assert n * (1001 / n) != 1001
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():

@@ -117,7 +117,7 @@ def test_scan_stats_equal_the_public_functions_bit_for_bit(family, p, n):
     assert set(path.rescaled._sums) == {p, 2.0, family.alpha}
 
 
-def test_the_scans_node_grid_is_s_over_v_at_every_node(monkeypatch):
+def test_node_grid_is_not_s_over_v_at_every_node():
     # y_path's float time: n (k/n) != k at the counts its docstring and the
     # README state, and there it may interpolate from S_{k-1}
     for n, inexact in ((1000, 0), (4000, 35), (16000, 175)):
@@ -130,7 +130,13 @@ def test_the_scans_node_grid_is_s_over_v_at_every_node(monkeypatch):
     nodes, s = y_path(path, k / x.size), path.sums / path.v
     assert nodes[exact].tobytes() == s[exact].tobytes()
     assert not np.array_equal(nodes, s)
+
+
+def test_the_scans_node_grid_is_s_over_v_at_every_node(monkeypatch):
     # the scans read S_k itself: the window pass runs on the path's sums
+    x = sample_family(FamilySpec(kind="SymStable", alpha=1.5), SeededStream(3), 4000)
+    path = ProcessPath(x, 1.5)
+    s = path.sums / path.v
     seen = []
     exact_pass = process._max_oscillations
     monkeypatch.setattr(process, "_max_oscillations", lambda y, d: seen.append(y) or exact_pass(y, d))
