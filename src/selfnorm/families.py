@@ -52,6 +52,14 @@ FAMILY_KINDS = ("SymStable", "SymPareto", "Gaussian", "StudentT")
 # variates per block of the SymStable and SymPareto samplers: 256 KiB of
 # uniforms and 128 KiB per temporary, so a block stays in a 2 MiB L2
 _BLOCK = 2**14
+# float64 values of scratch a blocked sampler writes its temporaries to: a
+# block's (variate, 2) uniforms and three transform temporaries
+_SCRATCH_SIZE = 5 * _BLOCK
+
+
+def _block_scratch(scratch: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """The (m, 2) uniforms and three length-m temporaries of one block, as views of scratch."""
+    return (scratch[:2 * m].reshape(m, 2), *(scratch[k * m:(k + 1) * m] for k in (2, 3, 4)))
 
 
 @dataclass(frozen=True)
@@ -116,26 +124,32 @@ def sample_sym_stable(alpha: float, stream: SeededStream, n: int, scale: float =
     if not 0 < alpha <= 2:
         raise ParameterDomainError(f"stable index must lie in (0, 2], got {alpha}")
     _check_n_scale(n, scale)
-    g = stream.generator()
-    e = (1.0 - alpha) / alpha
     x = np.empty(n)
-    for lo in range(0, n, _BLOCK):
+    _fill_sym_stable(alpha, stream.generator(), x, scale, np.empty(_SCRATCH_SIZE))
+    return x
+
+
+def _fill_sym_stable(alpha: float, g: np.random.Generator, x: np.ndarray, scale: float,
+                     scratch: np.ndarray) -> None:
+    e = (1.0 - alpha) / alpha
+    for lo in range(0, x.size, _BLOCK):
         seg = x[lo:lo + _BLOCK]
-        u = g.random((len(seg), 2))
-        theta = np.subtract(u[:, 0], 0.5)
+        u, theta, c, c3 = _block_scratch(scratch, len(seg))
+        g.random(out=u)
+        np.subtract(u[:, 0], 0.5, out=theta)
         theta *= np.pi
         if alpha == 1.0:
             np.tan(theta, out=seg)  # the whole transform; W's uniform is drawn and unused
             continue
         np.multiply(alpha, theta, out=seg)
         np.sin(seg, out=seg)
-        c = np.cos(theta)
-        # at alpha = 2, (1 - alpha) T = -T exactly and cos(-T) == cos(T) bit for bit
-        c3 = c.copy() if alpha == 2.0 else None
+        np.cos(theta, out=c)
+        if alpha == 2.0:
+            np.copyto(c3, c)  # (1 - alpha) T = -T exactly and cos(-T) == cos(T) bit for bit
         c **= 1.0 / alpha
         seg /= c
-        if c3 is None:
-            c3 = np.multiply(1.0 - alpha, theta, out=c)
+        if alpha != 2.0:
+            np.multiply(1.0 - alpha, theta, out=c3)
             np.cos(c3, out=c3)
         w = np.negative(u[:, 1], out=theta)  # theta is spent: W takes its buffer
         np.log1p(w, out=w)
@@ -145,7 +159,6 @@ def sample_sym_stable(alpha: float, stream: SeededStream, n: int, scale: float =
         seg *= c3
     if scale != 1.0:  # x * 1.0 == x for every float: skip the pass
         x *= scale
-    return x
 
 
 def sample_sym_pareto(alpha: float, stream: SeededStream, n: int, scale: float = 1.0) -> np.ndarray:
@@ -157,17 +170,22 @@ def sample_sym_pareto(alpha: float, stream: SeededStream, n: int, scale: float =
     if not (np.isfinite(alpha) and alpha > 0):
         raise ParameterDomainError(f"tail index must be positive, got {alpha}")
     _check_n_scale(n, scale)
-    g = stream.generator()
     x = np.empty(n)
-    for lo in range(0, n, _BLOCK):
+    _fill_sym_pareto(alpha, stream.generator(), x, scale, np.empty(_SCRATCH_SIZE))
+    return x
+
+
+def _fill_sym_pareto(alpha: float, g: np.random.Generator, x: np.ndarray, scale: float,
+                     scratch: np.ndarray) -> None:
+    for lo in range(0, x.size, _BLOCK):
         seg = x[lo:lo + _BLOCK]
-        u = g.random((len(seg), 2))
+        u = _block_scratch(scratch, len(seg))[0]
+        g.random(out=u)
         np.subtract(1.0, u[:, 0], out=seg)
         seg **= -1.0 / alpha
         np.negative(seg, out=seg, where=u[:, 1] < 0.5)
     if scale != 1.0:
         x *= scale
-    return x
 
 
 def _box_muller(g: np.random.Generator, n: int) -> np.ndarray:
@@ -184,7 +202,13 @@ def _box_muller(g: np.random.Generator, n: int) -> np.ndarray:
 def sample_gaussian(stream: SeededStream, n: int, scale: float = 1.0) -> np.ndarray:
     """Standard normal sample (times scale) by the Box-Muller transform."""
     _check_n_scale(n, scale)
-    return scale * _box_muller(stream.generator(), n)
+    x = np.empty(n)
+    _fill_gaussian(stream.generator(), x, scale)
+    return x
+
+
+def _fill_gaussian(g: np.random.Generator, x: np.ndarray, scale: float) -> None:
+    np.multiply(scale, _box_muller(g, x.size), out=x)
 
 
 def sample_student_t(nu: float, stream: SeededStream, n: int, scale: float = 1.0) -> np.ndarray:
@@ -197,20 +221,39 @@ def sample_student_t(nu: float, stream: SeededStream, n: int, scale: float = 1.0
     if not (np.isfinite(nu) and nu > 0):
         raise ParameterDomainError(f"degrees of freedom must be positive, got {nu}")
     _check_n_scale(n, scale)
-    g = stream.generator()
-    z = _box_muller(g, n)
-    q = g.chisquare(nu, n)
-    return scale * z / np.sqrt(q / nu)
+    x = np.empty(n)
+    _fill_student_t(nu, stream.generator(), x, scale)
+    return x
+
+
+def _fill_student_t(nu: float, g: np.random.Generator, x: np.ndarray, scale: float) -> None:
+    z = _box_muller(g, x.size)
+    q = g.chisquare(nu, x.size)
+    np.divide(scale * z, np.sqrt(q / nu), out=x)
 
 
 def sample_family(spec: FamilySpec, stream: SeededStream, n: int) -> np.ndarray:
     """Draw X_1..X_n i.i.d. from the declared family as a float64 array; pure in (spec, stream, n)."""
     if not isinstance(spec, FamilySpec):
         raise ParameterDomainError(f"spec must be a FamilySpec, got {type(spec).__name__}")
+    _check_n_scale(n, spec.scale)
+    x = np.empty(n)
+    _sample_into(spec, stream, x, np.empty(_SCRATCH_SIZE))
+    return x
+
+
+def _sample_into(spec: FamilySpec, stream: SeededStream, x: np.ndarray, scratch: np.ndarray) -> None:
+    """Write `sample_family(spec, stream, x.size)` over all of x, bit for bit.
+
+    `scratch` holds at least _SCRATCH_SIZE float64 values, which the blocked
+    samplers overwrite with their block temporaries.
+    """
+    g = stream.generator()
     if spec.kind == "SymStable":
-        return sample_sym_stable(spec.alpha, stream, n, spec.scale)
-    if spec.kind == "SymPareto":
-        return sample_sym_pareto(spec.alpha, stream, n, spec.scale)
-    if spec.kind == "Gaussian":
-        return sample_gaussian(stream, n, spec.scale)
-    return sample_student_t(spec.alpha, stream, n, spec.scale)
+        _fill_sym_stable(float(spec.alpha), g, x, spec.scale, scratch)
+    elif spec.kind == "SymPareto":
+        _fill_sym_pareto(float(spec.alpha), g, x, spec.scale, scratch)
+    elif spec.kind == "Gaussian":
+        _fill_gaussian(g, x, spec.scale)
+    else:
+        _fill_student_t(float(spec.alpha), g, x, spec.scale)

@@ -41,7 +41,9 @@ from .diagnostics import (  # noqa: F401
     sum_sq_ratio,
 )
 from .errors import ConfigError, MissingStatisticsError, NonFiniteSampleError, ParameterDomainError
-from .families import FamilySpec, sample_family
+# sample_family is not called here (each worker block draws over buffers it
+# owns, `_sample_into`), but stays bound for the benchmark's tracer
+from .families import _SCRATCH_SIZE, FamilySpec, _sample_into, sample_family  # noqa: F401
 from .limits import (  # noqa: F401
     brownian_functional_oracle,
     dispersion_matrix,
@@ -99,6 +101,8 @@ REGIME_SCAN_KINDS = ("degenerate_scan", "tightness_scan", "ek_functionals")
 
 CHF_U_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 CHF_W_GRID = (0.0, 0.5, 1.0)
+# the KS distances of the four path functionals to their laws G1..G4
+_EK_STATISTICS = ("ks_max_g1", "ks_max_abs_g2", "ks_mean_sq_g3", "ks_mean_abs_g4")
 
 # canonical Brownian table build: 1e5 paths of 1e4 steps, fixed seed, one
 # stream index per functional kind. The statistics compare against exact
@@ -292,7 +296,7 @@ def report_payload(report: ExperimentReport) -> dict:
 # max |S_k| and |S_k|. Per p, a scan divides only what it reads by V: the
 # endpoint S_n, one range per delta, and |S_k| for the EK means.
 
-def _scan_stats(config: ExperimentConfig, x: np.ndarray, path) -> tuple[float, ...]:
+def _scan_stats(config: ExperimentConfig, x: np.ndarray, path, scratch: np.ndarray) -> tuple[float, ...]:
     kind = config.experiment
     if kind == "degenerate_scan":
         # a tail index above 2 (StudentT, SymPareto) puts the family in DA(2)
@@ -307,20 +311,23 @@ def _scan_stats(config: ExperimentConfig, x: np.ndarray, path) -> tuple[float, .
         oms = _node_oscillations(path, config.delta_grid)
         return (path.rescaled.darling_ratio(), path.rescaled.max_ratio(config.p), *oms)
     # chf_compare: the pair (S_n / n^{1/a}, V^p / n^{p/a}), scaled before
-    # summing so heavy-tailed powers cannot overflow; |xs|^p is taken in
-    # place on the one scaled copy (the same ufuncs as np.abs(xs) ** p), and
-    # each sum runs over a whole array, so neither reduction order changes
-    xs = x / float(x.size) ** (1.0 / config.family.alpha)
+    # summing so heavy-tailed powers cannot overflow. The scaled sample goes
+    # to the block's scratch buffer, never over the draw, whose longer
+    # prefixes the next n reads; |xs|^p is taken in place there (the same
+    # ufuncs as np.abs(xs) ** p), and each sum runs over a whole contiguous
+    # array, so neither reduction order changes
+    xs = np.divide(x, float(x.size) ** (1.0 / config.family.alpha), out=scratch[:x.size])
     s = float(np.sum(xs))
     np.abs(xs, out=xs)
     xs **= config.p
     return (s, float(np.sum(xs)))
 
 
-def _rep_stats(cell: tuple[ExperimentConfig, ...], rep: int) -> list[list[tuple[float, ...]]]:
-    """Statistics of one replication, indexed [n][scan]."""
+def _rep_stats(cell: tuple[ExperimentConfig, ...], rep: int, full: np.ndarray,
+               scratch: np.ndarray) -> list[list[tuple[float, ...]]]:
+    """Statistics of one replication, drawn over `full`, indexed [n][scan]."""
     config = cell[0]
-    full = sample_family(config.family, SeededStream(config.master_seed, rep), config.n_grid[-1])
+    _sample_into(config.family, SeededStream(config.master_seed, rep), full, scratch)
     if not np.isfinite(full).all():
         # name the smallest n whose prefix holds the first non-finite draw
         first = int(np.argmin(np.isfinite(full)))
@@ -333,7 +340,7 @@ def _rep_stats(cell: tuple[ExperimentConfig, ...], rep: int) -> list[list[tuple[
         paths: dict[float, ProcessPath] = {}
         for p in path_ps:
             paths[p] = paths[path_ps[0]].at_p(p) if paths else ProcessPath(x, p)
-        stats = [_scan_stats(c, x, paths.get(c.p)) for c in cell]
+        stats = [_scan_stats(c, x, paths.get(c.p), scratch) for c in cell]
         bad = [c.experiment for c, row in zip(cell, stats) if not all(map(math.isfinite, row))]
         if bad:
             raise _non_finite(config, rep, n, f"statistic in {', '.join(bad)}")
@@ -354,9 +361,17 @@ def _block_stats(cell: tuple[ExperimentConfig, ...], lo: int, hi: int) -> list[l
     so a block never holds them as Python floats, and a pool worker sends
     back arrays.
     """
+    # Every replication of the block draws over `full`, one buffer of the
+    # largest n. The sampler writes its block temporaries to `scratch`, and
+    # chf_compare then scales each prefix there. Neither buffer goes back to
+    # the allocator between replications, so no replication refaults their
+    # pages. No ProcessPath may outlive its replication: its `values` are a
+    # view of `full`.
+    n = cell[0].n_grid[-1]
+    full, scratch = np.empty(n), np.empty(max(n, _SCRATCH_SIZE))
     out: list[list[np.ndarray]] = []
     for i, rep in enumerate(range(lo, hi)):
-        stats = _rep_stats(cell, rep)
+        stats = _rep_stats(cell, rep, full, scratch)
         if not out:
             out = [[np.empty((hi - lo, len(row[k]))) for row in stats] for k in range(len(cell))]
         for j, row in enumerate(stats):
@@ -418,61 +433,63 @@ def _ks_crit(reps: int) -> float:
     return 1.36 / math.sqrt(reps)
 
 
+def _statistics(config: ExperimentConfig, lagged: bool) -> list[str]:
+    """The statistics of one n's aggregate rows, in the order they are written.
+
+    `lagged` is false at the first n of the grid, which has no previous n to
+    compare with.
+    """
+    kind = config.experiment
+    if kind == "degenerate_scan":
+        return ["mean_sq_self_norm", "exceedance", "mean_sum_sq_ratio"]
+    if kind == "ek_functionals":
+        return list(_EK_STATISTICS)
+    if kind == "fdd_covariance":
+        ts = config.t_grid
+        return [*(f"cov_t{ti:g}_t{tj:g}" for i, ti in enumerate(ts) for tj in ts[i:]), "cov_dev_max"]
+    if kind == "tightness_scan":
+        return ["darling_median", "mr_median", *(f"omega_exceed_d{d:g}" for d in config.delta_grid),
+                *(("darling_ks_prev", "mr_ks_prev") if lagged else ())]
+    return [*(f"chf_abs_err_u{u:g}_w{w:g}" for u in CHF_U_GRID for w in CHF_W_GRID), "chf_abs_err_max"]
+
+
 def _aggregate_rows(config: ExperimentConfig, n: int, slots: np.ndarray,
                     prev: np.ndarray | None) -> list[AggregateRow]:
-    # prev: the previous n's slots (None at the first n), for the lagged KS rows
+    # prev: the previous n's slots (None at the first n), for the lagged KS rows;
+    # each (value, stderr) is written under its name of `_statistics`
     reps = config.reps
     kind = config.experiment
-    rows: list[AggregateRow] = []
-
-    def add(stat: str, value: float, stderr: float | None):
-        rows.append(AggregateRow(n=n, statistic=stat, value=value, stderr=stderr, reps=reps))
-
     if kind == "degenerate_scan":
         snv, ssr = slots[:, 0], slots[:, 1]
-        add("mean_sq_self_norm", *_mean_se(snv * snv))
         phat = float(np.mean(np.abs(snv) > config.epsilon))
-        add("exceedance", phat, _binom_se(phat, reps))
-        add("mean_sum_sq_ratio", *_mean_se(ssr))
+        values = [_mean_se(snv * snv), (phat, _binom_se(phat, reps)), _mean_se(ssr)]
     elif kind == "ek_functionals":
         laws = (g1_law(), g2_law(), g3_law(), g4_law())
-        names = ("ks_max_g1", "ks_max_abs_g2", "ks_mean_sq_g3", "ks_mean_abs_g4")
-        for col, (name, law) in enumerate(zip(names, laws)):
-            add(name, ks_statistic(slots[:, col], law), _ks_crit(reps))
+        values = [(ks_statistic(slots[:, col], law), _ks_crit(reps)) for col, law in enumerate(laws)]
     elif kind == "fdd_covariance":
         disp = dispersion_matrix(config.t_grid)
         centered = slots - slots.mean(axis=0)
         emp = centered.T @ centered / (reps - 1)
-        for i, ti in enumerate(config.t_grid):
-            for j in range(i, len(config.t_grid)):
-                tj = config.t_grid[j]
-                prod = centered[:, i] * centered[:, j]
-                se = float(prod.std(ddof=1) / math.sqrt(reps))
-                add(f"cov_t{ti:g}_t{tj:g}", float(emp[i, j]), se)
-        add("cov_dev_max", float(np.abs(emp - disp).max()), None)
+        k = len(config.t_grid)
+        values = [(float(emp[i, j]), float((centered[:, i] * centered[:, j]).std(ddof=1) / math.sqrt(reps)))
+                  for i in range(k) for j in range(i, k)]
+        values.append((float(np.abs(emp - disp).max()), None))
     elif kind == "tightness_scan":
-        add("darling_median", *_median_se(slots[:, 0]))
-        add("mr_median", *_median_se(slots[:, 1]))
-        for col, delta in enumerate(config.delta_grid):
+        values = [_median_se(slots[:, 0]), _median_se(slots[:, 1])]
+        for col in range(len(config.delta_grid)):
             phat = float(np.mean(slots[:, 2 + col] > config.epsilon))
-            add(f"omega_exceed_d{delta:g}", phat, _binom_se(phat, reps))
+            values.append((phat, _binom_se(phat, reps)))
         if prev is not None:
             ks_se = _ks_crit(reps) * math.sqrt(2.0)
-            add("darling_ks_prev", ks_two_sample(prev[:, 0], slots[:, 0]), ks_se)
-            add("mr_ks_prev", ks_two_sample(prev[:, 1], slots[:, 1]), ks_se)
+            values += [(ks_two_sample(prev[:, col], slots[:, col]), ks_se) for col in (0, 1)]
     else:  # chf_compare
         tails = tail_constants(config.family)
-        alpha = config.family.alpha
-        worst = 0.0
-        for u in CHF_U_GRID:
-            for w in CHF_W_GRID:
-                emp = empirical_chf(slots, (u, w))
-                theory = limit_chf(u, w, alpha, config.p, tails)
-                err = abs(emp - theory)
-                worst = max(worst, err)
-                add(f"chf_abs_err_u{u:g}_w{w:g}", err, 1.0 / math.sqrt(reps))
-        add("chf_abs_err_max", worst, None)
-    return rows
+        values = [(abs(empirical_chf(slots, (u, w)) - limit_chf(u, w, config.family.alpha, config.p, tails)),
+                   1.0 / math.sqrt(reps))
+                  for u in CHF_U_GRID for w in CHF_W_GRID]
+        values.append((max(err for err, _ in values), None))
+    return [AggregateRow(n=n, statistic=name, value=value, stderr=stderr, reps=reps)
+            for name, (value, stderr) in zip(_statistics(config, prev is not None), values, strict=True)]
 
 
 def _report(config: ExperimentConfig, slots: list[np.ndarray], thresholds: dict) -> ExperimentReport:
@@ -558,7 +575,6 @@ class _Clause(NamedTuple):
 
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-_EK_STATISTICS = ("ks_max_g1", "ks_max_abs_g2", "ks_mean_sq_g3", "ks_mean_abs_g4")
 
 
 def _decide(aggregates, thresholds: dict) -> tuple[str, list[_Clause]]:
@@ -657,9 +673,10 @@ def read_report(path) -> ExperimentReport:
     payload, or whose run_id, label, draw count or aggregate rows are not
     what its own config gives, raises ConfigError: the run_id is the
     config's hash, a regime scan's label one of the four, any other scan's
-    inconclusive, the draw count reps x sum(n_grid), and each row has an
-    integer n of n_grid, the config's reps, a finite value, and a stderr
-    that is null or finite and >= 0.
+    inconclusive, the draw count reps x sum(n_grid), the rows' (n,
+    statistic) sequence the one the experiment writes for the config, and
+    each row has an integer n, the config's reps, a finite value, and a
+    stderr that is null or finite and >= 0.
     """
     try:
         data = Path(path).read_bytes()
@@ -698,10 +715,14 @@ def read_report(path) -> ExperimentReport:
     draws = config.reps * sum(config.n_grid)
     if type(report.draw_count) is not int or report.draw_count != draws:
         raise ConfigError(f"{path}: draw_count {report.draw_count!r} is not reps x sum(n_grid) = {draws}")
+    written = [(n, name) for i, n in enumerate(config.n_grid) for name in _statistics(config, i > 0)]
+    if [(row.n, row.statistic) for row in rows] != written:
+        raise ConfigError(f"{path}: the aggregate rows are not the {len(written)} (n, statistic) rows "
+                          f"that {config.experiment} writes for n_grid {config.n_grid}")
     for raw, row in zip(payload["aggregates"], rows):
         # n and reps are read as written, before AggregateRow casts them to int
-        if type(raw["n"]) is not int or raw["n"] not in config.n_grid:
-            raise ConfigError(f"{path}: aggregate n {raw['n']!r} is not an n of n_grid {config.n_grid}")
+        if type(raw["n"]) is not int:
+            raise ConfigError(f"{path}: aggregate n {raw['n']!r} of {row.statistic} is not an integer")
         if type(raw["reps"]) is not int or raw["reps"] != config.reps:
             raise ConfigError(f"{path}: aggregate reps {raw['reps']!r} of {row.statistic} at n = {row.n} "
                               f"is not the config's reps = {config.reps}")

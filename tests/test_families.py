@@ -163,17 +163,17 @@ def test_blocks_match_whole_array_transform(n, kind, alpha, scale):
 
 
 class _FixedUniforms:
-    # stands in for a stream: hands out the rows of u in order, block by block
+    # stands in for a stream: writes the rows of u in order, block by block,
+    # over the sampler's buffer of uniforms
     def __init__(self, u):
         self.u, self.next = u, 0
 
     def generator(self):
         return self
 
-    def random(self, shape):
-        rows = self.u[self.next:self.next + shape[0]]
-        self.next += shape[0]
-        return rows
+    def random(self, *, out):
+        out[...] = self.u[self.next:self.next + len(out)]
+        self.next += len(out)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is no wider than float64")

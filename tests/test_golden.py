@@ -8,12 +8,14 @@ regenerates the files with
     PYTHONPATH=src python tests/test_golden.py
 """
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from selfnorm import ExperimentConfig, FamilySpec, regime_map, run_experiment, write_report
+from selfnorm import (ConfigError, ExperimentConfig, FamilySpec, read_report, regime_map, run_experiment,
+                      write_report)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -26,7 +28,9 @@ def _cfg(kind, alpha, p, n_grid, reps, seed, experiment, **over) -> ExperimentCo
 # one small config per experiment kind, then StudentT (whose sampler has no
 # prefix property, so each smaller n reads a prefix of the max-n draw that a
 # fresh draw of that length would not give) and the switch to compensated
-# partial sums at n = 100 000
+# partial sums at n = 100 000, then a two-n chf_compare whose smaller n is a
+# prefix of the larger n's draw, so the scaled pair at n = 1000 must not
+# write over the draw that n = 100 000 reads
 RUNS = {
     "degenerate_scan": _cfg("SymStable", 1.5, 1.2, (50, 200), 8, 101, "degenerate_scan"),
     "ek_functionals": _cfg("Gaussian", 2.0, 2.0, (100, 400), 8, 102, "ek_functionals"),
@@ -36,6 +40,7 @@ RUNS = {
     "studentt_tightness": _cfg("StudentT", 1.5, 2.0, (100, 300), 8, 106, "tightness_scan"),
     "degenerate_compensated": _cfg("SymStable", 1.0, 1.0, (1000, 100_000), 4, 107,
                                    "degenerate_scan"),
+    "chf_compare_two_n": _cfg("SymStable", 1.5, 2.0, (1000, 100_000), 8, 7, "chf_compare"),
 }
 # one regime_map row of two p, each with its three scans; the second p reads
 # the first one's shared reductions (`ProcessPath.at_p`), and the row seed
@@ -72,6 +77,37 @@ def test_reports_match_golden_bytes(workers, tmp_path):
             if dest.read_bytes() != (GOLDEN / f"{name}.{fmt}").read_bytes():
                 mismatched.append(dest.name)
     assert not mismatched, f"reports differ from tests/golden at workers={workers}: {mismatched}"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_two_n_chf_rows_equal_the_one_n_runs(workers):
+    # each n of a two-n chf_compare reads its own prefix of one draw, so its
+    # rows are those of a run at that n alone, bit for bit
+    config = dataclasses.replace(RUNS["chf_compare_two_n"], workers=workers)
+    rows = run_experiment(config).aggregates
+    for n in config.n_grid:
+        alone = run_experiment(dataclasses.replace(config, n_grid=(n,))).aggregates
+        assert [row for row in rows if row.n == n] == list(alone)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_golden_payloads_read_back_to_their_bytes(name, tmp_path):
+    report = read_report(GOLDEN / f"{name}.json")
+    write_report(report, "json", tmp_path / "back.json")
+    assert (tmp_path / "back.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_read_report_refuses_rows_the_experiment_never_writes(tmp_path):
+    # a renamed first row and a repeated row once loaded as a 7-row report
+    # that kept its degenerate label
+    payload = json.loads((GOLDEN / "degenerate_scan.json").read_text())
+    rows = payload["aggregates"]
+    rows[0]["statistic"] = "banana"
+    rows.append(rows[-1])
+    dest = tmp_path / "degenerate_scan.json"
+    dest.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="rows"):
+        read_report(dest)
 
 
 if __name__ == "__main__":

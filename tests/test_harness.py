@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -34,7 +35,7 @@ from selfnorm import (
     sweep,
     write_report,
 )
-from selfnorm import cli, diagnostics, harness, limits, process
+from selfnorm import cli, diagnostics, families, harness, limits, process
 
 CAUCHY = FamilySpec(kind="SymStable", alpha=1.0)
 
@@ -153,15 +154,55 @@ def test_chf_compare_needs_heavy_tails_and_p_above_alpha():
 
 
 def test_chf_stats_leave_the_sample_unchanged():
-    # |x|^p is taken in place on the scaled copy, never on the sample, whose
-    # prefixes serve every n of the grid
+    # the sample is scaled into the scaled buffer and |x|^p is taken in place
+    # there, never on the sample, whose prefixes serve every n of the grid
     cfg = config(experiment="chf_compare", p=2.0, n_grid=(1000, 2000))
     full = sample_family(CAUCHY, SeededStream(3, 0), 2000)
     before = full.copy()
-    stats = harness._scan_stats(cfg, full[:1000], None)
+    scaled = np.full(2000, np.nan)
+    stats = harness._scan_stats(cfg, full[:1000], None, scaled)
     assert np.array_equal(full, before)
+    assert np.isnan(scaled[1000:]).all()  # only the prefix it scales is written
     xs = before[:1000] / 1000.0
     assert stats == (float(np.sum(xs)), float(np.sum(np.abs(xs) ** 2.0)))
+
+
+# Counts minor page faults over 20 replications of one worker block, after 2
+# replications that warm it up, in a fresh interpreter, so no earlier test
+# has set the allocator's thresholds. Prints the mean per replication.
+_FAULTS_PER_REPLICATION = """
+import resource, sys
+from selfnorm import ExperimentConfig, FamilySpec, harness
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+marks = []
+rep_stats = harness._rep_stats
+
+def marked(*args):
+    marks.append(faults())
+    return rep_stats(*args)
+
+harness._rep_stats = marked
+family = FamilySpec(kind=sys.argv[1], alpha=float(sys.argv[2]))
+cell = (ExperimentConfig(family=family, p=2.0, n_grid=(100_000,), reps=22, master_seed=20260815,
+                         experiment="chf_compare"),)
+harness._block_stats(cell, 0, 22)
+print((faults() - marks[2]) / 20)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's minor-fault count")
+@pytest.mark.parametrize("kind,alpha", [("SymStable", 1.0), ("SymStable", 1.5), ("SymPareto", 1.0)])
+def test_a_chf_replication_at_n_1e5_refaults_no_pages(kind, alpha):
+    # the block draws and scales over two buffers it owns: a replication that
+    # allocated its 800 KB draw and scaled copy anew took about 360 faults
+    src = str(Path(harness.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_REPLICATION, kind, str(alpha)],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                         check=True)
+    assert float(out.stdout) < 20
 
 
 def _no_oracle_file(*args, **kwargs):
@@ -212,11 +253,13 @@ def _family(kind: str) -> FamilySpec:
 def test_one_draw_per_replication(monkeypatch, kind):
     # StudentT too: its sampler has no prefix property, but every n reads a
     # prefix of the one draw at the largest n
-    draws = _counting(monkeypatch, "sample_family")
+    draws = _counting(monkeypatch, "_sample_into")
     cfg = config(family=_family(kind), n_grid=(50, 100, 200), reps=6)
     run_experiment(cfg)
     assert len(draws) == 6
-    assert {n for _, _, n in draws} == {200}
+    # one worker block: every replication draws over the same buffer
+    assert len({id(out) for _, _, out, _ in draws}) == 1
+    assert draws[0][2].shape == (200,)
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -228,9 +271,10 @@ def test_rep_stats_read_prefixes_of_one_draw(kind):
     cell = tuple(config(family=fam, p=2.0, n_grid=(40, 100, 250), experiment=e) for e in kinds)
     for rep in (0, 3):
         full = sample_family(fam, SeededStream(cell[0].master_seed, rep), 250)
-        got = harness._rep_stats(cell, rep)
+        got = harness._rep_stats(cell, rep, np.empty(250), np.empty(families._SCRATCH_SIZE))
         for n, row in zip(cell[0].n_grid, got):
-            want = [harness._scan_stats(c, full[:n], ProcessPath(full[:n], c.p)) for c in cell]
+            want = [harness._scan_stats(c, full[:n], ProcessPath(full[:n], c.p), np.empty(n))
+                    for c in cell]
             assert [[v.hex() for v in stats] for stats in row] == \
                 [[v.hex() for v in stats] for stats in want]
 
@@ -239,12 +283,11 @@ def test_rep_stats_read_prefixes_of_one_draw(kind):
 def test_non_finite_draw_names_the_first_prefix_holding_it(monkeypatch, index, n):
     # the draw is checked once, at the largest n; the error names the
     # smallest n whose prefix holds the first non-finite value
-    def poisoned(spec, stream, size):
-        x = np.ones(size)
-        x[index] = np.inf
-        return x
+    def poisoned(spec, stream, out, scratch):
+        out[:] = 1.0
+        out[index] = np.inf
 
-    monkeypatch.setattr(harness, "sample_family", poisoned)
+    monkeypatch.setattr(harness, "_sample_into", poisoned)
     cfg = config(n_grid=(100, 200, 400), reps=2)
     with pytest.raises(NonFiniteSampleError, match=rf"replication 0 at n={n} .*non-finite draw"):
         run_experiment(cfg)
@@ -264,7 +307,7 @@ def test_regime_map_shares_draws_pool_and_oracles(monkeypatch):
     # the exact G4 law is tabulated once per process, and no file is read
     monkeypatch.setattr(harness, "load_oracle", _no_oracle_file)
     limits._g4_table.cache_clear()
-    draws = _counting(monkeypatch, "sample_family")
+    draws = _counting(monkeypatch, "_sample_into")
     pools = []
 
     class CountedPool(harness.ProcessPoolExecutor):
@@ -417,9 +460,14 @@ def _edit_first_row(payload: dict, **edit) -> str:
     lambda payload: _edit_first_row(payload, reps=3),
     lambda payload: _edit_first_row(payload, n=7),
     lambda payload: _edit_first_row(payload, n=float(payload["aggregates"][0]["n"])),  # 50.0
+    # rows the experiment never writes: a renamed, a repeated, a missing and a moved row
+    lambda payload: _edit_first_row(payload, statistic="banana"),
+    lambda payload: json.dumps({**payload, "aggregates": payload["aggregates"] * 2}),
+    lambda payload: json.dumps({**payload, "aggregates": payload["aggregates"][:-1]}),
+    lambda payload: json.dumps({**payload, "aggregates": payload["aggregates"][::-1]}),
 ], ids=["empty_object", "list", "malformed_json", "tampered_run_id", "edited_reps", "unknown_label",
         "wrong_draw_count", "nan_value", "negative_stderr", "row_reps", "row_n_off_grid",
-        "row_n_not_int"])
+        "row_n_not_int", "row_statistic_renamed", "rows_repeated", "row_missing", "rows_reordered"])
 def test_read_report_refuses_what_is_not_its_own_payload(text, tmp_path):
     payload = report_payload(run_experiment(config()))
     dest = tmp_path / "r.json"

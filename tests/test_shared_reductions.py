@@ -88,7 +88,7 @@ def test_scan_stats_equal_the_public_functions_bit_for_bit(family, p, n):
     x = sample_family(family, SeededStream(7, n), n)
     configs = _scan_configs(family, p, n)
     path = ProcessPath(x, p)  # one path, shared by every scan as in the kernel
-    got = {kind: harness._scan_stats(cfg, x, path) for kind, cfg in configs.items()}
+    got = {kind: harness._scan_stats(cfg, x, path, None) for kind, cfg in configs.items()}
 
     fresh = ProcessPath(x, p)
     nodes = fresh.sums / fresh.v  # Y(k/n) = S_k/V, divided anew
@@ -177,7 +177,7 @@ def test_degenerate_scan_reads_the_da_index_above_two(family):
     cfg = ExperimentConfig(family=family, p=1.5, n_grid=(50, 200), reps=4, master_seed=1,
                            experiment="degenerate_scan")
     x = sample_family(family, SeededStream(1, 0), 200)
-    assert _hex(harness._scan_stats(cfg, x, ProcessPath(x, 1.5))) == \
+    assert _hex(harness._scan_stats(cfg, x, ProcessPath(x, 1.5), None)) == \
         _hex((y_at(ProcessPath(x, 1.5), 1.0), sum_sq_ratio(x, 2.0)))
     rows = {(r.n, r.statistic): r.value for r in run_experiment(cfg).aggregates}
     assert rows[(200, "mean_sum_sq_ratio")] == pytest.approx(1.0, abs=1e-12)
@@ -192,7 +192,7 @@ def test_path_at_another_p_equals_a_fresh_path_bit_for_bit(family, p, n):
     x = sample_family(family, SeededStream(11, n), n)
     first = ProcessPath(x, 2.0 if p != 2.0 else 0.8)
     for c in _scan_configs(family, first.p, n).values():
-        harness._scan_stats(c, x, first)  # the shared reductions exist before the second p reads them
+        harness._scan_stats(c, x, first, None)  # the shared reductions exist before the second p reads them
     path = first.at_p(p)
     fresh = ProcessPath(x, p)
     assert path.p == p and path.n == n
@@ -201,8 +201,8 @@ def test_path_at_another_p_equals_a_fresh_path_bit_for_bit(family, p, n):
     assert _hex([path.v]) == _hex([fresh.v])
     assert path.sums.tobytes() == fresh.sums.tobytes()
     cfg = _scan_configs(family, p, n)
-    assert [_hex(harness._scan_stats(c, x, path)) for c in cfg.values()] == \
-        [_hex(harness._scan_stats(c, x, fresh)) for c in cfg.values()]
+    assert [_hex(harness._scan_stats(c, x, path, None)) for c in cfg.values()] == \
+        [_hex(harness._scan_stats(c, x, fresh, None)) for c in cfg.values()]
 
 
 def test_path_at_another_p_refuses_what_a_fresh_path_refuses():
@@ -288,10 +288,10 @@ def test_prefix_sums_that_overflow_still_raise_in_the_tightness_scan(monkeypatch
     x = np.array([1e308, 1e308, -1.0, 2.0] * 4)
     cfg = ExperimentConfig(family=FamilySpec(kind="SymStable", alpha=1.5), p=2.0, n_grid=(16,),
                            reps=1, master_seed=1, experiment="tightness_scan")
-    monkeypatch.setattr(harness, "sample_family", lambda family, stream, n: x[:n].copy())
+    monkeypatch.setattr(harness, "_sample_into", lambda family, stream, out, scratch: np.copyto(out, x))
     with pytest.raises(harness.NonFiniteSampleError, match="tightness_scan"), \
             np.errstate(all="ignore"):
-        harness._rep_stats((cfg,), 0)
+        harness._rep_stats((cfg,), 0, np.empty(16), None)
 
 
 @pytest.mark.parametrize("values, p", [
