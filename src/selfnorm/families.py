@@ -16,13 +16,16 @@ depend on this property: as the paper builds every Y_{n,p} from the first n
 terms of one i.i.d. sequence, it draws each replication once at the largest
 n and reads every smaller n as a prefix of that draw, for all four families.
 
-SymStable and SymPareto fill one preallocated output in blocks of `_BLOCK`
-variates: each block draws its rows of uniforms and writes its transform in
-place, so the temporaries stay in L2 and are small enough for the allocator
-to reuse instead of handing them back to the kernel and refaulting them on
-every call. Blocking does not change a value: the generator fills rows in C
-order whatever the block height, and each variate's transform reads only
-its own row. At alpha = 1 SymStable computes the whole transform as one
+Every sampler writes over an output array its caller owns
+(`_sample_into`); the public functions allocate one per call, and the
+harness one per worker block, which every replication of the block draws
+over, so no replication hands its pages back to the kernel and refaults
+them. SymStable and SymPareto fill it in blocks of `_BLOCK` variates: each
+block draws its rows of uniforms into one scratch buffer, allocated once
+per call or passed in by the caller, and writes its transform in place, so
+the temporaries stay in L2. Blocking does not change a value: the
+generator fills rows in C order whatever the block height, and each
+variate's transform reads only its own row. At alpha = 1 SymStable computes the whole transform as one
 tan(T) (the Cauchy case) and still draws W's uniform, so the stream order
 does not depend on alpha; at alpha = 2 it computes cos(T) once for the two
 factors that read it.
@@ -52,9 +55,11 @@ FAMILY_KINDS = ("SymStable", "SymPareto", "Gaussian", "StudentT")
 # variates per block of the SymStable and SymPareto samplers: 256 KiB of
 # uniforms and 128 KiB per temporary, so a block stays in a 2 MiB L2
 _BLOCK = 2**14
-# float64 values of scratch a blocked sampler writes its temporaries to: a
-# block's (variate, 2) uniforms and three transform temporaries
-_SCRATCH_SIZE = 5 * _BLOCK
+
+
+def _scratch_size(n: int) -> int:
+    """Scratch values a blocked sampler of n variates needs: a block's (m, 2) uniforms and 3 temporaries."""
+    return 5 * min(n, _BLOCK)
 
 
 def _block_scratch(scratch: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
@@ -125,7 +130,7 @@ def sample_sym_stable(alpha: float, stream: SeededStream, n: int, scale: float =
         raise ParameterDomainError(f"stable index must lie in (0, 2], got {alpha}")
     _check_n_scale(n, scale)
     x = np.empty(n)
-    _fill_sym_stable(alpha, stream.generator(), x, scale, np.empty(_SCRATCH_SIZE))
+    _fill_sym_stable(alpha, stream.generator(), x, scale, np.empty(_scratch_size(n)))
     return x
 
 
@@ -171,7 +176,7 @@ def sample_sym_pareto(alpha: float, stream: SeededStream, n: int, scale: float =
         raise ParameterDomainError(f"tail index must be positive, got {alpha}")
     _check_n_scale(n, scale)
     x = np.empty(n)
-    _fill_sym_pareto(alpha, stream.generator(), x, scale, np.empty(_SCRATCH_SIZE))
+    _fill_sym_pareto(alpha, stream.generator(), x, scale, np.empty(_scratch_size(n)))
     return x
 
 
@@ -238,21 +243,23 @@ def sample_family(spec: FamilySpec, stream: SeededStream, n: int) -> np.ndarray:
         raise ParameterDomainError(f"spec must be a FamilySpec, got {type(spec).__name__}")
     _check_n_scale(n, spec.scale)
     x = np.empty(n)
-    _sample_into(spec, stream, x, np.empty(_SCRATCH_SIZE))
+    _sample_into(spec, stream, x)
     return x
 
 
-def _sample_into(spec: FamilySpec, stream: SeededStream, x: np.ndarray, scratch: np.ndarray) -> None:
+def _sample_into(spec: FamilySpec, stream: SeededStream, x: np.ndarray,
+                 scratch: np.ndarray | None = None) -> None:
     """Write `sample_family(spec, stream, x.size)` over all of x, bit for bit.
 
-    `scratch` holds at least _SCRATCH_SIZE float64 values, which the blocked
-    samplers overwrite with their block temporaries.
+    SymStable and SymPareto write their block temporaries over `scratch`,
+    of at least `_scratch_size(x.size)` values, or over one they allocate
+    for the call.
     """
     g = stream.generator()
-    if spec.kind == "SymStable":
-        _fill_sym_stable(float(spec.alpha), g, x, spec.scale, scratch)
-    elif spec.kind == "SymPareto":
-        _fill_sym_pareto(float(spec.alpha), g, x, spec.scale, scratch)
+    if spec.kind in ("SymStable", "SymPareto"):
+        fill = _fill_sym_stable if spec.kind == "SymStable" else _fill_sym_pareto
+        fill(float(spec.alpha), g, x, spec.scale,
+             np.empty(_scratch_size(x.size)) if scratch is None else scratch)
     elif spec.kind == "Gaussian":
         _fill_gaussian(g, x, spec.scale)
     else:

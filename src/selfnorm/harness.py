@@ -43,7 +43,7 @@ from .diagnostics import (  # noqa: F401
 from .errors import ConfigError, MissingStatisticsError, NonFiniteSampleError, ParameterDomainError
 # sample_family is not called here (each worker block draws over buffers it
 # owns, `_sample_into`), but stays bound for the benchmark's tracer
-from .families import _SCRATCH_SIZE, FamilySpec, _sample_into, sample_family  # noqa: F401
+from .families import FamilySpec, _sample_into, _scratch_size, sample_family  # noqa: F401
 from .limits import (  # noqa: F401
     brownian_functional_oracle,
     dispersion_matrix,
@@ -284,19 +284,27 @@ def report_payload(report: ExperimentReport) -> dict:
 # A cell is a tuple of configs that differ only in `experiment` and `p`: the
 # scans run on the same replications (a regime_map cell is a whole alpha row,
 # every p with its three scans). Replication j of a cell is drawn once, from
-# SeededStream(master_seed, j) at the largest n, and every n reads its
-# length-n prefix, for every family: as in the paper, each Y_{n,p} is built
-# from the first n terms of one i.i.d. sequence, and only its normalizer
-# V_{n,p} depends on p. Every scan of the cell is computed on each prefix,
-# from one ProcessPath per p: the scans read its reductions, each computed
-# once per prefix whichever scans and p ask for it, and the paths at the
-# other p share (`ProcessPath.at_p`) all of them but V_{n,p}. These are the
-# prefix sums S_k, which are V Y on the node grid k/n, the rescaled sample's
-# power sums, the largest window range of S for each delta, and max S_k,
-# max |S_k| and |S_k|. Per p, a scan divides only what it reads by V: the
-# endpoint S_n, one range per delta, and |S_k| for the EK means.
+# SeededStream(master_seed, j) at the largest n, over the draw buffer of its
+# worker block, and every n reads its length-n prefix, for every family: as
+# in the paper, each Y_{n,p} is built from the first n terms of one i.i.d.
+# sequence, and only its normalizer V_{n,p} depends on p. Every scan of the
+# cell is computed on each prefix, from one ProcessPath per p: the scans
+# read its reductions, each computed once per prefix whichever scans and p
+# ask for it, and the paths at the other p share (`ProcessPath.at_p`) all of
+# them but V_{n,p}. These are the prefix sums S_k, which are V Y on the node
+# grid k/n, the rescaled sample's power sums, the largest window range of S
+# for each delta, and max S_k, max |S_k| and |S_k|. Per p, a scan divides
+# only what it reads by V: the endpoint S_n, one range per delta, and |S_k|
+# for the EK means.
+#
+# Every replication of a worker block draws over the block's draw buffer,
+# and in a chf_compare cell scales over its scaled buffer, which also holds
+# the sampler's block temporaries while it draws. When each replication
+# allocated its own draw and scaled copy, the allocator gave their pages
+# back to the kernel on every free, and a replication at n = 1e5 took about
+# 360 minor page faults to refault them.
 
-def _scan_stats(config: ExperimentConfig, x: np.ndarray, path, scratch: np.ndarray) -> tuple[float, ...]:
+def _scan_stats(config: ExperimentConfig, x: np.ndarray, path, scaled: np.ndarray | None) -> tuple[float, ...]:
     kind = config.experiment
     if kind == "degenerate_scan":
         # a tail index above 2 (StudentT, SymPareto) puts the family in DA(2)
@@ -312,11 +320,11 @@ def _scan_stats(config: ExperimentConfig, x: np.ndarray, path, scratch: np.ndarr
         return (path.rescaled.darling_ratio(), path.rescaled.max_ratio(config.p), *oms)
     # chf_compare: the pair (S_n / n^{1/a}, V^p / n^{p/a}), scaled before
     # summing so heavy-tailed powers cannot overflow. The scaled sample goes
-    # to the block's scratch buffer, never over the draw, whose longer
+    # to the block's scaled buffer, never over the draw, whose longer
     # prefixes the next n reads; |xs|^p is taken in place there (the same
     # ufuncs as np.abs(xs) ** p), and each sum runs over a whole contiguous
     # array, so neither reduction order changes
-    xs = np.divide(x, float(x.size) ** (1.0 / config.family.alpha), out=scratch[:x.size])
+    xs = np.divide(x, float(x.size) ** (1.0 / config.family.alpha), out=scaled[:x.size])
     s = float(np.sum(xs))
     np.abs(xs, out=xs)
     xs **= config.p
@@ -324,10 +332,10 @@ def _scan_stats(config: ExperimentConfig, x: np.ndarray, path, scratch: np.ndarr
 
 
 def _rep_stats(cell: tuple[ExperimentConfig, ...], rep: int, full: np.ndarray,
-               scratch: np.ndarray) -> list[list[tuple[float, ...]]]:
+               scaled: np.ndarray | None) -> list[list[tuple[float, ...]]]:
     """Statistics of one replication, drawn over `full`, indexed [n][scan]."""
     config = cell[0]
-    _sample_into(config.family, SeededStream(config.master_seed, rep), full, scratch)
+    _sample_into(config.family, SeededStream(config.master_seed, rep), full, scaled)
     if not np.isfinite(full).all():
         # name the smallest n whose prefix holds the first non-finite draw
         first = int(np.argmin(np.isfinite(full)))
@@ -340,7 +348,7 @@ def _rep_stats(cell: tuple[ExperimentConfig, ...], rep: int, full: np.ndarray,
         paths: dict[float, ProcessPath] = {}
         for p in path_ps:
             paths[p] = paths[path_ps[0]].at_p(p) if paths else ProcessPath(x, p)
-        stats = [_scan_stats(c, x, paths.get(c.p), scratch) for c in cell]
+        stats = [_scan_stats(c, x, paths.get(c.p), scaled) for c in cell]
         bad = [c.experiment for c, row in zip(cell, stats) if not all(map(math.isfinite, row))]
         if bad:
             raise _non_finite(config, rep, n, f"statistic in {', '.join(bad)}")
@@ -361,17 +369,18 @@ def _block_stats(cell: tuple[ExperimentConfig, ...], lo: int, hi: int) -> list[l
     so a block never holds them as Python floats, and a pool worker sends
     back arrays.
     """
-    # Every replication of the block draws over `full`, one buffer of the
-    # largest n. The sampler writes its block temporaries to `scratch`, and
-    # chf_compare then scales each prefix there. Neither buffer goes back to
-    # the allocator between replications, so no replication refaults their
-    # pages. No ProcessPath may outlive its replication: its `values` are a
-    # view of `full`.
+    # the buffers every replication of the block writes over (see the kernel
+    # comment above). No ProcessPath may outlive its replication: its
+    # `values` are a view of `full`. Elsewhere the sampler's temporaries are
+    # freed before the scans run, which then reuse that memory while it is
+    # still in cache.
     n = cell[0].n_grid[-1]
-    full, scratch = np.empty(n), np.empty(max(n, _SCRATCH_SIZE))
+    full = np.empty(n)
+    chf = any(c.experiment == "chf_compare" for c in cell)
+    scaled = np.empty(max(n, _scratch_size(n))) if chf else None
     out: list[list[np.ndarray]] = []
     for i, rep in enumerate(range(lo, hi)):
-        stats = _rep_stats(cell, rep, full, scratch)
+        stats = _rep_stats(cell, rep, full, scaled)
         if not out:
             out = [[np.empty((hi - lo, len(row[k]))) for row in stats] for k in range(len(cell))]
         for j, row in enumerate(stats):

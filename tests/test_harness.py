@@ -154,8 +154,8 @@ def test_chf_compare_needs_heavy_tails_and_p_above_alpha():
 
 
 def test_chf_stats_leave_the_sample_unchanged():
-    # the sample is scaled into the scaled buffer and |x|^p is taken in place
-    # there, never on the sample, whose prefixes serve every n of the grid
+    # the sample is scaled into the block's scaled buffer and |x|^p is taken
+    # in place there, never on the sample, whose prefixes serve every n
     cfg = config(experiment="chf_compare", p=2.0, n_grid=(1000, 2000))
     full = sample_family(CAUCHY, SeededStream(3, 0), 2000)
     before = full.copy()
@@ -271,7 +271,7 @@ def test_rep_stats_read_prefixes_of_one_draw(kind):
     cell = tuple(config(family=fam, p=2.0, n_grid=(40, 100, 250), experiment=e) for e in kinds)
     for rep in (0, 3):
         full = sample_family(fam, SeededStream(cell[0].master_seed, rep), 250)
-        got = harness._rep_stats(cell, rep, np.empty(250), np.empty(families._SCRATCH_SIZE))
+        got = harness._rep_stats(cell, rep, np.empty(250), np.empty(families._scratch_size(250)))
         for n, row in zip(cell[0].n_grid, got):
             want = [harness._scan_stats(c, full[:n], ProcessPath(full[:n], c.p), np.empty(n))
                     for c in cell]
@@ -283,7 +283,7 @@ def test_rep_stats_read_prefixes_of_one_draw(kind):
 def test_non_finite_draw_names_the_first_prefix_holding_it(monkeypatch, index, n):
     # the draw is checked once, at the largest n; the error names the
     # smallest n whose prefix holds the first non-finite value
-    def poisoned(spec, stream, out, scratch):
+    def poisoned(spec, stream, out, scaled):
         out[:] = 1.0
         out[index] = np.inf
 

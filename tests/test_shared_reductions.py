@@ -288,7 +288,7 @@ def test_prefix_sums_that_overflow_still_raise_in_the_tightness_scan(monkeypatch
     x = np.array([1e308, 1e308, -1.0, 2.0] * 4)
     cfg = ExperimentConfig(family=FamilySpec(kind="SymStable", alpha=1.5), p=2.0, n_grid=(16,),
                            reps=1, master_seed=1, experiment="tightness_scan")
-    monkeypatch.setattr(harness, "_sample_into", lambda family, stream, out, scratch: np.copyto(out, x))
+    monkeypatch.setattr(harness, "_sample_into", lambda family, stream, out, scaled: np.copyto(out, x))
     with pytest.raises(harness.NonFiniteSampleError, match="tightness_scan"), \
             np.errstate(all="ignore"):
         harness._rep_stats((cfg,), 0, np.empty(16), None)
