@@ -63,7 +63,10 @@ def _scratch_size(n: int) -> int:
 
 
 def _block_scratch(scratch: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
-    """The (m, 2) uniforms and three length-m temporaries of one block, as views of scratch."""
+    """The (m, 2) uniforms and three length-m temporaries of one block, as views of scratch.
+
+    SymStable reads the third temporary only at alpha = 2, SymPareto only the uniforms.
+    """
     return (scratch[:2 * m].reshape(m, 2), *(scratch[k * m:(k + 1) * m] for k in (2, 3, 4)))
 
 
@@ -154,7 +157,7 @@ def _fill_sym_stable(alpha: float, g: np.random.Generator, x: np.ndarray, scale:
         c **= 1.0 / alpha
         seg /= c
         if alpha != 2.0:
-            np.multiply(1.0 - alpha, theta, out=c3)
+            c3 = np.multiply(1.0 - alpha, theta, out=c)  # c is spent: the third factor takes its buffer
             np.cos(c3, out=c3)
         w = np.negative(u[:, 1], out=theta)  # theta is spent: W takes its buffer
         np.log1p(w, out=w)
