@@ -25,10 +25,10 @@ block draws its rows of uniforms into one scratch buffer, allocated once
 per call or passed in by the caller, and writes its transform in place, so
 the temporaries stay in L2. Blocking does not change a value: the
 generator fills rows in C order whatever the block height, and each
-variate's transform reads only its own row. At alpha = 1 SymStable computes the whole transform as one
-tan(T) (the Cauchy case) and still draws W's uniform, so the stream order
-does not depend on alpha; at alpha = 2 it computes cos(T) once for the two
-factors that read it.
+variate's transform reads only its own row. At alpha = 1 SymStable
+computes the whole transform as one tan(T) (the Cauchy case) and still
+draws W's uniform, so the stream order does not depend on alpha; at
+alpha = 2 it computes cos(T) once for the two factors that read it.
 """
 
 from __future__ import annotations

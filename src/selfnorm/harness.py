@@ -304,7 +304,8 @@ def report_payload(report: ExperimentReport) -> dict:
 # back to the kernel on every free, and a replication at n = 1e5 took about
 # 360 minor page faults to refault them.
 
-def _scan_stats(config: ExperimentConfig, x: np.ndarray, path, scaled: np.ndarray | None) -> tuple[float, ...]:
+def _scan_stats(config: ExperimentConfig, x: np.ndarray, path,
+                scaled: np.ndarray | None) -> tuple[float, ...]:
     kind = config.experiment
     if kind == "degenerate_scan":
         # a tail index above 2 (StudentT, SymPareto) puts the family in DA(2)
@@ -371,9 +372,9 @@ def _block_stats(cell: tuple[ExperimentConfig, ...], lo: int, hi: int) -> list[l
     """
     # the buffers every replication of the block writes over (see the kernel
     # comment above). No ProcessPath may outlive its replication: its
-    # `values` are a view of `full`. Elsewhere the sampler's temporaries are
-    # freed before the scans run, which then reuse that memory while it is
-    # still in cache.
+    # `values` are a view of `full`. A cell without chf_compare owns no
+    # scaled buffer: there the sampler frees its scratch before the scans
+    # run, and they reuse that memory while it is still in cache.
     n = cell[0].n_grid[-1]
     full = np.empty(n)
     chf = any(c.experiment == "chf_compare" for c in cell)
