@@ -37,17 +37,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}")
+    # a bad token raises ValueError, which argparse reports as an invalid value
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
 def _add_common(sub: argparse.ArgumentParser, grid: bool = False) -> None:
@@ -58,7 +49,8 @@ def _add_common(sub: argparse.ArgumentParser, grid: bool = False) -> None:
     else:
         sub.add_argument("--alpha", type=float, help="tail index of the family")
         sub.add_argument("--p", type=float, help="norm order in (0, 2]")
-    sub.add_argument("--n", type=_int_list, help="comma-separated increasing sample sizes")
+    # integrality of n is left to ExperimentConfig, as for the config file
+    sub.add_argument("--n", type=_float_list, help="comma-separated increasing sample sizes")
     sub.add_argument("--reps", type=int, help="Monte Carlo replications per n")
     sub.add_argument("--seed", type=int, help="64-bit master seed")
     sub.add_argument("--experiment", choices=EXPERIMENT_KINDS, help="experiment kind")

@@ -1,34 +1,37 @@
 """Seeded sampling from symmetric families inside stable domains of attraction.
 
-Four families cover every regime of the self-normalized limit theory:
+Four families cover every regime of the self-normalized limit theory; each
+is declared as a `FamilySpec` and drawn by `sample_family`, the one
+sampling entry point, through its private `_fill_*` transform:
 
 - SymStable(alpha): exactly alpha-stable, via the angle/exponential transform.
 - SymPareto(alpha): pure Paretian tail P(|X| > x) = x^(-alpha) for x >= 1.
 - Gaussian: the alpha = 2 boundary with finite variance.
 - StudentT(nu): density family with tail index nu (nu = degrees of freedom).
 
-SymStable, SymPareto and Gaussian consume uniforms in a fixed per-variate
-order (one row of the uniform matrix per variate), so for a fixed stream the
-first m variates of a size-n sample equal the size-m sample. StudentT does
-not: its chi-square part uses rejection sampling with variable draw counts,
-so a shorter draw is not a prefix of a longer one. The harness does not
-depend on this property: as the paper builds every Y_{n,p} from the first n
-terms of one i.i.d. sequence, it draws each replication once at the largest
-n and reads every smaller n as a prefix of that draw, for all four families.
+SymStable and SymPareto consume one row of the uniform matrix per variate,
+Gaussian one row per pair of variates (Box-Muller), so for a fixed stream
+the first m variates of a size-n sample equal the size-m sample. StudentT
+does not: its chi-square part uses rejection sampling with variable draw
+counts, so a shorter draw is not a prefix of a longer one. The harness does
+not depend on this property: as the paper builds every Y_{n,p} from the
+first n terms of one i.i.d. sequence, it draws each replication once at the
+largest n and reads every smaller n as a prefix of that draw, for all four
+families.
 
-Every sampler writes over an output array its caller owns
-(`_sample_into`); the public functions allocate one per call, and the
-harness one per worker block, which every replication of the block draws
-over, so no replication hands its pages back to the kernel and refaults
-them. SymStable and SymPareto fill it in blocks of `_BLOCK` variates: each
-block draws its rows of uniforms into one scratch buffer, allocated once
-per call or passed in by the caller, and writes its transform in place, so
-the temporaries stay in L2. Blocking does not change a value: the
-generator fills rows in C order whatever the block height, and each
-variate's transform reads only its own row. At alpha = 1 SymStable
-computes the whole transform as one tan(T) (the Cauchy case) and still
-draws W's uniform, so the stream order does not depend on alpha; at
-alpha = 2 it computes cos(T) once for the two factors that read it.
+Every fill writes over an output array its caller owns (`_sample_into`);
+`sample_family` allocates one per call, and the harness one per worker
+block, which every replication of the block draws over, so no replication
+hands its pages back to the kernel and refaults them. SymStable and
+SymPareto fill it in blocks of `_BLOCK` variates: each block draws its rows
+of uniforms into one scratch buffer, allocated once per call or passed in
+by the caller, and writes its transform in place, so the temporaries stay
+in L2. Blocking does not change a value: the generator fills rows in C
+order whatever the block height, and each variate's transform reads only
+its own row. At alpha = 1 SymStable computes the whole transform as one
+tan(T) (the Cauchy case) and still draws W's uniform, so the stream order
+does not depend on alpha; at alpha = 2 it computes cos(T) once for the two
+factors that read it.
 """
 
 from __future__ import annotations
@@ -41,15 +44,7 @@ import numpy as np
 from .errors import ParameterDomainError
 from .rng import SeededStream
 
-__all__ = [
-    "FamilySpec",
-    "FAMILY_KINDS",
-    "sample_sym_stable",
-    "sample_sym_pareto",
-    "sample_gaussian",
-    "sample_student_t",
-    "sample_family",
-]
+__all__ = ["FamilySpec", "FAMILY_KINDS", "sample_family"]
 
 FAMILY_KINDS = ("SymStable", "SymPareto", "Gaussian", "StudentT")
 # variates per block of the SymStable and SymPareto samplers: 256 KiB of
@@ -100,15 +95,9 @@ class FamilySpec:
             raise ParameterDomainError(f"scale must be positive, got {self.scale}")
 
 
-def _check_n_scale(n: int, scale: float):
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterDomainError(f"n must be a positive integer, got {n}")
-    if not (isinstance(scale, numbers.Real) and np.isfinite(scale) and scale > 0):
-        raise ParameterDomainError(f"scale must be a positive finite real, got {scale!r}")
-
-
-def sample_sym_stable(alpha: float, stream: SeededStream, n: int, scale: float = 1.0) -> np.ndarray:
-    """Symmetric alpha-stable sample via the angle/exponential transform.
+def _fill_sym_stable(alpha: float, g: np.random.Generator, x: np.ndarray, scale: float,
+                     scratch: np.ndarray) -> None:
+    """Symmetric alpha-stable variates via the Chambers-Mallows-Stuck transform.
 
     X = sin(alpha T)/cos(T)^(1/alpha) * (cos((1-alpha)T)/W)^((1-alpha)/alpha)
     with T uniform on (-pi/2, pi/2) and W unit exponential. At alpha = 1 this
@@ -128,17 +117,6 @@ def sample_sym_stable(alpha: float, stream: SeededStream, n: int, scale: float =
     at every alpha. At alpha = 2, (1 - alpha) T = -T exactly and cos(-T) ==
     cos(T) bit for bit, so cos(T) is computed once and serves both factors.
     """
-    alpha = float(alpha)
-    if not 0 < alpha <= 2:
-        raise ParameterDomainError(f"stable index must lie in (0, 2], got {alpha}")
-    _check_n_scale(n, scale)
-    x = np.empty(n)
-    _fill_sym_stable(alpha, stream.generator(), x, scale, np.empty(_scratch_size(n)))
-    return x
-
-
-def _fill_sym_stable(alpha: float, g: np.random.Generator, x: np.ndarray, scale: float,
-                     scratch: np.ndarray) -> None:
     e = (1.0 - alpha) / alpha
     for lo in range(0, x.size, _BLOCK):
         seg = x[lo:lo + _BLOCK]
@@ -169,22 +147,13 @@ def _fill_sym_stable(alpha: float, g: np.random.Generator, x: np.ndarray, scale:
         x *= scale
 
 
-def sample_sym_pareto(alpha: float, stream: SeededStream, n: int, scale: float = 1.0) -> np.ndarray:
-    """Symmetric Pareto sample: R (1-U)^(-1/alpha), P(|X| > x) = x^(-alpha) for x >= 1.
-
-    Variates are transformed in blocks of `_BLOCK` rows (see the module docstring).
-    """
-    alpha = float(alpha)
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ParameterDomainError(f"tail index must be positive, got {alpha}")
-    _check_n_scale(n, scale)
-    x = np.empty(n)
-    _fill_sym_pareto(alpha, stream.generator(), x, scale, np.empty(_scratch_size(n)))
-    return x
-
-
 def _fill_sym_pareto(alpha: float, g: np.random.Generator, x: np.ndarray, scale: float,
                      scratch: np.ndarray) -> None:
+    """Symmetric Pareto variates: R (1-U)^(-1/alpha), P(|X| > x) = x^(-alpha) for x >= 1.
+
+    R is a random sign from the row's second uniform. Variates are
+    transformed in blocks of `_BLOCK` rows (see the module docstring).
+    """
     for lo in range(0, x.size, _BLOCK):
         seg = x[lo:lo + _BLOCK]
         u = _block_scratch(scratch, len(seg))[0]
@@ -207,34 +176,17 @@ def _box_muller(g: np.random.Generator, n: int) -> np.ndarray:
     return z[:n]
 
 
-def sample_gaussian(stream: SeededStream, n: int, scale: float = 1.0) -> np.ndarray:
-    """Standard normal sample (times scale) by the Box-Muller transform."""
-    _check_n_scale(n, scale)
-    x = np.empty(n)
-    _fill_gaussian(stream.generator(), x, scale)
-    return x
-
-
 def _fill_gaussian(g: np.random.Generator, x: np.ndarray, scale: float) -> None:
+    """Standard normal variates (times scale) by the Box-Muller transform."""
     np.multiply(scale, _box_muller(g, x.size), out=x)
 
 
-def sample_student_t(nu: float, stream: SeededStream, n: int, scale: float = 1.0) -> np.ndarray:
-    """Student t sample as a normal over chi ratio: Z / sqrt(Q_nu / nu).
+def _fill_student_t(nu: float, g: np.random.Generator, x: np.ndarray, scale: float) -> None:
+    """Student t variates as a normal over chi ratio: Z / sqrt(Q_nu / nu).
 
     The chi-square draws come after all n normals and use rejection sampling,
     so a shorter draw is not a prefix of a longer one from the same stream.
     """
-    nu = float(nu)
-    if not (np.isfinite(nu) and nu > 0):
-        raise ParameterDomainError(f"degrees of freedom must be positive, got {nu}")
-    _check_n_scale(n, scale)
-    x = np.empty(n)
-    _fill_student_t(nu, stream.generator(), x, scale)
-    return x
-
-
-def _fill_student_t(nu: float, g: np.random.Generator, x: np.ndarray, scale: float) -> None:
     z = _box_muller(g, x.size)
     q = g.chisquare(nu, x.size)
     np.divide(scale * z, np.sqrt(q / nu), out=x)
@@ -244,7 +196,8 @@ def sample_family(spec: FamilySpec, stream: SeededStream, n: int) -> np.ndarray:
     """Draw X_1..X_n i.i.d. from the declared family as a float64 array; pure in (spec, stream, n)."""
     if not isinstance(spec, FamilySpec):
         raise ParameterDomainError(f"spec must be a FamilySpec, got {type(spec).__name__}")
-    _check_n_scale(n, spec.scale)
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterDomainError(f"n must be a positive integer, got {n}")
     x = np.empty(n)
     _sample_into(spec, stream, x)
     return x

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfnorm import FAMILY_KINDS, FamilySpec, ParameterDomainError, SeededStream, sample_family
-from selfnorm.families import _BLOCK, sample_gaussian, sample_sym_pareto, sample_sym_stable
+from selfnorm.families import _BLOCK
 
 
 def test_family_kinds_frozen():
@@ -26,9 +26,11 @@ def test_spec_rejects_bad_parameters(kind, alpha):
         FamilySpec(kind=kind, alpha=alpha)
 
 
-def test_spec_rejects_bad_scale():
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+def test_spec_rejects_bad_scale(scale):
+    # the spec is the one place a scale is checked: sample_family takes no other
     with pytest.raises(ParameterDomainError):
-        FamilySpec(kind="Gaussian", scale=0.0)
+        FamilySpec(kind="Gaussian", scale=scale)
 
 
 @pytest.mark.parametrize("over", [dict(alpha="x"), dict(alpha=None), dict(alpha="1.5"),
@@ -37,15 +39,6 @@ def test_spec_rejects_non_numeric_parameters(over):
     # a typed domain error, not a raw TypeError or ValueError from float()
     with pytest.raises(ParameterDomainError, match="must be a real number"):
         FamilySpec(kind="SymStable", **over)
-
-
-@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf"), "2"])
-def test_samplers_reject_bad_scale(scale):
-    for draw in (lambda: sample_sym_stable(1.5, SeededStream(1), 10, scale),
-                 lambda: sample_sym_pareto(1.5, SeededStream(1), 10, scale),
-                 lambda: sample_gaussian(SeededStream(1), 10, scale)):
-        with pytest.raises(ParameterDomainError):
-            draw()
 
 
 @pytest.mark.parametrize("kind,alpha", [("SymStable", 1.3), ("SymPareto", 2.0),
@@ -83,13 +76,13 @@ def test_prefix_coherence_along_n(kind):
 @given(scale=st.floats(0.1, 50.0), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_scale_equivariance(scale, seed):
-    base = sample_sym_stable(1.5, SeededStream(seed), 64)
-    scaled = sample_sym_stable(1.5, SeededStream(seed), 64, scale=scale)
+    base = sample_family(FamilySpec(kind="SymStable", alpha=1.5), SeededStream(seed), 64)
+    scaled = sample_family(FamilySpec(kind="SymStable", alpha=1.5, scale=scale), SeededStream(seed), 64)
     assert np.allclose(scaled, scale * base, rtol=1e-12)
 
 
 def test_pareto_support_and_symmetry():
-    x = sample_sym_pareto(1.0, SeededStream(5), 20_000)
+    x = sample_family(FamilySpec(kind="SymPareto", alpha=1.0), SeededStream(5), 20_000)
     assert np.all(np.abs(x) >= 1.0)
     # sign comes from an independent uniform: near-balanced by construction
     assert abs(np.mean(np.sign(x))) < 0.03
@@ -97,34 +90,33 @@ def test_pareto_support_and_symmetry():
 
 def test_pareto_tail_index():
     # P(|X| > x) = x^(-alpha) exactly: quantile check at the 99th percentile
-    x = sample_sym_pareto(0.8, SeededStream(11), 200_000)
+    x = sample_family(FamilySpec(kind="SymPareto", alpha=0.8), SeededStream(11), 200_000)
     q = np.quantile(np.abs(x), 0.99)
     assert q == pytest.approx(0.01 ** (-1 / 0.8), rel=0.1)
 
 
 def test_gaussian_moments():
-    x = sample_gaussian(SeededStream(13), 200_000)
+    x = sample_family(FamilySpec(kind="Gaussian"), SeededStream(13), 200_000)
     assert abs(x.mean()) < 0.01
     assert x.std() == pytest.approx(1.0, abs=0.01)
 
 
 def test_stable_alpha_two_is_gaussian_variance_two():
-    x = sample_sym_stable(2.0, SeededStream(17), 200_000)
+    x = sample_family(FamilySpec(kind="SymStable", alpha=2.0), SeededStream(17), 200_000)
     assert x.std() == pytest.approx(np.sqrt(2.0), rel=0.01)
 
 
 def test_cauchy_quartiles():
     # standard Cauchy quartiles are +-1 exactly
-    x = sample_sym_stable(1.0, SeededStream(19), 200_000)
+    x = sample_family(FamilySpec(kind="SymStable", alpha=1.0), SeededStream(19), 200_000)
     assert np.quantile(x, 0.75) == pytest.approx(1.0, abs=0.02)
     assert np.quantile(x, 0.25) == pytest.approx(-1.0, abs=0.02)
 
 
-def test_bad_n_rejected():
-    with pytest.raises(ParameterDomainError):
-        sample_gaussian(SeededStream(1), 0)
-    with pytest.raises(ParameterDomainError):
-        sample_family(FamilySpec(kind="Gaussian"), SeededStream(1), -5)
+@pytest.mark.parametrize("n", [0, -5, 2.5])
+def test_bad_n_rejected(n):
+    with pytest.raises(ParameterDomainError, match="n must be a positive integer"):
+        sample_family(FamilySpec(kind="Gaussian"), SeededStream(1), n)
 
 
 def _stable_reference(alpha, u, scale):
@@ -185,7 +177,7 @@ def test_cauchy_draws_within_one_ulp_of_tan():
     u0 = np.concatenate([k * 2.0**-53, 1.0 - (k + 1) * 2.0**-53,
                          SeededStream(41).generator().random(3 * _BLOCK)])
     u = np.column_stack([u0, np.full(u0.size, 0.5)])
-    x = sample_sym_stable(1.0, _FixedUniforms(u), u0.size)
+    x = sample_family(FamilySpec(kind="SymStable", alpha=1.0), _FixedUniforms(u), u0.size)
     exact = np.tan((u0 - 0.5) * np.pi, dtype=np.longdouble)
     ulp = np.spacing(np.abs(exact.astype(np.float64)))
     assert np.all(np.abs(x - exact) <= ulp)
@@ -197,7 +189,7 @@ def test_stable_draw_memory_is_bounded():
     n = 100_000
     tracemalloc.start()
     try:
-        sample_sym_stable(1.5, SeededStream(5), n)
+        sample_family(FamilySpec(kind="SymStable", alpha=1.5), SeededStream(5), n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

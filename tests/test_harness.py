@@ -392,6 +392,27 @@ def test_regime_map_script_passes_n_through_unchanged(monkeypatch, capsys):
     assert "n_grid must be an integer, got 100.7" in capsys.readouterr().err
 
 
+def test_cli_passes_n_through_unchanged(monkeypatch, capsys):
+    # --n is parsed like the config file and the script: 1e3 is 1000, and
+    # ExperimentConfig refuses 100.7 instead of running it at n = 100
+    grids = []
+    real_run = cli.run_experiment
+
+    def recording_run(config):
+        grids.append(config.n_grid)
+        return real_run(config)
+
+    monkeypatch.setattr(cli, "run_experiment", recording_run)
+    flags = ["run", "--family", "SymStable", "--alpha", "1.5", "--p", "2", "--reps", "4",
+             "--seed", "1", "--experiment", "degenerate_scan"]
+    assert cli.main([*flags, "--n", "1e3,4e3"]) == 0
+    assert grids == [(1000, 4000)]
+    assert json.loads(capsys.readouterr().out)["config"]["n_grid"] == [1000, 4000]
+    assert cli.main([*flags, "--n", "100.7"]) == 1
+    assert grids == [(1000, 4000)]
+    assert capsys.readouterr().err == "error: n_grid must be an integer, got 100.7\n"
+
+
 def test_benchmark_trace_installs_and_restores():
     # the benchmark's tracer rebinds layer names in harness and diagnostics;
     # each must still exist, be called through that name, and come back
