@@ -37,8 +37,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    # a bad token raises ValueError, which argparse reports as an invalid value
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    # argparse prints this message as is; a ValueError would name this function
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of numbers") from None
 
 
 def _add_common(sub: argparse.ArgumentParser, grid: bool = False) -> None:
@@ -79,36 +82,6 @@ _CONFIG_KEYS = ("family", "alpha", "p", "n", "reps", "seed", "experiment",
                 "t_grid", "epsilon", "delta_grid", "workers", "out", "format")
 
 
-def _number(raw_key: str, value):
-    # JSON numbers only; a string, bool, null, list or object is a config error
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {raw_key!r} needs a number, got {value!r}")
-    return value
-
-
-def _numbers(raw_key: str, value) -> tuple:
-    if not isinstance(value, list):
-        raise ConfigError(f"config key {raw_key!r} needs a list of numbers, got {value!r}")
-    return tuple(_number(raw_key, v) for v in value)
-
-
-def _config_value(args: argparse.Namespace, raw_key: str, key: str, value):
-    """A config-file value checked as its flag's parser would check it.
-
-    Integrality of n, reps, seed and workers is left to ExperimentConfig,
-    which refuses a non-integral value instead of truncating it.
-    """
-    if key in ("n", "t_grid", "delta_grid"):
-        return _numbers(raw_key, value)
-    if key in ("alpha", "p") and args.command == "sweep" and isinstance(value, list):
-        return _numbers(raw_key, value)
-    if key in ("alpha", "p", "reps", "seed", "epsilon", "workers"):
-        return _number(raw_key, value)
-    if not isinstance(value, str):
-        raise ConfigError(f"config key {raw_key!r} needs a string, got {value!r}")
-    return value
-
-
 def _apply_config_file(args: argparse.Namespace) -> None:
     if not args.config:
         return
@@ -121,17 +94,21 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise ConfigError(f"config file {args.config} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {args.config} must hold a JSON object")
+    # values are set as read, for ExperimentConfig and FamilySpec to check; out
+    # and format reach neither, and a null would read as a flag left unset
     for raw_key, value in data.items():
         key = _CONFIG_ALIASES.get(raw_key, raw_key)
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {raw_key!r}")
+        if value is None or (key in ("out", "format") and not isinstance(value, str)):
+            raise ConfigError(f"config key {raw_key!r} cannot be {json.dumps(value)}")
         if key == "family" and isinstance(value, dict):
             # payload-style nested family spec
-            setattr(args, "family", _config_value(args, "family.kind", "family", value.get("kind")))
+            args.family = value.get("kind")
             if "alpha" in value:
-                setattr(args, "alpha", _config_value(args, "family.alpha", "alpha", value["alpha"]))
+                args.alpha = value["alpha"]
             continue
-        setattr(args, key, _config_value(args, raw_key, key, value))
+        setattr(args, key, value)
 
 
 def _experiment_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
@@ -168,7 +145,10 @@ def _write_sweep_reports(reports, out, fmt: str) -> None:
         write_report(report, fmt, out_dir / f"{report.run_id}.{fmt}")
 
 
-def _print_matrix(alphas, ps, matrix) -> None:
+def _print_matrix(matrix) -> None:
+    # regime_map keys the matrix in (alpha, p) order
+    alphas = list(dict.fromkeys(a for a, _ in matrix))
+    ps = list(dict.fromkeys(p for _, p in matrix))
     # widest label plus a 2-space gutter so adjacent cells never touch
     width = 2 + max(*(len(v) for v in matrix.values()),
                     *(len(f"p={p:g}") for p in ps))
@@ -182,7 +162,7 @@ def _print_matrix(alphas, ps, matrix) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.alpha_list is None or args.p_list is None:
         raise ConfigError("sweep needs --alpha and --p as comma-separated lists")
-    base = _experiment_config(args, args.experiment or "degenerate_scan")
+    base = _experiment_config(args, "degenerate_scan" if args.experiment is None else args.experiment)
     fmt = args.format or "json"
     if args.experiment is not None:
         reports = sweep(base, args.alpha_list, args.p_list)
@@ -192,7 +172,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   f"regime={report.regime_decision}")
     else:
         reports, matrix = regime_map(base, args.alpha_list, args.p_list)
-        _print_matrix([float(a) for a in args.alpha_list], [float(p) for p in args.p_list], matrix)
+        _print_matrix(matrix)
     if args.out:
         _write_sweep_reports(reports, args.out, fmt)
         print(f"wrote {len(reports)} report(s) to {args.out}")
@@ -208,7 +188,7 @@ def main(argv=None) -> int:
             def as_list(v):
                 if v is None:
                     return None
-                return (float(v),) if isinstance(v, (int, float)) else tuple(float(x) for x in v)
+                return tuple(v) if isinstance(v, (list, tuple)) else (v,)
             args.alpha_list, args.p_list = as_list(args.alpha), as_list(args.p)
             args.alpha = args.alpha_list[0] if args.alpha_list else None
             args.p = args.p_list[0] if args.p_list else None

@@ -1,36 +1,22 @@
 """Scalar diagnostics that separate the three regimes of Y_{n,p}.
 
 max_ratio and darling_ratio measure single-term domination of the normalizer
-(the tightness pivot), the modulus of continuity measures path roughness,
-and the norm chain V_{n,a} >= V_{n,1} >= V_{n,b} >= V_{n,2}
-(a <= 1 <= b <= 2) is the deterministic inequality behind the degenerate
-regime.
+(the tightness pivot), and the modulus of continuity measures path
+roughness.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-import numpy as np
-
-from .errors import InternalConsistencyError, ParameterDomainError
+from .errors import ParameterDomainError
 # y_path is not called here, but stays bound because the benchmark's tracer
 # (perfbench/tracing.py) rebinds it in this namespace
-from .process import (  # noqa: F401
-    ProcessPath,
-    _node_oscillations,
-    _Rescaled,
-    p_norm,
-    y_path,
-)
+from .process import ProcessPath, _node_oscillations, _Rescaled, y_path  # noqa: F401
 
 __all__ = [
     "max_ratio",
     "darling_ratio",
     "sum_sq_ratio",
     "modulus_of_continuity",
-    "NormChain",
-    "norm_chain",
 ]
 
 # Each ratio rescales the sample once (`_Rescaled`: NaN or inf raises
@@ -65,36 +51,3 @@ def modulus_of_continuity(path: ProcessPath, delta: float) -> float:
     if not 0 < delta <= 1:
         raise ParameterDomainError(f"delta must lie in (0, 1], got {delta}")
     return _node_oscillations(path, (delta,))[0]
-
-
-class NormChain(NamedTuple):
-    v_alpha: float
-    v_one: float
-    v_beta: float
-    v_two: float
-
-
-def norm_chain(x, alpha: float, beta: float) -> NormChain:
-    """(V_{n,alpha}, V_{n,1}, V_{n,beta}, V_{n,2}) for alpha <= 1 <= beta <= 2.
-
-    The chain V_alpha >= V_1 >= V_beta >= V_2 is deterministic; a violation
-    beyond 1e-10 relative slack indicates a broken norm computation and
-    raises rather than returning.
-    """
-    alpha = float(alpha)
-    beta = float(beta)
-    if not 0 < alpha <= 1:
-        raise ParameterDomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if not 1 <= beta <= 2:
-        raise ParameterDomainError(f"beta must lie in [1, 2], got {beta}")
-    chain = NormChain(
-        v_alpha=p_norm(x, alpha),
-        v_one=p_norm(x, 1.0),
-        v_beta=p_norm(x, beta),
-        v_two=p_norm(x, 2.0),
-    )
-    vals = np.array(chain)
-    slack = 1e-10 * np.maximum(vals[:-1], vals[1:])
-    if np.any(np.diff(vals) > slack):
-        raise InternalConsistencyError(f"norm ordering violated beyond tolerance: {chain}")
-    return chain

@@ -82,7 +82,7 @@ class FamilySpec:
         if self.kind not in FAMILY_KINDS:
             raise ParameterDomainError(f"unknown family kind {self.kind!r}; choose from {FAMILY_KINDS}")
         for name, value in (("alpha", self.alpha), ("scale", self.scale)):
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
                 raise ParameterDomainError(f"{name} must be a real number, got {value!r}")
         a = float(self.alpha)
         if not np.isfinite(a) or a <= 0:

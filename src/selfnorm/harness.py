@@ -114,10 +114,11 @@ _ORACLE_STREAM = {"G1": 0, "G2": 1, "G3": 2, "G4": 3}
 
 
 def _integral(name: str, value) -> int:
-    # integral floats (1e3) and numpy integers pass; 100.7 is refused, not truncated
+    # integral floats (1e3) and numpy integers pass; 100.7 is refused, not
+    # truncated, and a bool is refused, not read as 0 or 1
     try:
         as_int = int(value)
-        integral = as_int == value
+        integral = as_int == value and not isinstance(value, (bool, np.bool_))
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
@@ -126,14 +127,16 @@ def _integral(name: str, value) -> int:
 
 
 def _real(name: str, value) -> float:
-    # numbers and numpy scalars pass; a string or None is refused, not parsed
-    if not isinstance(value, numbers.Real):
+    # numbers and numpy scalars pass; a string, bool or None is refused, not parsed
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     return float(value)
 
 
 def _items(name: str, values) -> tuple:
     try:
+        if isinstance(values, str):  # a sequence of characters, not of values
+            raise TypeError
         return tuple(values)
     except TypeError:
         raise ConfigError(f"{name} must be a sequence, got {values!r}") from None
@@ -519,17 +522,14 @@ def _report(config: ExperimentConfig, slots: list[np.ndarray], thresholds: dict)
 
 
 def _run_cells(cells: list[tuple[ExperimentConfig, ...]],
-               thresholds: dict | None) -> list[list[ExperimentReport]]:
+               thresholds: dict) -> list[list[ExperimentReport]]:
     """Sample once per replication, aggregate: one report per (cell, scan)."""
-    if thresholds is None:
-        thresholds = load_default_thresholds()
     slots = _cell_slots(cells)
     return [[_report(c, s, thresholds) for c, s in zip(cell, cell_slots)]
             for cell, cell_slots in zip(cells, slots)]
 
 
-def run_experiment(config: ExperimentConfig, thresholds: dict | None = None,
-                   oracle_dir=None) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, oracle_dir=None) -> ExperimentReport:
     """Run reps x n_grid replications and aggregate per the experiment kind.
 
     `oracle_dir` is ignored: every reference law is exact and needs no file.
@@ -537,7 +537,7 @@ def run_experiment(config: ExperimentConfig, thresholds: dict | None = None,
     benchmark change that the ROADMAP lists stops passing it, and then it
     goes.
     """
-    return _run_cells([(config,)], thresholds)[0][0]
+    return _run_cells([(config,)], load_default_thresholds())[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +757,8 @@ def _cell_config(base: ExperimentConfig, alpha: float, p: float, seed: int,
 
 
 def _grid(alpha_list, p_list) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    alphas = tuple(float(a) for a in alpha_list)
-    ps = tuple(float(p) for p in p_list)
+    alphas = tuple(_real("alpha_list", a) for a in _items("alpha_list", alpha_list))
+    ps = tuple(_real("p_list", p) for p in _items("p_list", p_list))
     if not alphas or not ps:
         raise ConfigError("alpha_list and p_list must be nonempty")
     for name, values in (("alpha_list", alphas), ("p_list", ps)):
@@ -767,16 +767,15 @@ def _grid(alpha_list, p_list) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return alphas, ps
 
 
-def sweep(base: ExperimentConfig, alpha_list, p_list,
-          thresholds: dict | None = None) -> tuple[ExperimentReport, ...]:
+def sweep(base: ExperimentConfig, alpha_list, p_list) -> tuple[ExperimentReport, ...]:
     """Cartesian product of runs; cell seeds derived from the base seed and index."""
     alphas, ps = _grid(alpha_list, p_list)
     cells = [(_cell_config(base, alpha, p, derive_seed(base.master_seed, idx)),)
              for idx, (alpha, p) in enumerate((a, p) for a in alphas for p in ps)]
-    return tuple(r for (r,) in _run_cells(cells, thresholds))
+    return tuple(r for (r,) in _run_cells(cells, load_default_thresholds()))
 
 
-def regime_map(base: ExperimentConfig, alpha_list, p_list, thresholds: dict | None = None,
+def regime_map(base: ExperimentConfig, alpha_list, p_list,
                oracle_dir=None) -> tuple[tuple[ExperimentReport, ...], dict]:
     """Run all three regime scans per (alpha, p) on shared replications and classify jointly.
 
@@ -790,8 +789,7 @@ def regime_map(base: ExperimentConfig, alpha_list, p_list, thresholds: dict | No
     ignored, as in `run_experiment`.
     """
     alphas, ps = _grid(alpha_list, p_list)
-    if thresholds is None:
-        thresholds = load_default_thresholds()
+    thresholds = load_default_thresholds()
     rows = [tuple(_cell_config(base, alpha, p, derive_seed(base.master_seed, i * len(ps)), kind)
                   for p in ps for kind in REGIME_SCAN_KINDS)
             for i, alpha in enumerate(alphas)]

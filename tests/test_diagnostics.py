@@ -20,7 +20,7 @@ from selfnorm import (
     darling_ratio,
     max_ratio,
     modulus_of_continuity,
-    norm_chain,
+    p_norm,
     sample_family,
     y_path,
 )
@@ -50,7 +50,7 @@ def test_ratios_reject_non_finite_samples(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # raise before any power or division warns
         for call in (lambda: max_ratio(x, 1.5), lambda: darling_ratio(x),
-                     lambda: sum_sq_ratio(x, 1.5), lambda: norm_chain(x, 0.5, 1.5)):
+                     lambda: sum_sq_ratio(x, 1.5), lambda: p_norm(x, 0.5)):
             with pytest.raises(NonFiniteSampleError):
                 call()
 
@@ -262,16 +262,8 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
 
 @given(nonzero_arrays, st.floats(0.05, 1.0), st.floats(1.0, 2.0))
 @settings(max_examples=80, deadline=None)
-def test_norm_chain_ordering(values, alpha, beta):
-    chain = norm_chain(np.array(values), alpha, beta)
-    vals = list(chain)
+def test_p_norm_ordering(values, alpha, beta):
+    # V_{n,alpha} >= V_{n,1} >= V_{n,beta} >= V_{n,2} for alpha <= 1 <= beta <= 2
+    vals = [p_norm(np.array(values), q) for q in (alpha, 1.0, beta, 2.0)]
     slack = [1e-10 * max(a, b) for a, b in zip(vals, vals[1:])]
     assert all(b <= a + s for a, b, s in zip(vals, vals[1:], slack))
-
-
-def test_norm_chain_domain():
-    b = np.array([1.0, 2.0])
-    with pytest.raises(ParameterDomainError):
-        norm_chain(b, 1.2, 1.5)
-    with pytest.raises(ParameterDomainError):
-        norm_chain(b, 0.5, 2.3)

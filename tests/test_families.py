@@ -34,7 +34,7 @@ def test_spec_rejects_bad_scale(scale):
 
 
 @pytest.mark.parametrize("over", [dict(alpha="x"), dict(alpha=None), dict(alpha="1.5"),
-                                  dict(scale="2"), dict(scale=None)])
+                                  dict(alpha=True), dict(scale="2"), dict(scale=None)])
 def test_spec_rejects_non_numeric_parameters(over):
     # a typed domain error, not a raw TypeError or ValueError from float()
     with pytest.raises(ParameterDomainError, match="must be a real number"):

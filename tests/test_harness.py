@@ -85,6 +85,12 @@ def config(**over) -> ExperimentConfig:
     dict(n_grid=5),
     dict(delta_grid=(None,)),
     dict(delta_grid=(float("nan"),)),
+    # a bool is not a number, though Python counts True as 1
+    dict(reps=True),
+    dict(p=True),
+    dict(epsilon=True),
+    dict(n_grid=(True, 200)),
+    dict(master_seed=np.True_),
 ])
 def test_config_validation(over):
     with pytest.raises(ConfigError):
@@ -411,6 +417,17 @@ def test_cli_passes_n_through_unchanged(monkeypatch, capsys):
     assert cli.main([*flags, "--n", "100.7"]) == 1
     assert grids == [(1000, 4000)]
     assert capsys.readouterr().err == "error: n_grid must be an integer, got 100.7\n"
+
+
+@pytest.mark.parametrize("command, flag, text", [("run", "--t-grid", "0.5,x"),
+                                                  ("run", "--n", "100,2e"),
+                                                  ("sweep", "--alpha", "1.5,one")])
+def test_cli_list_errors_quote_the_bad_text(command, flag, text, capsys):
+    # the usage error quotes the text; it does not name the private parser function
+    assert cli.main([command, flag, text]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: argument {flag}: {text!r} is not a comma-separated list of numbers\n"
+    assert "_float_list" not in err
 
 
 def test_benchmark_trace_installs_and_restores():
@@ -865,6 +882,19 @@ def test_sweep_rejects_empty_grid():
         sweep(config(), (), (1.0,))
 
 
+@pytest.mark.parametrize("alphas, ps, message", [
+    (("0.8",), (1.0,), "alpha_list must be a real number"),
+    ((1.0,), ("0.8",), "p_list must be a real number"),
+    ((True,), (1.0,), "alpha_list must be a real number"),
+    ("0.8", (1.0,), "alpha_list must be a sequence"),
+])
+def test_grids_check_each_value(alphas, ps, message):
+    # a grid value is checked like a config field: a string is refused, not parsed
+    for run in (sweep, regime_map):
+        with pytest.raises(ConfigError, match=message):
+            run(config(), alphas, ps)
+
+
 @pytest.mark.parametrize("alphas, ps", [((1.5, 1.5), (2.0,)), ((1.5,), (2.0, 1.0, 2.0))])
 def test_grids_refuse_a_repeated_value(alphas, ps, capsys):
     # a repeated value would fold cells into one matrix entry
@@ -931,16 +961,24 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(io_err) == 3
     assert cli.main(["run", "--family", "Nope", "--alpha", "1", "--p", "1", "--n", "5",
                      "--reps", "2", "--seed", "1", "--experiment", "degenerate_scan"]) == 1
-    # bad config-file values exit 1 with an error line, not a traceback
+    # bad config-file values exit 1 with an error line, not a traceback;
+    # ExperimentConfig and FamilySpec check them, and a JSON true is not a number
     run_args = ["run", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0", "--n", "50",
                 "--reps", "4", "--seed", "1", "--experiment", "degenerate_scan"]
-    for i, data in enumerate([{"n": ["x"]}, {"n": 5}, {"t_grid": "0.5"}, {"n_grid": [100.7]},
-                              {"reps": 1.5}, {"seed": "1"}, {"alpha": [1.0]}, {"delta_grid": [None]},
-                              {"family": {"kind": "SymStable", "alpha": "x"}}, {"out": 3}]):
+    sweep_args = ["sweep", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0", "--n", "50",
+                  "--reps", "4", "--seed", "1"]
+    bad = [(run_args, data) for data in (
+        {"n": ["x"]}, {"n": 5}, {"t_grid": "0.5"}, {"n_grid": [100.7]}, {"reps": 1.5},
+        {"seed": "1"}, {"alpha": [1.0]}, {"delta_grid": [None]},
+        {"family": {"kind": "SymStable", "alpha": "x"}}, {"out": 3}, {"format": 3},
+        {"reps": True}, {"alpha": True}, {"t_grid": None})]
+    bad += [(sweep_args, data) for data in (
+        {"alpha": ["1.5"]}, {"p": [1.0, "2"]}, {"experiment": False})]
+    for i, (args, data) in enumerate(bad):
         cfg_file = tmp_path / f"bad{i}.json"
         cfg_file.write_text(json.dumps(data))
         capsys.readouterr()
-        assert cli.main(run_args + ["--config", str(cfg_file)]) == 1, data
+        assert cli.main(args + ["--config", str(cfg_file)]) == 1, data
         assert capsys.readouterr().err.startswith("error: "), data
     # no trustworthy number: a draw overflows to inf
     non_finite = ["run", "--family", "SymPareto", "--alpha", "0.005", "--p", "1", "--n", "200",

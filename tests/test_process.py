@@ -145,7 +145,7 @@ def test_self_normalization_is_scale_invariant(values, p, c):
 
 @given(finite_arrays, st.floats(0.05, 2.0))
 @settings(max_examples=60, deadline=None)
-def test_endpoint_bounded_by_norm_chain(values, p):
+def test_endpoint_bounded_by_norm_ordering(values, p):
     # |S_n| <= V_{n,1} and V_{n,1} <= V_{n,p} for p <= 1: |Y(1)| <= 1 when p <= 1
     if np.max(np.abs(values)) == 0.0:
         return
