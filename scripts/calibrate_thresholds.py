@@ -16,7 +16,9 @@ clean edges".
 import argparse
 import os
 
-from selfnorm import ExperimentConfig, FamilySpec, load_default_thresholds, run_experiment
+from selfnorm import (ConfigError, ExperimentConfig, FamilySpec, ParameterDomainError,
+                      load_default_thresholds, run_experiment)
+from selfnorm.cli import _float_list
 
 
 # boundary cells: the two slow degenerate diagonals, one off-diagonal
@@ -31,32 +33,38 @@ CELLS = (
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=16_000)
+    # integral floats (1.6e4) pass; ExperimentConfig refuses 100.7 rather than truncating it
+    ap.add_argument("--n", type=float, default=16_000)
     ap.add_argument("--reps", type=int, default=1000)
-    ap.add_argument("--epsilons", default="0.1,0.15,0.2,0.25,0.3")
+    ap.add_argument("--epsilons", type=_float_list, default="0.1,0.15,0.2,0.25,0.3")
     ap.add_argument("--seed", type=int, default=20260815)
     ap.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
                     help="worker processes (default: the CPUs this process may run on)")
     args = ap.parse_args()
-    epsilons = tuple(float(tok) for tok in args.epsilons.split(","))
+    epsilons = args.epsilons
+    if not epsilons:
+        ap.error("--epsilons names no value")
+    try:  # every config is checked before the first one runs
+        configs = [[ExperimentConfig(
+            family=FamilySpec(kind=kind, alpha=alpha),
+            p=p,
+            n_grid=(args.n,),
+            reps=args.reps,
+            master_seed=args.seed,
+            experiment="degenerate_scan",
+            epsilon=eps,
+            workers=args.workers,
+        ) for eps in epsilons] for kind, alpha, p, _ in CELLS]
+    except (ConfigError, ParameterDomainError) as exc:
+        ap.error(str(exc))
 
     names = [f"alpha={alpha:g} p={p:g} {label}" for _, alpha, p, label in CELLS]
     width = max(len(name) for name in names)
-    print(f"exceedance fraction P(|Y(1)| > eps) at n={args.n}, reps={args.reps}")
+    print(f"exceedance fraction P(|Y(1)| > eps) at n={configs[0][0].n_grid[0]}, reps={args.reps}")
     print(f"{'cell':>{width}} " + "".join(f"  eps={e:g}" for e in epsilons))
-    for (kind, alpha, p, label), name in zip(CELLS, names):
+    for cell_configs, name in zip(configs, names):
         vals = []
-        for eps in epsilons:
-            config = ExperimentConfig(
-                family=FamilySpec(kind=kind, alpha=alpha),
-                p=p,
-                n_grid=(args.n,),
-                reps=args.reps,
-                master_seed=args.seed,
-                experiment="degenerate_scan",
-                epsilon=eps,
-                workers=args.workers,
-            )
+        for config in cell_configs:
             report = run_experiment(config)
             exc = next(row.value for row in report.aggregates
                        if row.statistic == "exceedance")

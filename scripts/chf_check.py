@@ -8,7 +8,8 @@ explicit exponent, evaluated here by oscillatory quadrature.
 import argparse
 import os
 
-from selfnorm import CHF_U_GRID, CHF_W_GRID, ExperimentConfig, FamilySpec, run_experiment
+from selfnorm import (CHF_U_GRID, CHF_W_GRID, ConfigError, ExperimentConfig, FamilySpec,
+                      ParameterDomainError, run_experiment)
 
 
 def main() -> None:
@@ -16,26 +17,30 @@ def main() -> None:
     ap.add_argument("--family", default="SymPareto", choices=("SymPareto", "SymStable", "StudentT"))
     ap.add_argument("--alpha", type=float, default=1.0)
     ap.add_argument("--p", type=float, default=2.0)
-    ap.add_argument("--n", type=int, default=100_000)
+    # integral floats (1e5) pass; ExperimentConfig refuses 100.7 rather than truncating it
+    ap.add_argument("--n", type=float, default=100_000)
     ap.add_argument("--reps", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=20260815)
     ap.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
                     help="worker processes (default: the CPUs this process may run on)")
     args = ap.parse_args()
 
-    config = ExperimentConfig(
-        family=FamilySpec(kind=args.family, alpha=args.alpha),
-        p=args.p,
-        n_grid=(args.n,),
-        reps=args.reps,
-        master_seed=args.seed,
-        experiment="chf_compare",
-        workers=args.workers,
-    )
+    try:
+        config = ExperimentConfig(
+            family=FamilySpec(kind=args.family, alpha=args.alpha),
+            p=args.p,
+            n_grid=(args.n,),
+            reps=args.reps,
+            master_seed=args.seed,
+            experiment="chf_compare",
+            workers=args.workers,
+        )
+    except (ConfigError, ParameterDomainError) as exc:
+        ap.error(str(exc))
     report = run_experiment(config)
     err = {row.statistic: row.value for row in report.aggregates}
 
-    print(f"|empirical chf - limit chf| at n={args.n}, reps={args.reps} "
+    print(f"|empirical chf - limit chf| at n={config.n_grid[0]}, reps={args.reps} "
           f"({args.family} alpha={args.alpha}, p={args.p}); mc noise ~ {1.0 / args.reps ** 0.5:.4f}")
     print("   u \\ w " + "".join(f"{w:>9g}" for w in CHF_W_GRID))
     for u in CHF_U_GRID:

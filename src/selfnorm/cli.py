@@ -19,8 +19,8 @@ from .families import FAMILY_KINDS, FamilySpec
 from .harness import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
+    _report_text,
     regime_map,
-    report_payload,
     run_experiment,
     sweep,
     write_report,
@@ -133,8 +133,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"{report.run_id} {report.config.experiment} "
               f"regime={report.regime_decision} draws={report.draw_count} -> {args.out}")
     else:
-        sys.stdout.write(json.dumps(report_payload(report), sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+        sys.stdout.write(_report_text(report, "json"))  # the bytes write_report writes
     return 0
 
 

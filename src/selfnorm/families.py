@@ -81,12 +81,14 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ParameterDomainError(f"unknown family kind {self.kind!r}; choose from {FAMILY_KINDS}")
+        # stored as float, so 2, 2.0 and np.float64(2.0) give one payload and run_id
         for name, value in (("alpha", self.alpha), ("scale", self.scale)):
             if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
                 raise ParameterDomainError(f"{name} must be a real number, got {value!r}")
-        a = float(self.alpha)
+            object.__setattr__(self, name, float(value))
+        a = self.alpha
         if not np.isfinite(a) or a <= 0:
-            raise ParameterDomainError(f"alpha must be a positive finite real, got {self.alpha}")
+            raise ParameterDomainError(f"alpha must be a positive finite real, got {a}")
         if self.kind == "SymStable" and a > 2:
             raise ParameterDomainError(f"SymStable needs alpha in (0, 2], got {a}")
         if self.kind == "Gaussian" and a != 2.0:
@@ -214,9 +216,9 @@ def _sample_into(spec: FamilySpec, stream: SeededStream, x: np.ndarray,
     g = stream.generator()
     if spec.kind in ("SymStable", "SymPareto"):
         fill = _fill_sym_stable if spec.kind == "SymStable" else _fill_sym_pareto
-        fill(float(spec.alpha), g, x, spec.scale,
+        fill(spec.alpha, g, x, spec.scale,
              np.empty(_scratch_size(x.size)) if scratch is None else scratch)
     elif spec.kind == "Gaussian":
         _fill_gaussian(g, x, spec.scale)
     else:
-        _fill_student_t(float(spec.alpha), g, x, spec.scale)
+        _fill_student_t(spec.alpha, g, x, spec.scale)

@@ -21,7 +21,7 @@ import math
 import numbers
 import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -193,8 +193,8 @@ class ExperimentConfig:
             raise ConfigError(f"t_grid must be increasing reals in (0, 1], got {ts}")
         object.__setattr__(self, "t_grid", ts)
         object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon))
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:  # JSON holds no infinity
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         ds = tuple(_real("delta_grid", d) for d in _items("delta_grid", self.delta_grid))
         if len(ds) == 0 or any(not 0.0 < d <= 1.0 for d in ds):
             raise ConfigError(f"delta_grid must be reals in (0, 1], got {ds}")
@@ -236,49 +236,30 @@ class ExperimentReport:
     `draws_per_cpu_s` reads it."""
 
 
+# The report format is the fields of ExperimentReport, ExperimentConfig,
+# FamilySpec and AggregateRow, less workers: the payload (and hence run_id)
+# must be identical for any worker count. `report_payload` writes it and
+# `read_report` reads it back through the same dataclasses.
+
+
 def _config_payload(config: ExperimentConfig) -> dict:
-    # workers deliberately excluded: the payload (and hence run_id) must be
-    # identical for any worker count
-    return {
-        "family": {
-            "kind": config.family.kind,
-            "alpha": float(config.family.alpha),
-            "scale": float(config.family.scale),
-        },
-        "p": config.p,
-        "n_grid": list(config.n_grid),
-        "reps": config.reps,
-        "master_seed": config.master_seed,
-        "experiment": config.experiment,
-        "t_grid": list(config.t_grid),
-        "epsilon": config.epsilon,
-        "delta_grid": list(config.delta_grid),
-    }
+    payload = asdict(config)
+    del payload["workers"]
+    return payload
+
+
+def _canonical_json(value) -> str:
+    # sorted keys, no spaces, and no NaN or infinity, which JSON cannot hold
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _run_id(config: ExperimentConfig) -> str:
-    blob = json.dumps(_config_payload(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return hashlib.sha256(_canonical_json(_config_payload(config)).encode()).hexdigest()[:12]
 
 
 def report_payload(report: ExperimentReport) -> dict:
     """JSON-ready dict; workers excluded so identical runs are byte-identical."""
-    return {
-        "run_id": report.run_id,
-        "config": _config_payload(report.config),
-        "regime_decision": report.regime_decision,
-        "draw_count": report.draw_count,
-        "aggregates": [
-            {
-                "n": row.n,
-                "statistic": row.statistic,
-                "value": row.value,
-                "stderr": row.stderr,
-                "reps": row.reps,
-            }
-            for row in report.aggregates
-        ],
-    }
+    return {**asdict(report), "config": _config_payload(report.config)}
 
 
 # ---------------------------------------------------------------------------
@@ -648,40 +629,57 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _report_text(report: ExperimentReport, format: str) -> str:
+    """The bytes of a report file: `write_report` writes them, `selfnorm run` prints the JSON."""
+    if format not in ("csv", "json"):
+        raise ConfigError(f"format must be 'csv' or 'json', got {format!r}")
+    if format == "json":
+        return _canonical_json(report_payload(report)) + "\n"
+    cfg = report.config
+    header = "run_id,experiment,family,alpha,p,n,statistic,value,stderr,reps,seed"
+    lines = [header]
+    for row in report.aggregates:
+        lines.append(",".join((
+            report.run_id, cfg.experiment, cfg.family.kind,
+            _fmt(cfg.family.alpha), _fmt(cfg.p), str(row.n), row.statistic,
+            _fmt(row.value), _fmt(row.stderr), str(row.reps), str(cfg.master_seed),
+        )))
+    return "\n".join(lines) + "\n"
+
+
 def write_report(report: ExperimentReport, format: str, path) -> None:
     """CSV (one row per (n, statistic)) or JSON (full payload), byte-deterministic.
 
     A non-finite value raises ValueError instead of being written; the file
     is replaced atomically, so a failed write leaves any previous file whole.
     """
-    if format not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {format!r}")
-    if format == "json":
-        text = json.dumps(report_payload(report), sort_keys=True, separators=(",", ":"),
-                          allow_nan=False) + "\n"
-    else:
-        cfg = report.config
-        header = "run_id,experiment,family,alpha,p,n,statistic,value,stderr,reps,seed"
-        lines = [header]
-        for row in report.aggregates:
-            lines.append(",".join((
-                report.run_id, cfg.experiment, cfg.family.kind,
-                _fmt(cfg.family.alpha), _fmt(cfg.p), str(row.n), row.statistic,
-                _fmt(row.value), _fmt(row.stderr), str(row.reps), str(cfg.master_seed),
-            )))
-        text = "\n".join(lines) + "\n"
+    text = _report_text(report, format)
     try:
         write_text_atomic(path, text)
     except OSError as exc:
         raise OSError(f"failed to write report to {path}: {exc}") from exc
 
 
+def _from_payload(cls, data: dict, **parsed):
+    """cls built from one payload object, with `parsed` in place of its nested objects.
+
+    The object holds every field of cls but workers, and nothing else: a key
+    that no field has is refused, and so is a missing one, which would
+    quietly take the field's default.
+    """
+    names = {f.name for f in fields(cls)} - {"workers"}
+    if set(data) != names:
+        raise TypeError(f"{cls.__name__} payload has keys {sorted(data)}, not {sorted(names)}")
+    return cls(**{**data, **parsed})
+
+
 def read_report(path) -> ExperimentReport:
     """Rebuild a report from its JSON payload (workers defaults to 1).
 
     A file that cannot be read raises OSError. One that is not a report
-    payload, or whose run_id, label, draw count or aggregate rows are not
-    what its own config gives, raises ConfigError: the run_id is the
+    payload (each object holds exactly the fields `report_payload` writes),
+    or whose run_id, label, draw count or aggregate rows are not what its
+    own config gives, raises ConfigError: the run_id is the
     config's hash, a regime scan's label one of the four, any other scan's
     inconclusive, the draw count reps x sum(n_grid), the rows' (n,
     statistic) sequence the one the experiment writes for the config, and
@@ -695,22 +693,9 @@ def read_report(path) -> ExperimentReport:
     try:
         payload = json.loads(data)
         cfg = payload["config"]
-        config = ExperimentConfig(
-            family=FamilySpec(kind=cfg["family"]["kind"], alpha=cfg["family"]["alpha"],
-                              scale=cfg["family"]["scale"]),
-            p=cfg["p"], n_grid=tuple(cfg["n_grid"]), reps=cfg["reps"],
-            master_seed=cfg["master_seed"], experiment=cfg["experiment"],
-            t_grid=tuple(cfg["t_grid"]), epsilon=cfg["epsilon"],
-            delta_grid=tuple(cfg["delta_grid"]),
-        )
-        rows = tuple(
-            AggregateRow(n=r["n"], statistic=r["statistic"], value=r["value"],
-                         stderr=r["stderr"], reps=r["reps"])
-            for r in payload["aggregates"])
-        report = ExperimentReport(
-            config=config, run_id=payload["run_id"], aggregates=rows,
-            regime_decision=payload["regime_decision"], draw_count=payload["draw_count"],
-        )
+        config = _from_payload(ExperimentConfig, cfg, family=_from_payload(FamilySpec, cfg["family"]))
+        rows = tuple(_from_payload(AggregateRow, r) for r in payload["aggregates"])
+        report = _from_payload(ExperimentReport, payload, config=config, aggregates=rows)
     except (ValueError, KeyError, TypeError) as exc:  # a JSON or UTF-8 decode error is a ValueError
         raise ConfigError(f"{path} is not a report payload: {exc!r}") from exc
     if report.run_id != _run_id(config):
@@ -751,8 +736,7 @@ def read_report(path) -> ExperimentReport:
 
 def _cell_config(base: ExperimentConfig, alpha: float, p: float, seed: int,
                  experiment: str | None = None) -> ExperimentConfig:
-    fam = FamilySpec(kind=base.family.kind, alpha=alpha, scale=base.family.scale)
-    return replace(base, family=fam, p=p, master_seed=seed,
+    return replace(base, family=replace(base.family, alpha=alpha), p=p, master_seed=seed,
                    experiment=experiment or base.experiment)
 
 

@@ -91,6 +91,7 @@ def config(**over) -> ExperimentConfig:
     dict(epsilon=True),
     dict(n_grid=(True, 200)),
     dict(master_seed=np.True_),
+    dict(epsilon=math.inf),  # JSON holds no infinity, so no report could be written
 ])
 def test_config_validation(over):
     with pytest.raises(ConfigError):
@@ -121,6 +122,24 @@ def test_payload_excludes_wall_clock_and_workers():
     payload = report_payload(run_experiment(config()))
     assert "wall_clock_s" not in json.dumps(payload)
     assert "workers" not in payload["config"]
+
+
+def test_payload_keys_are_the_dataclass_fields():
+    # a field added to a config dataclass reaches the payload, and so the run_id
+    payload = harness._config_payload(config())
+    assert set(payload) == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"workers"}
+    assert set(payload["family"]) == {f.name for f in dataclasses.fields(FamilySpec)}
+    row = report_payload(run_experiment(config()))["aggregates"][0]
+    assert set(row) == {f.name for f in dataclasses.fields(AggregateRow)}
+
+
+def test_alpha_type_does_not_change_payload_or_run_id():
+    cfgs = [config(family=FamilySpec(kind="SymStable", alpha=alpha), p=1.5)
+            for alpha in (2, 2.0, np.float64(2.0))]
+    assert {type(c.family.alpha) for c in cfgs} == {float}
+    texts = {json.dumps(harness._config_payload(c), sort_keys=True) for c in cfgs}
+    assert len(texts) == 1 and '"alpha": 2.0' in texts.pop()
+    assert len({harness._run_id(c) for c in cfgs}) == 1
 
 
 def test_draw_count_conservation():
@@ -379,23 +398,52 @@ def _load(relpath: str, name: str):
 
 
 def test_regime_map_script_passes_n_through_unchanged(monkeypatch, capsys):
+    # the script is `selfnorm sweep` with desk defaults: flags override them
     script = _load("scripts/regime_map.py", "regime_map_script")
-    grids = []
+    calls = []
 
     def fake_map(base, alphas, ps):
-        grids.append(base.n_grid)
+        calls.append((base, alphas, ps))
         return [], {(a, p): "inconclusive" for a in alphas for p in ps}
 
-    monkeypatch.setattr(script, "regime_map", fake_map)
-    monkeypatch.setattr(sys, "argv", ["regime_map.py", "--n", "1e3,4e3", "--workers", "1"])
-    script.main()
-    assert grids == [(1000, 4000)]
+    monkeypatch.setattr(cli, "regime_map", fake_map)
+    assert script.main(["--n", "1e3,4e3", "--workers", "1"]) == 0
+    (base, alphas, ps), = calls
+    assert (base.n_grid, base.workers, base.reps, base.epsilon) == ((1000, 4000), 1, 400, 0.2)
+    assert (base.family.kind, alphas, ps) == ("SymStable", (0.8, 1.5, 2.0), (0.8, 1.5, 2.0))
+    out = capsys.readouterr().out
+    assert out.startswith("alpha \\ p") and out.endswith("s wall\n")
     # 100.7 is refused, not run at n = 100
-    monkeypatch.setattr(sys, "argv", ["regime_map.py", "--n", "100.7,200", "--workers", "1"])
+    assert script.main(["--n", "100.7,200", "--workers", "1"]) == 1
+    assert len(calls) == 1
+    assert capsys.readouterr().err == "error: n_grid must be an integer, got 100.7\n"
+
+
+@pytest.mark.parametrize("script, args", [
+    ("chf_check", ["--reps", "4"]),
+    ("calibrate_thresholds", ["--reps", "4", "--epsilons", "0.2"]),
+])
+def test_scripts_take_integral_float_n(script, args, monkeypatch, capsys):
+    module = _load(f"scripts/{script}.py", f"{script}_script")
+    monkeypatch.setattr(sys, "argv", [f"{script}.py", "--n", "2e2", "--workers", "1", *args])
+    module.main()
+    assert " at n=200, reps=4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("script, args", [
+    ("chf_check", ["--n", "100.7"]),
+    ("calibrate_thresholds", ["--n", "100.7"]),
+    ("calibrate_thresholds", ["--epsilons", "0.1,x"]),
+])
+def test_scripts_refuse_bad_values_as_usage_errors(script, args, monkeypatch, capsys):
+    module = _load(f"scripts/{script}.py", f"{script}_script")
+    monkeypatch.setattr(module, "run_experiment", None)  # nothing may run
+    monkeypatch.setattr(sys, "argv", [f"{script}.py", *args])
     with pytest.raises(SystemExit) as exc:
-        script.main()
-    assert exc.value.code == 2 and grids == [(1000, 4000)]
-    assert "n_grid must be an integer, got 100.7" in capsys.readouterr().err
+        module.main()
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "Traceback" not in err
+    assert args[1] in err
 
 
 def test_cli_passes_n_through_unchanged(monkeypatch, capsys):
@@ -503,9 +551,16 @@ def _edit_first_row(payload: dict, **edit) -> str:
     lambda payload: json.dumps({**payload, "aggregates": payload["aggregates"] * 2}),
     lambda payload: json.dumps({**payload, "aggregates": payload["aggregates"][:-1]}),
     lambda payload: json.dumps({**payload, "aggregates": payload["aggregates"][::-1]}),
+    # a key that no field has: it would be dropped on reading, so the file is refused
+    lambda payload: json.dumps({**payload, "config": {**payload["config"], "q": 0.5}}),
+    lambda payload: _edit_first_row(payload, note="x"),
+    # a missing key is not rebuilt from its field's default (epsilon here is the default)
+    lambda payload: json.dumps({**payload, "config": {k: v for k, v in payload["config"].items()
+                                                      if k != "epsilon"}}),
 ], ids=["empty_object", "list", "malformed_json", "tampered_run_id", "edited_reps", "unknown_label",
         "wrong_draw_count", "nan_value", "negative_stderr", "row_reps", "row_n_off_grid",
-        "row_n_not_int", "row_statistic_renamed", "rows_repeated", "row_missing", "rows_reordered"])
+        "row_n_not_int", "row_statistic_renamed", "rows_repeated", "row_missing", "rows_reordered",
+        "unknown_config_key", "unknown_row_key", "missing_config_key"])
 def test_read_report_refuses_what_is_not_its_own_payload(text, tmp_path):
     payload = report_payload(run_experiment(config()))
     dest = tmp_path / "r.json"
@@ -921,13 +976,15 @@ def test_cli_run_writes_report(tmp_path, capsys):
     assert dest.read_text().startswith("run_id,experiment,family,")
 
 
-def test_cli_run_stdout_json(capsys):
-    code = cli.main(["run", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0",
-                     "--n", "50", "--reps", "8", "--seed", "3",
-                     "--experiment", "degenerate_scan"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["config"]["master_seed"] == 3
+def test_cli_run_stdout_json(tmp_path, capsys):
+    flags = ["run", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0",
+             "--n", "50", "--reps", "8", "--seed", "3", "--experiment", "degenerate_scan"]
+    assert cli.main(flags) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["config"]["master_seed"] == 3
+    # stdout is the file write_report writes, byte for byte
+    assert cli.main([*flags, "--out", str(tmp_path / "r.json")]) == 0
+    assert out.encode() == (tmp_path / "r.json").read_bytes()
 
 
 def test_cli_config_file_overrides_flags(tmp_path, capsys):
