@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -64,6 +65,8 @@ def _add_common(sub: argparse.ArgumentParser, grid: bool = False) -> None:
     sub.add_argument("--out", help="output path (run) or directory (sweep)")
     sub.add_argument("--format", choices=("csv", "json"), help="report file format")
     sub.add_argument("--config", help="JSON file whose values override flags")
+    # no flag sets the scale: only a config file's nested family does
+    sub.set_defaults(scale=FamilySpec.scale)
 
 
 def _build_parser() -> _Parser:
@@ -103,10 +106,13 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         if value is None or (key in ("out", "format") and not isinstance(value, str)):
             raise ConfigError(f"config key {raw_key!r} cannot be {json.dumps(value)}")
         if key == "family" and isinstance(value, dict):
-            # payload-style nested family spec
+            # payload-style nested family spec: its keys are FamilySpec's fields
+            unknown = set(value) - {f.name for f in dataclasses.fields(FamilySpec)}
+            if unknown:
+                raise ConfigError(f"unknown family config key {min(unknown)!r}")
             args.family = value.get("kind")
-            if "alpha" in value:
-                args.alpha = value["alpha"]
+            args.alpha = value.get("alpha", args.alpha)
+            args.scale = value.get("scale", args.scale)
             continue
         setattr(args, key, value)
 
@@ -118,7 +124,7 @@ def _experiment_config(args: argparse.Namespace, experiment: str) -> ExperimentC
     kwargs = {key: getattr(args, key) for key in ("t_grid", "epsilon", "delta_grid", "workers")
               if getattr(args, key) is not None}
     return ExperimentConfig(
-        family=FamilySpec(kind=args.family, alpha=args.alpha),
+        family=FamilySpec(kind=args.family, alpha=args.alpha, scale=args.scale),
         p=args.p, n_grid=args.n, reps=args.reps, master_seed=args.seed,
         experiment=experiment, **kwargs)
 

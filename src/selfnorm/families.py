@@ -9,9 +9,10 @@ sampling entry point, through its private `_fill_*` transform:
 - Gaussian: the alpha = 2 boundary with finite variance.
 - StudentT(nu): density family with tail index nu (nu = degrees of freedom).
 
-SymStable and SymPareto consume one row of the uniform matrix per variate,
-Gaussian one row per pair of variates (Box-Muller), so for a fixed stream
-the first m variates of a size-n sample equal the size-m sample. StudentT
+SymStable and SymPareto consume one row of two uniforms per variate (one
+uniform at SymStable alpha = 1), Gaussian one row per pair of variates
+(Box-Muller), so for a fixed stream the first m variates of a size-n sample
+equal the size-m sample. StudentT
 does not: its chi-square part uses rejection sampling with variable draw
 counts, so a shorter draw is not a prefix of a longer one. The harness does
 not depend on this property: as the paper builds every Y_{n,p} from the
@@ -28,10 +29,11 @@ of uniforms into one scratch buffer, allocated once per call or passed in
 by the caller, and writes its transform in place, so the temporaries stay
 in L2. Blocking does not change a value: the generator fills rows in C
 order whatever the block height, and each variate's transform reads only
-its own row. At alpha = 1 SymStable computes the whole transform as one
-tan(T) (the Cauchy case) and still draws W's uniform, so the stream order
-does not depend on alpha; at alpha = 2 it computes cos(T) once for the two
-factors that read it.
+its own row. At alpha = 1 the SymStable transform is tan(T) alone (the
+Cauchy case), so SymStable draws only T's uniforms, straight over the
+output block, and reads no scratch: an n-draw reads n uniforms of its
+stream, where every other alpha reads 2n. At alpha = 2 it computes cos(T)
+once for the two factors that read it.
 """
 
 from __future__ import annotations
@@ -53,14 +55,18 @@ _BLOCK = 2**14
 
 
 def _scratch_size(n: int) -> int:
-    """Scratch values a blocked sampler of n variates needs: a block's (m, 2) uniforms and 3 temporaries."""
+    """Scratch values a blocked sampler of n variates needs: a block's (m, 2) uniforms and 3 temporaries.
+
+    SymStable at alpha = 1 reads none of it.
+    """
     return 5 * min(n, _BLOCK)
 
 
 def _block_scratch(scratch: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
     """The (m, 2) uniforms and three length-m temporaries of one block, as views of scratch.
 
-    SymStable reads the third temporary only at alpha = 2, SymPareto only the uniforms.
+    SymStable reads the third temporary only at alpha = 2 and no scratch at
+    alpha = 1; SymPareto reads only the uniforms.
     """
     return (scratch[:2 * m].reshape(m, 2), *(scratch[k * m:(k + 1) * m] for k in (2, 3, 4)))
 
@@ -115,20 +121,25 @@ def _fill_sym_stable(alpha: float, g: np.random.Generator, x: np.ndarray, scale:
     reports 'found': ['X86_V3', 'X86_V4', 'AVX512_ICL', 'AVX512_SPR'],
     float64 tan runs as a SIMD loop while sin and cos fall back to scalar
     libm: about 3 ns against 15 ns each per value, on one block of T on a
-    2-vCPU Xeon. W's uniform is still drawn, so the stream order is the same
-    at every alpha. At alpha = 2, (1 - alpha) T = -T exactly and cos(-T) ==
-    cos(T) bit for bit, so cos(T) is computed once and serves both factors.
+    2-vCPU Xeon. W's uniform is not drawn there: each block's T uniforms
+    are one contiguous draw of m doubles over the output, transformed in
+    place, so an m-draw is still a prefix of an n-draw. At alpha = 2,
+    (1 - alpha) T = -T exactly and cos(-T) == cos(T) bit for bit, so cos(T)
+    is computed once and serves both factors.
     """
     e = (1.0 - alpha) / alpha
     for lo in range(0, x.size, _BLOCK):
         seg = x[lo:lo + _BLOCK]
+        if alpha == 1.0:
+            g.random(out=seg)  # T's uniforms only: W is not drawn
+            seg -= 0.5
+            seg *= np.pi
+            np.tan(seg, out=seg)  # the whole transform
+            continue
         u, theta, c, c3 = _block_scratch(scratch, len(seg))
         g.random(out=u)
         np.subtract(u[:, 0], 0.5, out=theta)
         theta *= np.pi
-        if alpha == 1.0:
-            np.tan(theta, out=seg)  # the whole transform; W's uniform is drawn and unused
-            continue
         np.multiply(alpha, theta, out=seg)
         np.sin(seg, out=seg)
         np.cos(theta, out=c)
@@ -198,7 +209,7 @@ def sample_family(spec: FamilySpec, stream: SeededStream, n: int) -> np.ndarray:
     """Draw X_1..X_n i.i.d. from the declared family as a float64 array; pure in (spec, stream, n)."""
     if not isinstance(spec, FamilySpec):
         raise ParameterDomainError(f"spec must be a FamilySpec, got {type(spec).__name__}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterDomainError(f"n must be a positive integer, got {n}")
     x = np.empty(n)
     _sample_into(spec, stream, x)

@@ -144,7 +144,7 @@ def test_criterion_04_degenerate_cauchy_p_equals_alpha():
     n = 1e2/1e3/1e4/1e5 (2e5 reps; 2e4 at n = 1e5): on the diagonal the
     collapse runs like 1/log n, so over 1e2..1e4 the population ratio is
     1.25, not a factor 2.
-    At the frozen seed the drops are 5.9 and 5.7 se. On non-degenerate cells
+    At the frozen seed the drops are 4.2 and 7.1 se. On non-degenerate cells
     the same clause gives |z| < 1 (Gaussian p = 2: -0.4/-0.1; SymStable
     alpha = 1, p = 2: -0.2/0.7), so it can fail.
     """

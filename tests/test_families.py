@@ -113,7 +113,7 @@ def test_cauchy_quartiles():
     assert np.quantile(x, 0.25) == pytest.approx(-1.0, abs=0.02)
 
 
-@pytest.mark.parametrize("n", [0, -5, 2.5])
+@pytest.mark.parametrize("n", [0, -5, 2.5, True, np.True_])
 def test_bad_n_rejected(n):
     with pytest.raises(ParameterDomainError, match="n must be a positive integer"):
         sample_family(FamilySpec(kind="Gaussian"), SeededStream(1), n)
@@ -121,10 +121,10 @@ def test_bad_n_rejected(n):
 
 def _stable_reference(alpha, u, scale):
     # the whole-array transforms the blocked samplers must reproduce; at
-    # alpha = 1 the transform is tan(T) itself
-    theta = (u[:, 0] - 0.5) * np.pi
+    # alpha = 1 the transform is tan(T) itself and u holds T's uniforms alone
     if alpha == 1.0:
-        return scale * np.tan(theta)
+        return scale * np.tan((u - 0.5) * np.pi)
+    theta = (u[:, 0] - 0.5) * np.pi
     w = -np.log1p(-u[:, 1])
     x = (np.sin(alpha * theta) / np.cos(theta) ** (1.0 / alpha)
          * (np.cos((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha))
@@ -145,9 +145,10 @@ _BLOCK_NS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 100_000)
 @pytest.mark.parametrize("scale", [1.0, 2.5])
 def test_blocks_match_whole_array_transform(n, kind, alpha, scale):
     # the same bytes as one g.random((n, 2)) call through the whole-array formula,
-    # on either side of every block boundary
+    # or one g.random(n) call for the Cauchy case, on either side of every block
+    # boundary
     stream = SeededStream(31, 4)
-    u = stream.generator().random((n, 2))
+    u = stream.generator().random(n if (kind, alpha) == ("SymStable", 1.0) else (n, 2))
     reference = _stable_reference if kind == "SymStable" else _pareto_reference
     expected = reference(alpha, u, scale)
     got = sample_family(FamilySpec(kind=kind, alpha=alpha, scale=scale), stream, n)
@@ -155,8 +156,8 @@ def test_blocks_match_whole_array_transform(n, kind, alpha, scale):
 
 
 class _FixedUniforms:
-    # stands in for a stream: writes the rows of u in order, block by block,
-    # over the sampler's buffer of uniforms
+    # stands in for a stream: writes the rows (or, for a 1-d u, the values)
+    # of u in order, block by block, over the sampler's buffer of uniforms
     def __init__(self, u):
         self.u, self.next = u, 0
 
@@ -176,11 +177,30 @@ def test_cauchy_draws_within_one_ulp_of_tan():
     k = np.arange(2000)
     u0 = np.concatenate([k * 2.0**-53, 1.0 - (k + 1) * 2.0**-53,
                          SeededStream(41).generator().random(3 * _BLOCK)])
-    u = np.column_stack([u0, np.full(u0.size, 0.5)])
-    x = sample_family(FamilySpec(kind="SymStable", alpha=1.0), _FixedUniforms(u), u0.size)
+    x = sample_family(FamilySpec(kind="SymStable", alpha=1.0), _FixedUniforms(u0), u0.size)
     exact = np.tan((u0 - 0.5) * np.pi, dtype=np.longdouble)
     ulp = np.spacing(np.abs(exact.astype(np.float64)))
     assert np.all(np.abs(x - exact) <= ulp)
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_cauchy_draw_reads_one_uniform_per_variate(n):
+    # T's uniform alone: an alpha = 1 draw of n leaves the generator where
+    # random(n) leaves it, on either side of a block edge
+    drawn, reference = SeededStream(43, 2).generator(), SeededStream(43, 2).generator()
+
+    class _Stream:
+        def generator(self):
+            return drawn
+
+    sample_family(FamilySpec(kind="SymStable", alpha=1.0), _Stream(), n)
+    reference.random(n)
+    assert _plain(drawn.bit_generator.state) == _plain(reference.bit_generator.state)
+
+
+def _plain(state):
+    # Philox's state holds numpy arrays (counter, key, buffer): compare them as lists
+    return {k: _plain(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
 
 
 def test_stable_draw_memory_is_bounded():

@@ -997,6 +997,22 @@ def test_cli_config_file_overrides_flags(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["master_seed"] == 77
 
 
+def test_cli_reruns_a_reports_own_config(tmp_path, capsys):
+    # a report's config object, nested family and scale included, run through
+    # --config gives the report back byte for byte
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": {"kind": "SymStable", "alpha": 1.5, "scale": 3.0},
+                               "p": 2.0, "n_grid": [50], "reps": 4, "master_seed": 5,
+                               "experiment": "degenerate_scan"}))
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert report["config"]["family"] == {"kind": "SymStable", "alpha": 1.5, "scale": 3.0}
+    cfg.write_text(json.dumps(report["config"]))
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == out
+
+
 RUN_FLAGS = {"--family": "SymStable", "--alpha": "1.0", "--p": "1.0", "--n": "50",
              "--reps": "4", "--seed": "1"}
 
@@ -1027,7 +1043,10 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     bad = [(run_args, data) for data in (
         {"n": ["x"]}, {"n": 5}, {"t_grid": "0.5"}, {"n_grid": [100.7]}, {"reps": 1.5},
         {"seed": "1"}, {"alpha": [1.0]}, {"delta_grid": [None]},
-        {"family": {"kind": "SymStable", "alpha": "x"}}, {"out": 3}, {"format": 3},
+        {"family": {"kind": "SymStable", "alpha": "x"}},
+        {"family": {"kind": "SymStable", "alpha": 1.0, "bogus": 1}},
+        {"family": {"kind": "SymStable", "alpha": 1.0, "scale": None}},
+        {"family": {"kind": "SymStable", "alpha": 1.0, "scale": 0.0}}, {"out": 3}, {"format": 3},
         {"reps": True}, {"alpha": True}, {"t_grid": None})]
     bad += [(sweep_args, data) for data in (
         {"alpha": ["1.5"]}, {"p": [1.0, "2"]}, {"experiment": False})]
