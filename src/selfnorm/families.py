@@ -12,13 +12,12 @@ sampling entry point, through its private `_fill_*` transform:
 SymStable and SymPareto consume one row of two uniforms per variate (one
 uniform at SymStable alpha = 1), Gaussian one row per pair of variates
 (Box-Muller), so for a fixed stream the first m variates of a size-n sample
-equal the size-m sample. StudentT
-does not: its chi-square part uses rejection sampling with variable draw
-counts, so a shorter draw is not a prefix of a longer one. The harness does
-not depend on this property: as the paper builds every Y_{n,p} from the
-first n terms of one i.i.d. sequence, it draws each replication once at the
-largest n and reads every smaller n as a prefix of that draw, for all four
-families.
+equal the size-m sample. StudentT does not: its chi-square part uses
+rejection sampling with variable draw counts, so a shorter draw is not a
+prefix of a longer one. The harness does not depend on this property: as the
+paper builds every Y_{n,p} from the first n terms of one i.i.d. sequence, it
+draws each replication once at the largest n and reads every smaller n as a
+prefix of that draw, for all four families.
 
 Every fill writes over an output array its caller owns (`_sample_into`);
 `sample_family` allocates one per call, and the harness one per worker
