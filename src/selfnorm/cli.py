@@ -60,7 +60,6 @@ def _add_common(sub: argparse.ArgumentParser, grid: bool = False) -> None:
     sub.add_argument("--experiment", choices=EXPERIMENT_KINDS, help="experiment kind")
     sub.add_argument("--t-grid", type=_float_list, help="comma-separated times in (0, 1]")
     sub.add_argument("--epsilon", type=float, help="exceedance threshold")
-    sub.add_argument("--delta-grid", type=_float_list, help="comma-separated mesh widths in (0, 1]")
     sub.add_argument("--workers", type=int, help="parallel worker count")
     sub.add_argument("--out", help="output path (run) or directory (sweep)")
     sub.add_argument("--format", choices=("csv", "json"), help="report file format")
@@ -82,7 +81,7 @@ def _build_parser() -> _Parser:
 # config-file keys: flag names with underscores, plus payload-style aliases
 _CONFIG_ALIASES = {"n_grid": "n", "master_seed": "seed"}
 _CONFIG_KEYS = ("family", "alpha", "p", "n", "reps", "seed", "experiment",
-                "t_grid", "epsilon", "delta_grid", "workers", "out", "format")
+                "t_grid", "epsilon", "workers", "out", "format")
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
@@ -110,6 +109,9 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             unknown = set(value) - {f.name for f in dataclasses.fields(FamilySpec)}
             if unknown:
                 raise ConfigError(f"unknown family config key {min(unknown)!r}")
+            nulls = [name for name, item in value.items() if item is None]
+            if nulls:
+                raise ConfigError(f"config key {f'{raw_key}.{nulls[0]}'!r} cannot be null")
             args.family = value.get("kind")
             args.alpha = value.get("alpha", args.alpha)
             args.scale = value.get("scale", args.scale)
@@ -121,7 +123,7 @@ def _experiment_config(args: argparse.Namespace, experiment: str) -> ExperimentC
     for key in ("family", "alpha", "p", "n", "reps", "seed"):
         if getattr(args, key) is None:
             raise ConfigError(f"--{key} is required (flag or config file)")
-    kwargs = {key: getattr(args, key) for key in ("t_grid", "epsilon", "delta_grid", "workers")
+    kwargs = {key: getattr(args, key) for key in ("t_grid", "epsilon", "workers")
               if getattr(args, key) is not None}
     return ExperimentConfig(
         family=FamilySpec(kind=args.family, alpha=args.alpha, scale=args.scale),

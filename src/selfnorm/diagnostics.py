@@ -7,10 +7,14 @@ roughness.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from .errors import ParameterDomainError
 # y_path is not called here, but stays bound because the benchmark's tracer
 # (perfbench/tracing.py) rebinds it in this namespace
-from .process import ProcessPath, _node_oscillations, _Rescaled, y_path  # noqa: F401
+from .process import ProcessPath, _max_oscillations, _Rescaled, y_path  # noqa: F401
 
 __all__ = [
     "max_ratio",
@@ -44,10 +48,22 @@ def modulus_of_continuity(path: ProcessPath, delta: float) -> float:
 
     Y is piecewise linear between the nodes k/n, where it is S_k/V, so the
     value is exact for the path whenever delta n is an integer (a window
-    below one mesh step returns 0, since no distinct nodes qualify). The
-    scans read the same value from the path's shared ranges of S.
+    below one mesh step returns 0, since no distinct nodes qualify).
+
+    V > 0 does not depend on t, so a window's range of Y is its range of S
+    divided by V, and the largest range of Y is R/V with R the largest of S.
+    The window pass over S gives fl(R), the correctly rounded R, since fl is
+    monotone; the value is then one division, fl(fl(R)/V). Where that is not
+    finite, S holds a NaN or inf, or a range of S overflows where the range
+    of Y need not, and the exact pass over S/V runs instead. The pass over
+    S/V alone would round each node before subtracting: where S is large
+    against its ranges, that is far off R/V.
     """
     delta = float(delta)
     if not 0 < delta <= 1:
         raise ParameterDomainError(f"delta must lie in (0, 1], got {delta}")
-    return _node_oscillations(path, (delta,))[0]
+    with np.errstate(over="ignore"):  # an overflowing range takes the pass over S/V
+        om = _max_oscillations(path.sums, delta) / path.v
+    if math.isfinite(om):
+        return om
+    return _max_oscillations(path.sums / path.v, delta)

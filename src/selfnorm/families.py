@@ -30,9 +30,9 @@ in L2. Blocking does not change a value: the generator fills rows in C
 order whatever the block height, and each variate's transform reads only
 its own row. At alpha = 1 the SymStable transform is tan(T) alone (the
 Cauchy case), so SymStable draws only T's uniforms, straight over the
-output block, and reads no scratch: an n-draw reads n uniforms of its
-stream, where every other alpha reads 2n. At alpha = 2 it computes cos(T)
-once for the two factors that read it.
+output block, and reads no scratch, so none is allocated: an n-draw reads
+n uniforms of its stream, where every other alpha reads 2n. At alpha = 2 it
+computes cos(T) once for the two factors that read it.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class FamilySpec:
 
 
 def _fill_sym_stable(alpha: float, g: np.random.Generator, x: np.ndarray, scale: float,
-                     scratch: np.ndarray) -> None:
+                     scratch: np.ndarray | None) -> None:
     """Symmetric alpha-stable variates via the Chambers-Mallows-Stuck transform.
 
     X = sin(alpha T)/cos(T)^(1/alpha) * (cos((1-alpha)T)/W)^((1-alpha)/alpha)
@@ -221,13 +221,14 @@ def _sample_into(spec: FamilySpec, stream: SeededStream, x: np.ndarray,
 
     SymStable and SymPareto write their block temporaries over `scratch`,
     of at least `_scratch_size(x.size)` values, or over one they allocate
-    for the call.
+    for the call. SymStable at alpha = 1 reads none, and none is allocated.
     """
     g = stream.generator()
     if spec.kind in ("SymStable", "SymPareto"):
         fill = _fill_sym_stable if spec.kind == "SymStable" else _fill_sym_pareto
-        fill(spec.alpha, g, x, spec.scale,
-             np.empty(_scratch_size(x.size)) if scratch is None else scratch)
+        if scratch is None and not (spec.kind == "SymStable" and spec.alpha == 1.0):
+            scratch = np.empty(_scratch_size(x.size))
+        fill(spec.alpha, g, x, spec.scale, scratch)
     elif spec.kind == "Gaussian":
         _fill_gaussian(g, x, spec.scale)
     else:

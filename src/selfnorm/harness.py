@@ -30,10 +30,9 @@ import numpy as np
 
 from ._files import write_text_atomic
 # modulus_of_continuity, the three ratios, y_at and load_oracle are not called
-# here (the scans read the path's shared reductions, and the tightness scan
-# divides the prefix's largest window ranges of N, taken once for its whole
-# delta grid), but stay bound like every other layer function, so the
-# benchmark's tracer (perfbench/tracing.py) finds them
+# here (the scans read the path's shared reductions), but stay bound like
+# every other layer function, so the benchmark's tracer (perfbench/tracing.py)
+# finds them
 from .diagnostics import (  # noqa: F401
     darling_ratio,
     max_ratio,
@@ -63,7 +62,6 @@ from .limits import (  # noqa: F401
 from .process import (  # noqa: F401
     ProcessPath,
     _endpoint,
-    _node_oscillations,
     ek_functionals,
     y_at,
     y_path,
@@ -158,7 +156,6 @@ class ExperimentConfig:
     experiment: str
     t_grid: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
     epsilon: float = 0.1
-    delta_grid: tuple[float, ...] = (0.5, 0.2, 0.1, 0.05)
     workers: int = 1
 
     def __post_init__(self):
@@ -195,10 +192,6 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon))
         if not 0.0 < self.epsilon < math.inf:  # JSON holds no infinity
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        ds = tuple(_real("delta_grid", d) for d in _items("delta_grid", self.delta_grid))
-        if len(ds) == 0 or any(not 0.0 < d <= 1.0 for d in ds):
-            raise ConfigError(f"delta_grid must be reals in (0, 1], got {ds}")
-        object.__setattr__(self, "delta_grid", ds)
         object.__setattr__(self, "workers", _integral("workers", self.workers))
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
@@ -276,10 +269,9 @@ def report_payload(report: ExperimentReport) -> dict:
 # read its reductions, each computed once per prefix whichever scans and p
 # ask for it, and the paths at the other p share (`ProcessPath.at_p`) all of
 # them but V_{n,p}. These are the prefix sums S_k, which are V Y on the node
-# grid k/n, the rescaled sample's power sums, the largest window range of S
-# for each delta, and max S_k, max |S_k| and |S_k|. Per p, a scan divides
-# only what it reads by V: the endpoint S_n, one range per delta, and |S_k|
-# for the EK means.
+# grid k/n, the rescaled sample's power sums, and max S_k, max |S_k| and
+# |S_k|. Per p, a scan divides only what it reads by V: the endpoint S_n, and
+# |S_k| for the EK means.
 #
 # Every replication of a worker block draws over the block's draw buffer,
 # and in a chf_compare cell scales over its scaled buffer, which also holds
@@ -292,17 +284,14 @@ def _scan_stats(config: ExperimentConfig, x: np.ndarray, path,
                 scaled: np.ndarray | None) -> tuple[float, ...]:
     kind = config.experiment
     if kind == "degenerate_scan":
-        # a tail index above 2 (StudentT, SymPareto) puts the family in DA(2)
-        return (_endpoint(path), path.rescaled.sum_sq_ratio(min(config.family.alpha, 2.0)))
+        return (_endpoint(path),)
     if kind == "ek_functionals":
         ek = ek_functionals(path)
         return (ek.max_sn, ek.max_abs_sn, ek.mean_sq, ek.mean_abs)
     if kind == "fdd_covariance":
         return tuple(float(v) for v in y_path(path, config.t_grid))
     if kind == "tightness_scan":
-        # one window pass over the shared prefix sums serves every delta and p
-        oms = _node_oscillations(path, config.delta_grid)
-        return (path.rescaled.darling_ratio(), path.rescaled.max_ratio(config.p), *oms)
+        return (path.rescaled.darling_ratio(), path.rescaled.max_ratio(config.p))
     # chf_compare: the pair (S_n / n^{1/a}, V^p / n^{p/a}), scaled before
     # summing so heavy-tailed powers cannot overflow. The scaled sample goes
     # to the block's scaled buffer, never over the draw, whose longer
@@ -435,15 +424,14 @@ def _statistics(config: ExperimentConfig, lagged: bool) -> list[str]:
     """
     kind = config.experiment
     if kind == "degenerate_scan":
-        return ["mean_sq_self_norm", "exceedance", "mean_sum_sq_ratio"]
+        return ["mean_sq_self_norm", "exceedance"]
     if kind == "ek_functionals":
         return list(_EK_STATISTICS)
     if kind == "fdd_covariance":
         ts = config.t_grid
         return [*(f"cov_t{ti:g}_t{tj:g}" for i, ti in enumerate(ts) for tj in ts[i:]), "cov_dev_max"]
     if kind == "tightness_scan":
-        return ["darling_median", "mr_median", *(f"omega_exceed_d{d:g}" for d in config.delta_grid),
-                *(("darling_ks_prev", "mr_ks_prev") if lagged else ())]
+        return ["darling_median", "mr_median", *(("darling_ks_prev", "mr_ks_prev") if lagged else ())]
     return [*(f"chf_abs_err_u{u:g}_w{w:g}" for u in CHF_U_GRID for w in CHF_W_GRID), "chf_abs_err_max"]
 
 
@@ -454,9 +442,9 @@ def _aggregate_rows(config: ExperimentConfig, n: int, slots: np.ndarray,
     reps = config.reps
     kind = config.experiment
     if kind == "degenerate_scan":
-        snv, ssr = slots[:, 0], slots[:, 1]
+        snv = slots[:, 0]
         phat = float(np.mean(np.abs(snv) > config.epsilon))
-        values = [_mean_se(snv * snv), (phat, _binom_se(phat, reps)), _mean_se(ssr)]
+        values = [_mean_se(snv * snv), (phat, _binom_se(phat, reps))]
     elif kind == "ek_functionals":
         laws = (g1_law(), g2_law(), g3_law(), g4_law())
         values = [(ks_statistic(slots[:, col], law), _ks_crit(reps)) for col, law in enumerate(laws)]
@@ -470,9 +458,6 @@ def _aggregate_rows(config: ExperimentConfig, n: int, slots: np.ndarray,
         values.append((float(np.abs(emp - disp).max()), None))
     elif kind == "tightness_scan":
         values = [_median_se(slots[:, 0]), _median_se(slots[:, 1])]
-        for col in range(len(config.delta_grid)):
-            phat = float(np.mean(slots[:, 2 + col] > config.epsilon))
-            values.append((phat, _binom_se(phat, reps)))
         if prev is not None:
             ks_se = _ks_crit(reps) * math.sqrt(2.0)
             values += [(ks_two_sample(prev[:, col], slots[:, col]), ks_se) for col in (0, 1)]

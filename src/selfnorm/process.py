@@ -12,12 +12,13 @@ grid of Y is the prefix sums divided by V. Only V_{n,p} depends on p, so the
 reductions a statistic needs of S_k are taken once per sample and shared by
 its paths at every p, and each p divides only what it reads:
 
-- the modulus of continuity of Y on the node grid is the largest range of
-  S_k over the windows of each delta, divided by V: V > 0 does not depend
-  on t. The ranges are taken once per sample and delta grid
-  (`_max_oscillations` on S), and each p takes one division per delta;
+- the endpoint Y(1) is S_n/V, one division per p;
 - the EK functionals read max S_k, max |S_k| and |S_k| from the shared
   prefix and take per p only |S_k|/V and its two means.
+
+The modulus of continuity of Y on the node grid (`diagnostics`) is likewise
+the largest range of S_k over the windows of delta, divided by V: V > 0 does
+not depend on t.
 """
 
 from __future__ import annotations
@@ -151,15 +152,14 @@ class _Prefix:
 
     One object is shared by every path that `ProcessPath.at_p` derives from
     the same sample. The prefix sums and the rescaled sample are taken at
-    construction; the largest window ranges of S per delta grid, and the
-    extremes of S_k and |S_k| for k = 1..n on first read.
+    construction, and the extremes of S_k and |S_k| for k = 1..n on first
+    read.
     """
 
     def __init__(self, values: np.ndarray):
         self.values = values
         self.sums = partial_sums(values)
         self.rescaled = _Rescaled(values)
-        self._ranges: dict[tuple, tuple[float, ...]] = {}
 
     @cached_property
     def sum_extremes(self) -> tuple[np.float64, np.float64, np.ndarray]:
@@ -168,14 +168,6 @@ class _Prefix:
         a = np.abs(s)
         return s.max(), a.max(), a
 
-    def ranges(self, deltas: tuple) -> tuple[float, ...]:
-        """The largest range of S over the windows of each delta, once per delta grid."""
-        ranges = self._ranges.get(deltas)
-        if ranges is None:
-            with np.errstate(over="ignore"):  # an overflowing range is `_divided_ranges`' to handle
-                ranges = self._ranges[deltas] = _max_oscillations(self.sums, deltas)
-        return ranges
-
 
 @dataclass(frozen=True, eq=False)
 class ProcessPath:
@@ -183,11 +175,10 @@ class ProcessPath:
 
     Holds the sample as a float64 array and the reductions every statistic
     of the path reads: the prefix sums S_0..S_n, the rescaled sample with its
-    power sums, the normalizer V_{n,p}, and, on first use, the largest
-    window ranges of S per delta and the extremes of S_k and |S_k|. Y on
-    the node grid k/n is S_k/V. Of these only V_{n,p} depends on p: `at_p`
-    gives the same sample's path at another p, sharing the rest, and each
-    statistic divides by its own V last.
+    power sums, the normalizer V_{n,p}, and, on first use, the extremes of
+    S_k and |S_k|. Y on the node grid k/n is S_k/V. Of these only V_{n,p}
+    depends on p: `at_p` gives the same sample's path at another p, sharing
+    the rest, and each statistic divides by its own V last.
     """
 
     values: np.ndarray
@@ -230,12 +221,6 @@ def _endpoint(path: ProcessPath) -> float:
     return float(path.sums[-1] / path.v)
 
 
-def _node_oscillations(path: ProcessPath, deltas: tuple) -> tuple[float, ...]:
-    """The modulus of continuity of Y on the node grid for each delta, from the prefix's shared ranges."""
-    prefix = path._prefix
-    return _divided_ranges(prefix.sums, deltas, prefix.ranges(deltas), path.v)
-
-
 def y_at(path: ProcessPath, t: float) -> float:
     """Y_{n,p}(t) at one point t in [0, 1]: `y_path` on the grid (t,).
 
@@ -271,20 +256,20 @@ def y_path(path: ProcessPath, grid) -> np.ndarray:
     return (path.sums[ks] + (nt - ks) * path.values[np.minimum(ks, n - 1)]) / path.v
 
 
-def _max_oscillations(y: np.ndarray, deltas) -> tuple[float, ...]:
+def _max_oscillations(y: np.ndarray, delta: float) -> float:
     """Largest max-minus-min of y over windows of delta times its len(y) - 1 mesh steps.
 
     y holds a path on an evenly spaced grid of [0, 1]; this is the modulus of
     continuity once the grid is evaluated, reduced exactly over every
-    window. Results come back in the order of `deltas`; a window below one
-    mesh step gives 0.0, since no distinct grid pairs qualify.
+    window. A window below one mesh step gives 0.0, since no distinct grid
+    pairs qualify.
 
-    The window grows by doubling through the sorted widths. Window cover:
-    for k <= K <= 2k, the windows of k points starting at j and at
-    j + K - k overlap and together cover exactly the K points starting at
-    j, so since max and min are idempotent, np.maximum and np.minimum of
-    the two shifted arrays give the windows of K points, and hi[j] and lo[j]
-    are the max and min of y[j:j + w + 1] without rounding.
+    The window grows by doubling. Window cover: for k <= K <= 2k, the
+    windows of k points starting at j and at j + K - k overlap and together
+    cover exactly the K points starting at j, so since max and min are
+    idempotent, np.maximum and np.minimum of the two shifted arrays give the
+    windows of K points, and hi[j] and lo[j] are the max and min of
+    y[j:j + w + 1] without rounding.
 
     This equals the centred scipy.ndimage maximum_filter1d/minimum_filter1d
     of size K with mode="nearest" bit for bit. Each of its windows is either a
@@ -297,37 +282,18 @@ def _max_oscillations(y: np.ndarray, deltas) -> tuple[float, ...]:
     pairwise differences hi - lo of node values appear, so no rounding
     differs.
     """
-    # mesh steps per window of each delta
-    widths = [int(np.floor(d * (y.size - 1) + 1e-9)) for d in deltas]
-    osc = dict.fromkeys(widths, 0.0)
+    # mesh steps per window
+    w = int(np.floor(delta * (y.size - 1) + 1e-9))
+    if w < 1:
+        return 0.0
     hi = lo = y
     k = 1
-    for w in sorted(set(widths)):
-        if w < 1:
-            continue
-        while k <= w:
-            step = min(k, w + 1 - k)
-            hi = np.maximum(hi[:-step], hi[step:])
-            lo = np.minimum(lo[:-step], lo[step:])
-            k += step
-        osc[w] = float((hi - lo).max())
-    return tuple(osc[w] for w in widths)
-
-
-def _divided_ranges(sums: np.ndarray, deltas, ranges, v: float) -> tuple[float, ...]:
-    """The modulus of continuity of Y = S/V per delta, from `ranges`, S's largest window ranges.
-
-    V > 0 does not depend on t, so a window's range of Y is its range of S
-    divided by V, and the largest range of Y is R/V with R the largest of S.
-    `_max_oscillations` gives fl(R), the correctly rounded R, since fl is
-    monotone; each value is then one division, fl(fl(R)/V). Where one is not
-    finite, S holds a NaN or inf, or a range of S overflows where the range
-    of Y need not, and the exact pass over S/V runs instead.
-    """
-    osc = tuple(r / v for r in ranges)
-    if all(map(math.isfinite, osc)):
-        return osc
-    return _max_oscillations(sums / v, deltas)
+    while k <= w:
+        step = min(k, w + 1 - k)
+        hi = np.maximum(hi[:-step], hi[step:])
+        lo = np.minimum(lo[:-step], lo[step:])
+        k += step
+    return float((hi - lo).max())
 
 
 @dataclass(frozen=True)

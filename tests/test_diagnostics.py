@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from selfnorm import (
-    ExperimentConfig,
     FamilySpec,
     NonFiniteSampleError,
     ParameterDomainError,
@@ -22,9 +21,8 @@ from selfnorm import (
     modulus_of_continuity,
     p_norm,
     sample_family,
-    y_path,
 )
-from selfnorm.process import _divided_ranges, _max_oscillations, _node_oscillations
+from selfnorm.process import _max_oscillations
 
 # a numpy RuntimeWarning fails the test: the path layer raises or handles
 # each overflow and invalid operation itself, and a test that makes one on
@@ -153,7 +151,7 @@ delta_lists = st.lists(
 @given(node_values, delta_lists)
 @settings(max_examples=200, deadline=None)
 def test_max_oscillations_equal_brute_force_and_scipy(y, deltas):
-    got = _max_oscillations(y, deltas)
+    got = tuple(_max_oscillations(y, d) for d in deltas)
     assert got == _brute_oscillations(y, deltas)
     assert got == _scipy_oscillations(y, deltas)
 
@@ -178,23 +176,30 @@ def _exact_ranges(y, deltas):
 @settings(max_examples=400, deadline=None)
 def test_modulus_is_the_largest_range_of_s_divided_by_v(values, deltas, p):
     # the spec: fl(fl(R)/V), R the exact largest window range of the prefix
-    # sums S_k = V Y(k/n), once per delta grid for the scans and per delta
-    # for the public function; two roundings leave it within 2 ulps of R/V
+    # sums S_k = V Y(k/n), for each delta; two roundings leave it within 2
+    # ulps of R/V
     path = ProcessPath(values, p)
     ranges = _exact_ranges(path.sums, deltas)
     want = tuple(float(r) / path.v for r in ranges)
-    assert [x.hex() for x in _node_oscillations(path, tuple(deltas))] == [x.hex() for x in want]
     assert [modulus_of_continuity(path, d).hex() for d in deltas] == [x.hex() for x in want]
     for x, r in zip(want, ranges):
         assert abs(Fraction(x) - r / Fraction(path.v)) <= 2 * Fraction(np.spacing(x))
 
 
+def _path_over(sums, v: float) -> ProcessPath:
+    """A path whose prefix sums and V are set as given: the modulus reads only these two."""
+    path = ProcessPath(np.ones(len(sums) - 1), 2.0)
+    object.__setattr__(path, "sums", np.array(sums, dtype=float))
+    object.__setattr__(path, "v", v)
+    return path
+
+
 def test_modulus_where_n_is_large_against_its_ranges():
     # S in [1e6, 1e6 + 1]: the pass over Y = S/V rounds each node near 3e5
     # before subtracting and lands 699 051 ulps off 1/3; the range of S is exact
-    sums, deltas, v = np.array([1e6, 1e6 + 1, 1e6 + 0.5]), (0.5,), 3.0
-    assert _divided_ranges(sums, deltas, _max_oscillations(sums, deltas), v) == (1 / 3,)
-    assert _ulps((1 / 3,), _max_oscillations(sums / v, deltas)) > 699_000
+    sums, v = np.array([1e6, 1e6 + 1, 1e6 + 0.5]), 3.0
+    assert modulus_of_continuity(_path_over(sums, v), 0.5) == 1 / 3
+    assert _ulps((1 / 3,), (_max_oscillations(sums / v, 0.5),)) > 699_000
 
 
 def test_modulus_of_unit_steps_is_one_step_over_v():
@@ -202,7 +207,7 @@ def test_modulus_of_unit_steps_is_one_step_over_v():
     # over Y = S/V rounds k/V and (k - 1)/V apart and lands about 400 ulps off
     path = ProcessPath(np.ones(1000), 2.0)
     assert modulus_of_continuity(path, 1e-3) == 1.0 / path.v
-    assert _node_oscillations(path, (1e-3, 0.5)) == (1.0 / path.v, 500.0 / path.v)
+    assert modulus_of_continuity(path, 0.5) == 500.0 / path.v
 
 
 def test_modulus_where_a_range_of_n_overflows_takes_the_exact_pass():
@@ -210,30 +215,19 @@ def test_modulus_where_a_range_of_n_overflows_takes_the_exact_pass():
     # the range of Y = S/V does not, and no overflow warning is raised
     path = ProcessPath(np.array([0.9e308, -1.0e308, -0.8e308, 1.0]), 2.0)
     assert modulus_of_continuity(path, 0.5) == 1.1499778169998915
-    assert _node_oscillations(path, (1.0, 0.5)) == (1.1499778169998915,) * 2
+    assert modulus_of_continuity(path, 1.0) == 1.1499778169998915
 
 
 @pytest.mark.parametrize("y, deltas, want", [
     ([0.0, 2.0], (1.0, 0.5, 0.4), (2.0, 0.0, 0.0)),  # one mesh step: only delta = 1 spans it
-    ([0.0, 3.0, -1.0], (0.4, 1.0, 0.5, 1.0), (0.0, 4.0, 4.0, 4.0)),  # sub-mesh, duplicates, unsorted
+    ([0.0, 3.0, -1.0], (0.4, 1.0, 0.5), (0.0, 4.0, 4.0)),  # sub-mesh and whole-path windows
     ([1.0, 1.0, 1.0, 1.0], (0.25, 1.0, 0.5), (0.0, 0.0, 0.0)),  # constant path
     ([2.0, 0.0, 2.0, 0.0, 1.0], (0.5, 0.25, 0.75), (2.0, 2.0, 2.0)),  # tied max and min
 ])
 def test_max_oscillations_edge_cases(y, deltas, want):
     y = np.array(y)
-    assert _max_oscillations(y, deltas) == want
+    assert tuple(_max_oscillations(y, d) for d in deltas) == want
     assert _scipy_oscillations(y, deltas) == want
-
-
-def test_modulus_matches_one_pass_over_delta_grid():
-    x = sample_family(FamilySpec(kind="SymStable", alpha=1.5), SeededStream(41), 500)
-    path = ProcessPath(x, 1.5)
-    deltas = ExperimentConfig.delta_grid
-    # the window ranges of S, Y's node grid times V, by the scipy filters
-    oms = tuple(r / path.v for r in _scipy_oscillations(path.sums, deltas))
-    assert oms == tuple(modulus_of_continuity(path, d) for d in deltas)
-    assert oms == _node_oscillations(path, deltas)
-    assert _ulps(oms, _max_oscillations(y_path(path, np.arange(x.size + 1) / x.size), deltas)) <= 4
 
 
 @pytest.mark.parametrize("n", [4000, 16000])

@@ -214,3 +214,17 @@ def test_stable_draw_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < n * 8 + 2**20
+
+
+def test_cauchy_draw_allocates_no_scratch():
+    # alpha = 1 draws T's uniforms straight over the output and reads no block
+    # scratch, so the output (160 kB at n = 20 000) is all it holds; with the
+    # scratch of 5 * min(n, _BLOCK) doubles it peaked at 817 kB
+    n = 20_000
+    tracemalloc.start()
+    try:
+        sample_family(FamilySpec(kind="SymStable", alpha=1.0), SeededStream(5), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n * 8 <= peak < n * 8 + 2**16

@@ -97,6 +97,35 @@ def test_golden_payloads_read_back_to_their_bytes(name, tmp_path):
     assert (tmp_path / "back.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+# tests/golden/degenerate_scan.json as written while the tightness scan still
+# wrote the modulus rows: its config carries delta_grid, and the degenerate
+# scan wrote a mean_sum_sq_ratio row per n
+OLD_DEGENERATE_SCAN = (
+    '{"aggregates":[{"n":50,"reps":8,"statistic":"mean_sq_self_norm","stderr":0.09643383238863379,"va'
+    'lue":0.3390667699400997},{"n":50,"reps":8,"statistic":"exceedance","stderr":0.11692679333668567,'
+    '"value":0.875},{"n":50,"reps":8,"statistic":"mean_sum_sq_ratio","stderr":0.04496909865282392,"va'
+    'lue":0.5333427537867778},{"n":200,"reps":8,"statistic":"mean_sq_self_norm","stderr":0.0652869829'
+    '5672304,"value":0.1164191368890578},{"n":200,"reps":8,"statistic":"exceedance","stderr":0.153093'
+    '10892394862,"value":0.75},{"n":200,"reps":8,"statistic":"mean_sum_sq_ratio","stderr":0.057432359'
+    '803922785,"value":0.37722711237253265}],"config":{"delta_grid":[0.5,0.2,0.1,0.05],"epsilon":0.1,'
+    '"experiment":"degenerate_scan","family":{"alpha":1.5,"kind":"SymStable","scale":1.0},"master_see'
+    'd":101,"n_grid":[50,200],"p":1.2,"reps":8,"t_grid":[0.25,0.5,0.75,1.0]},"draw_count":2000,"regim'
+    'e_decision":"degenerate","run_id":"a351ba612269"}'
+)
+
+
+def test_read_report_refuses_a_report_that_carries_delta_grid(tmp_path):
+    dest = tmp_path / "old.json"
+    dest.write_text(OLD_DEGENERATE_SCAN + "\n")
+    with pytest.raises(ConfigError, match="delta_grid"):
+        read_report(dest)
+    # every row the scan still writes, and its label, are the old file's
+    old = json.loads(OLD_DEGENERATE_SCAN)
+    new = json.loads((GOLDEN / "degenerate_scan.json").read_text())
+    assert new["aggregates"] == [r for r in old["aggregates"] if r["statistic"] != "mean_sum_sq_ratio"]
+    assert new["regime_decision"] == old["regime_decision"]
+
+
 def test_read_report_refuses_rows_the_experiment_never_writes(tmp_path):
     # a renamed first row and a repeated row once loaded as a 7-row report
     # that kept its degenerate label

@@ -60,8 +60,6 @@ def config(**over) -> ExperimentConfig:
     dict(t_grid=(0.5, 0.25)),
     dict(t_grid=(0.0, 0.5)),
     dict(epsilon=0.0),
-    dict(delta_grid=()),
-    dict(delta_grid=(1.5,)),
     dict(workers=0),
     dict(experiment="fdd_covariance", reps=1),
     # non-integral values are refused, not truncated
@@ -83,8 +81,6 @@ def config(**over) -> ExperimentConfig:
     dict(epsilon="0.1"),
     dict(epsilon=float("nan")),
     dict(n_grid=5),
-    dict(delta_grid=(None,)),
-    dict(delta_grid=(float("nan"),)),
     # a bool is not a number, though Python counts True as 1
     dict(reps=True),
     dict(p=True),
@@ -149,8 +145,8 @@ def test_draw_count_conservation():
 
 def test_rows_cover_every_n():
     r = run_experiment(config())
-    for stat in ("mean_sq_self_norm", "exceedance", "mean_sum_sq_ratio"):
-        assert sorted(row.n for row in r.aggregates if row.statistic == stat) == [50, 200]
+    assert [(row.n, row.statistic) for row in r.aggregates] == \
+        [(n, stat) for n in (50, 200) for stat in ("mean_sq_self_norm", "exceedance")]
 
 
 def test_tightness_rows_include_lagged_ks():
@@ -158,8 +154,9 @@ def test_tightness_rows_include_lagged_ks():
     r = run_experiment(cfg)
     ks_ns = [row.n for row in r.aggregates if row.statistic == "mr_ks_prev"]
     assert ks_ns == [100, 200]  # attached to the later n of each consecutive pair
-    om = [row for row in r.aggregates if row.statistic.startswith("omega_exceed_d")]
-    assert len(om) == 3 * len(cfg.delta_grid)
+    assert [row.statistic for row in r.aggregates if row.n == 50] == ["darling_median", "mr_median"]
+    assert [row.statistic for row in r.aggregates if row.n == 200] == \
+        ["darling_median", "mr_median", "darling_ks_prev", "mr_ks_prev"]
 
 
 def test_fdd_covariance_row_names():
@@ -356,18 +353,20 @@ def test_regime_map_shares_draws_pool_and_oracles(monkeypatch):
 
 
 def test_one_reduction_per_replication_and_n(monkeypatch):
-    # the path's prefix sums, its one rescaled sample, from which V_{n,p}
-    # and the three ratios are read, and the window ranges of its sums serve
-    # every p of the row and every scan, ek_functionals included
+    # the path's prefix sums and its one rescaled sample, from which V_{n,p}
+    # and the ratios are read, serve every p of the row and every scan,
+    # ek_functionals included; no scan reads the modulus of continuity, so no
+    # window pass runs
     sums = _counting(monkeypatch, "partial_sums", process)
     rescales = _counting(monkeypatch, "_Rescaled", process)
     window_passes = _counting(monkeypatch, "_max_oscillations", process)
+    window_passes += _counting(monkeypatch, "_max_oscillations", diagnostics)
     rescales_in_diagnostics = _counting(monkeypatch, "_Rescaled", diagnostics)
     base = config(n_grid=(50, 100), reps=4, workers=1)
     regime_map(base, (1.5,), (1.5, 2.0))
     assert len(sums) == 4 * 2
     assert len(rescales) == 4 * 2
-    assert len(window_passes) == 4 * 2
+    assert window_passes == []
     assert rescales_in_diagnostics == []
 
 
@@ -1042,7 +1041,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                   "--reps", "4", "--seed", "1"]
     bad = [(run_args, data) for data in (
         {"n": ["x"]}, {"n": 5}, {"t_grid": "0.5"}, {"n_grid": [100.7]}, {"reps": 1.5},
-        {"seed": "1"}, {"alpha": [1.0]}, {"delta_grid": [None]},
+        {"seed": "1"}, {"alpha": [1.0]},
         {"family": {"kind": "SymStable", "alpha": "x"}},
         {"family": {"kind": "SymStable", "alpha": 1.0, "bogus": 1}},
         {"family": {"kind": "SymStable", "alpha": 1.0, "scale": None}},
@@ -1056,6 +1055,19 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert cli.main(args + ["--config", str(cfg_file)]) == 1, data
         assert capsys.readouterr().err.startswith("error: "), data
+    # a null inside the nested family is refused by name, as a top-level one
+    # is, not read as the --alpha flag left unset
+    named = [({"family": {"kind": "SymStable", "alpha": None}}, "config key 'family.alpha' cannot be null"),
+             ({"alpha": None}, "config key 'alpha' cannot be null"),
+             ({"delta_grid": [0.5]}, "unknown config key 'delta_grid'")]
+    for data, message in named:
+        cfg_file = tmp_path / "named.json"
+        cfg_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli.main(run_args + ["--config", str(cfg_file)]) == 1, data
+        assert capsys.readouterr().err == f"error: {message}\n", data
+    assert cli.main(run_args + ["--delta-grid", "0.5"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --delta-grid 0.5\n"
     # no trustworthy number: a draw overflows to inf
     non_finite = ["run", "--family", "SymPareto", "--alpha", "0.005", "--p", "1", "--n", "200",
                   "--reps", "20", "--seed", "1", "--experiment", "degenerate_scan"]

@@ -3,12 +3,12 @@
 Each (replication, n) builds one ProcessPath, and one more per further p
 of a regime_map row, sharing its reductions (`ProcessPath.at_p`); V_{n,p},
 max_ratio, darling_ratio and sum_sq_ratio come from the rescaled sample's
-power sums, Y(1) from S_n, the oscillations from the largest window ranges
-of S divided by V (Y(k/n) = S_k/V on the node grid), and the EK
-functionals from the shared extremes of S_k and |S_k|. These tests hold
-what the scans get to the public functions, and to a reference that
-rescales the sample anew for each statistic, bit for bit; the oscillations
-also lie within 4 ulps of the exact pass over every window of S/V.
+power sums, Y(1) from S_n, and the EK functionals from the shared extremes
+of S_k and |S_k|. These tests hold what the scans get to the public
+functions, and to a reference that rescales the sample anew for each
+statistic, bit for bit. The public modulus of continuity is the largest
+window range of S divided by V (Y(k/n) = S_k/V on the node grid), within 4
+ulps of the exact pass over every window of S/V.
 """
 import warnings
 
@@ -33,7 +33,7 @@ from selfnorm import (
     y_at,
     y_path,
 )
-from selfnorm import harness, process
+from selfnorm import diagnostics, harness
 from selfnorm.process import _max_oscillations
 
 # a numpy RuntimeWarning fails the test: the path layer raises or handles
@@ -95,16 +95,11 @@ def test_scan_stats_equal_the_public_functions_bit_for_bit(family, p, n):
     old = _old_ratios(x, p, family.alpha)
     assert _hex([path.v, p_norm(x, p)]) == _hex([old["v"]] * 2)
 
-    assert _hex(got["degenerate_scan"]) == _hex((y_at(fresh, 1.0), sum_sq_ratio(x, family.alpha)))
-    assert _hex(got["degenerate_scan"]) == _hex((nodes[-1], old["sum_sq_ratio"]))
+    assert _hex(got["degenerate_scan"]) == _hex((y_at(fresh, 1.0),))
+    assert _hex(got["degenerate_scan"]) == _hex((nodes[-1],))
 
-    deltas = configs["tightness_scan"].delta_grid
-    oms = [modulus_of_continuity(fresh, d) for d in deltas]
-    assert _hex(got["tightness_scan"]) == _hex((darling_ratio(x), max_ratio(x, p), *oms))
-    ranges = _max_oscillations(path.sums, deltas)
-    assert _hex(got["tightness_scan"]) == _hex(
-        (old["darling_ratio"], old["max_ratio"], *(r / old["v"] for r in ranges)))
-    assert _ulps(got["tightness_scan"][2:], _max_oscillations(nodes, deltas)) <= 4
+    assert _hex(got["tightness_scan"]) == _hex((darling_ratio(x), max_ratio(x, p)))
+    assert _hex(got["tightness_scan"]) == _hex((old["darling_ratio"], old["max_ratio"]))
 
     ek = ek_functionals(fresh)
     assert _hex(got["ek_functionals"]) == _hex((ek.max_sn, ek.max_abs_sn, ek.mean_sq, ek.mean_abs))
@@ -113,8 +108,25 @@ def test_scan_stats_equal_the_public_functions_bit_for_bit(family, p, n):
         (s.max(), np.abs(s).max(), np.mean(s * s), np.abs(s).mean()))
     assert _hex(got["fdd_covariance"]) == _hex(y_path(fresh, configs["fdd_covariance"].t_grid))
 
-    # one power sum per distinct exponent: at alpha == p, S_alpha is S_p
+    # one power sum per distinct exponent: the scans read S_p and S_2, and
+    # sum_sq_ratio adds S_alpha only where alpha != p
+    assert set(path.rescaled._sums) == {p, 2.0}
+    assert _hex([path.rescaled.sum_sq_ratio(family.alpha)] * 2) == \
+        _hex([sum_sq_ratio(x, family.alpha), old["sum_sq_ratio"]])
     assert set(path.rescaled._sums) == {p, 2.0, family.alpha}
+
+
+@pytest.mark.parametrize("n", N_VALUES)
+@pytest.mark.parametrize("family,p", CASES, ids=lambda v: getattr(v, "kind", v))
+def test_modulus_is_the_largest_range_of_s_over_v_bit_for_bit(family, p, n):
+    x = sample_family(family, SeededStream(7, n), n)
+    path = ProcessPath(x, p)
+    old_v = _old_ratios(x, p, family.alpha)["v"]
+    nodes = path.sums / path.v  # Y(k/n) = S_k/V, divided anew
+    for delta in (0.5, 0.2, 0.1, 0.05):
+        om = modulus_of_continuity(path, delta)
+        assert _hex([om]) == _hex([_max_oscillations(path.sums, delta) / old_v])
+        assert _ulps([om], [_max_oscillations(nodes, delta)]) <= 4
 
 
 def test_node_grid_is_not_s_over_v_at_every_node():
@@ -132,18 +144,19 @@ def test_node_grid_is_not_s_over_v_at_every_node():
     assert not np.array_equal(nodes, s)
 
 
-def test_the_scans_node_grid_is_s_over_v_at_every_node(monkeypatch):
-    # the scans read S_k itself: the window pass runs on the path's sums
+def test_the_node_grid_read_is_s_over_v_at_every_node(monkeypatch):
+    # the modulus and the endpoint read S_k itself: the window pass runs on
+    # the path's sums, once per delta
     x = sample_family(FamilySpec(kind="SymStable", alpha=1.5), SeededStream(3), 4000)
     path = ProcessPath(x, 1.5)
     s = path.sums / path.v
     seen = []
-    exact_pass = process._max_oscillations
-    monkeypatch.setattr(process, "_max_oscillations", lambda y, d: seen.append(y) or exact_pass(y, d))
-    deltas = ExperimentConfig.delta_grid
-    assert _hex(process._node_oscillations(path, deltas)) == \
-        _hex([r / path.v for r in exact_pass(path.sums, deltas)])
-    assert len(seen) == 1 and seen[0] is path.sums
+    exact_pass = diagnostics._max_oscillations
+    monkeypatch.setattr(diagnostics, "_max_oscillations", lambda y, d: seen.append(y) or exact_pass(y, d))
+    deltas = (0.5, 0.2, 0.1, 0.05)
+    assert _hex([modulus_of_continuity(path, d) for d in deltas]) == \
+        _hex([exact_pass(path.sums, d) / path.v for d in deltas])
+    assert len(seen) == len(deltas) and all(y is path.sums for y in seen)
     assert _hex([harness._endpoint(path)]) == _hex([s[-1]])
 
 
@@ -170,17 +183,18 @@ def test_edge_behaviour_of_the_shared_rescale():
                                     FamilySpec(kind="StudentT", alpha=5.0),
                                     FamilySpec(kind="SymPareto", alpha=4.0)],
                          ids=lambda f: f"{f.kind}-{f.alpha:g}")
-def test_degenerate_scan_reads_the_da_index_above_two(family):
+def test_degenerate_scan_of_a_tail_index_above_two(family):
     # a tail index above 2 means a finite variance, so the family lies in
-    # DA(2): the scan's sum-of-squares ratio is read at min(alpha, 2) = 2,
-    # where it is exactly 1
+    # DA(2); the scan reads the endpoint alone, which needs no stable index,
+    # and the sum-of-squares ratio at the DA index min(alpha, 2) = 2 is 1
     cfg = ExperimentConfig(family=family, p=1.5, n_grid=(50, 200), reps=4, master_seed=1,
                            experiment="degenerate_scan")
     x = sample_family(family, SeededStream(1, 0), 200)
     assert _hex(harness._scan_stats(cfg, x, ProcessPath(x, 1.5), None)) == \
-        _hex((y_at(ProcessPath(x, 1.5), 1.0), sum_sq_ratio(x, 2.0)))
-    rows = {(r.n, r.statistic): r.value for r in run_experiment(cfg).aggregates}
-    assert rows[(200, "mean_sum_sq_ratio")] == pytest.approx(1.0, abs=1e-12)
+        _hex((y_at(ProcessPath(x, 1.5), 1.0),))
+    rows = [(r.n, r.statistic) for r in run_experiment(cfg).aggregates]
+    assert rows == [(n, stat) for n in (50, 200) for stat in ("mean_sq_self_norm", "exceedance")]
+    assert sum_sq_ratio(x, 2.0) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ParameterDomainError, match="alpha must lie in"):
         sum_sq_ratio(x, family.alpha)  # the public ratio still needs alpha in (0, 2]
 
@@ -232,29 +246,32 @@ ROUNDING_WINS = [
 ]
 
 
+def _path_over(sums, v: float) -> ProcessPath:
+    """A path whose prefix sums and V are set as given: the modulus reads only these two."""
+    path = ProcessPath(np.ones(len(sums) - 1), 2.0)
+    object.__setattr__(path, "sums", np.array(sums, dtype=float))
+    object.__setattr__(path, "v", v)
+    return path
+
+
 @pytest.mark.parametrize("case", ROUNDING_WINS)
 def test_the_largest_range_of_n_gives_the_modulus_where_rounding_favours_another_window(case):
     hi_a, lo_a, hi_b, lo_b, v = (float.fromhex(h) for h in case)
     assert hi_b - lo_b < hi_a - lo_a and hi_b / v - lo_b / v > hi_a / v - lo_a / v
     # width-one windows; those through the middle value span about half the range
     sums = np.array([lo_a, hi_a, (hi_a + lo_b) / 2, lo_b, hi_b])
-    deltas = (0.25,)
-    got = process._divided_ranges(sums, deltas, _max_oscillations(sums, deltas), v)
-    assert _hex(got) == _hex([(hi_a - lo_a) / v])
+    got = modulus_of_continuity(_path_over(sums, v), 0.25)
+    assert _hex([got]) == _hex([(hi_a - lo_a) / v])
     # the exact pass over Y reads window b, within 4 ulps
-    exact_pass = _max_oscillations(sums / v, deltas)
-    assert _hex(exact_pass) == _hex([hi_b / v - lo_b / v])
-    assert _ulps(got, exact_pass) <= 4
+    exact_pass = _max_oscillations(sums / v, 0.25)
+    assert _hex([exact_pass]) == _hex([hi_b / v - lo_b / v])
+    assert _ulps([got], [exact_pass]) <= 4
 
 
-def _brute_ranges(sums, deltas):
-    # max - min over every window of S, one width at a time
-    out = []
-    for d in deltas:
-        w = int(np.floor(d * (sums.size - 1) + 1e-9))
-        out.append(max(sums[j:j + w + 1].max() - sums[j:j + w + 1].min()
-                       for j in range(sums.size - w)))
-    return out
+def _brute_range(sums, delta):
+    # max - min over every window of S
+    w = int(np.floor(delta * (sums.size - 1) + 1e-9))
+    return max(sums[j:j + w + 1].max() - sums[j:j + w + 1].min() for j in range(sums.size - w))
 
 
 @pytest.mark.parametrize("sums, v, falls_back", [
@@ -270,26 +287,29 @@ def _brute_ranges(sums, deltas):
     ([3.0, 3.0, 3.0, 3.0], 1.0, False),  # the largest range is 0
     ([-0.0, -1e-300, -0.0, -1e-300], 1e10, False),  # R/V is subnormal
 ])
-def test_divided_ranges_at_the_edges(sums, v, falls_back, monkeypatch):
+def test_modulus_at_the_edges(sums, v, falls_back, monkeypatch):
     # only a range divided by V that is not finite sends the exact pass over S/V
     sums = np.array(sums)
+    path = _path_over(sums, v)
     deltas = (1.0, 0.5, 0.34, 0.2)
     calls = []
-    exact = process._max_oscillations
+    exact = diagnostics._max_oscillations
     with np.errstate(all="ignore"):
-        ranges = exact(sums, deltas)
-        want = exact(sums / v, deltas) if falls_back else [r / v for r in _brute_ranges(sums, deltas)]
-        monkeypatch.setattr(process, "_max_oscillations", lambda *a: calls.append(a) or exact(*a))
-        assert _hex(process._divided_ranges(sums, deltas, ranges, v)) == _hex(want)
-    assert len(calls) == falls_back
+        want = [exact(sums / v, d) if falls_back else _brute_range(sums, d) / v for d in deltas]
+        monkeypatch.setattr(diagnostics, "_max_oscillations", lambda *a: calls.append(a) or exact(*a))
+        assert _hex([modulus_of_continuity(path, d) for d in deltas]) == _hex(want)
+    # one pass over S per delta, and one over S/V only where it falls back
+    assert [y is path.sums for y, _ in calls].count(True) == len(deltas)
+    assert any(y is not path.sums for y, _ in calls) == falls_back
 
 
-def test_prefix_sums_that_overflow_still_raise_in_the_tightness_scan(monkeypatch):
+@pytest.mark.parametrize("experiment", ["degenerate_scan", "ek_functionals"])
+def test_prefix_sums_that_overflow_still_raise_in_the_scans_that_read_them(experiment, monkeypatch):
     x = np.array([1e308, 1e308, -1.0, 2.0] * 4)
     cfg = ExperimentConfig(family=FamilySpec(kind="SymStable", alpha=1.5), p=2.0, n_grid=(16,),
-                           reps=1, master_seed=1, experiment="tightness_scan")
+                           reps=1, master_seed=1, experiment=experiment)
     monkeypatch.setattr(harness, "_sample_into", lambda family, stream, out, scaled: np.copyto(out, x))
-    with pytest.raises(harness.NonFiniteSampleError, match="tightness_scan"), \
+    with pytest.raises(harness.NonFiniteSampleError, match=experiment), \
             np.errstate(all="ignore"):
         harness._rep_stats((cfg,), 0, np.empty(16), None)
 
@@ -309,11 +329,10 @@ def test_path_oscillations_and_ek_at_the_edges(values, p):
     deltas = (0.5, 0.2, 0.1, 0.05, 1.0, 1e-3)  # widths below one mesh step give 0.0
     with np.errstate(all="ignore"):
         nodes = path.sums / path.v  # Y(k/n) = S_k/V, divided anew
-        want = [r / path.v for r in _max_oscillations(path.sums, deltas)]
-        assert _hex(process._node_oscillations(path, deltas)) == _hex(want)
-        assert _hex(process._node_oscillations(fresh_at_p, deltas)) == _hex(want)
+        want = [_max_oscillations(path.sums, d) / path.v for d in deltas]
         assert _hex([modulus_of_continuity(path, d) for d in deltas]) == _hex(want)
-        assert _ulps(want, _max_oscillations(nodes, deltas)) <= 4
+        assert _hex([modulus_of_continuity(fresh_at_p, d) for d in deltas]) == _hex(want)
+        assert _ulps(want, [_max_oscillations(nodes, d) for d in deltas]) <= 4
         s = path.sums[1:] / path.v  # reference: S_k/V divided anew
         ref = (s.max(), np.abs(s).max(), np.mean(s * s), np.abs(s).mean())
         assert _hex(ek_functionals(path).__dict__.values()) == _hex(ref)
