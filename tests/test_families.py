@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,14 +121,27 @@ def test_bad_n_rejected(n):
 
 
 def _stable_reference(alpha, u, scale):
-    # the whole-array transforms the blocked samplers must reproduce; at
-    # alpha = 1 the transform is tan(T) itself and u holds T's uniforms alone
+    # the whole-array transforms the blocked samplers must reproduce: each sine
+    # from its half-angle tangent, sin(a)/2 = t/(1 + t^2) with t = tan(a/2), and
+    # cos(T) = sin(pi h), cos((1 - alpha) T) = sin(pi c/2 + |1 - alpha| pi h) with
+    # h = min(u0, 1 - u0) and c = min(alpha, 2 - alpha); at alpha = 1 the
+    # transform is tan(T) itself and u holds T's uniforms alone
     if alpha == 1.0:
         return scale * np.tan((u - 0.5) * np.pi)
-    theta = (u[:, 0] - 0.5) * np.pi
-    w = -np.log1p(-u[:, 1])
-    x = (np.sin(alpha * theta) / np.cos(theta) ** (1.0 / alpha)
-         * (np.cos((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha))
+    u0, u1 = u[:, 0], u[:, 1]
+
+    def half_sine(half_angle):
+        t = np.tan(half_angle)
+        return t / (t * t + 1.0)
+
+    if alpha == 2.0:  # 2 sin(T) sqrt(W)
+        return scale * (half_sine((u0 - 0.5) * (np.pi / 2)) * np.sqrt(np.log1p(-u1) * -16.0))
+    h = np.minimum(u0, 1.0 - u0)
+    sin_a = half_sine((u0 - 0.5) * (alpha * np.pi / 2))
+    cos_1a = half_sine(h * (abs(1.0 - alpha) * np.pi / 2) + min(alpha, 2.0 - alpha) * np.pi / 4)
+    cos_t = half_sine(h * (np.pi / 2))
+    x = sin_a / cos_t * (cos_1a / cos_t / -np.log1p(-u1)) ** ((1.0 - alpha) / alpha)
+    x[u0 == 0.0] = -np.inf
     return scale * x
 
 
@@ -151,6 +165,33 @@ def test_blocks_match_whole_array_transform(n, kind, alpha, scale):
     u = stream.generator().random(n if (kind, alpha) == ("SymStable", 1.0) else (n, 2))
     reference = _stable_reference if kind == "SymStable" else _pareto_reference
     expected = reference(alpha, u, scale)
+    got = sample_family(FamilySpec(kind=kind, alpha=alpha, scale=scale), stream, n)
+    assert got.tobytes() == expected.tobytes()
+
+
+def _box_muller_reference(g, n):
+    # the whole-array Box-Muller transform: one row of uniforms per pair
+    u = g.random(((n + 1) // 2, 2))
+    rad = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+    ang = 2.0 * np.pi * u[:, 1]
+    z = np.empty(2 * len(u))
+    z[0::2] = rad * np.cos(ang)
+    z[1::2] = rad * np.sin(ang)
+    return z[:n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 2 * _BLOCK + 2,
+                               100_000, 100_001])
+@pytest.mark.parametrize("kind,alpha", [("Gaussian", 2.0), ("StudentT", 1.5), ("StudentT", 4.0)])
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+def test_normal_draws_match_whole_array_transform(n, kind, alpha, scale):
+    # the normals are written over the output a block of 2**14 rows (pairs) at
+    # a time, the chi ratio over the chi-square array: the bytes of the
+    # whole-array transforms, odd n and every row-block edge included
+    stream = SeededStream(37, 2)
+    g = stream.generator()
+    z = _box_muller_reference(g, n)
+    expected = scale * z if kind == "Gaussian" else scale * z / np.sqrt(g.chisquare(alpha, n) / alpha)
     got = sample_family(FamilySpec(kind=kind, alpha=alpha, scale=scale), stream, n)
     assert got.tobytes() == expected.tobytes()
 
@@ -181,6 +222,66 @@ def test_cauchy_draws_within_one_ulp_of_tan():
     exact = np.tan((u0 - 0.5) * np.pi, dtype=np.longdouble)
     ulp = np.spacing(np.abs(exact.astype(np.float64)))
     assert np.all(np.abs(x - exact) <= ulp)
+
+
+def _cms_at_40_digits(alpha, u0, u1):
+    # the transform with exact T = pi (u0 - 1/2) and W = -log1p(-u1)
+    with mpmath.workdps(40):
+        a, t = mpmath.mpf(alpha), mpmath.pi * (mpmath.mpf(u0) - 0.5)
+        w = -mpmath.log1p(-mpmath.mpf(u1))
+        return float(mpmath.sin(a * t) / mpmath.cos(t) ** (1 / a)
+                     * (mpmath.cos((1 - a) * t) / w) ** ((1 - a) / a))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.5, 1.9, 2.0])
+def test_stable_draws_within_32_ulps_of_the_formula(alpha):
+    # the forced tails u = k 2^-53 and 1 - k 2^-53 (1 <= k <= 300) for u0 and
+    # for u1, where sin and cos of a rounded T lose all accuracy, then three
+    # blocks of random rows, every 64th of them checked
+    k = np.arange(1, 301)
+    tails = np.concatenate([k * 2.0**-53, 1.0 - k * 2.0**-53])
+    rows = SeededStream(47).generator().random((3 * _BLOCK, 2))
+    forced = np.concatenate([np.column_stack([tails, rows[:tails.size, 1]]),
+                             np.column_stack([rows[:tails.size, 0], tails]),
+                             np.column_stack([tails, tails]), np.column_stack([tails, tails[::-1]])])
+    u = np.concatenate([forced, rows])
+    x = sample_family(FamilySpec(kind="SymStable", alpha=alpha), _FixedUniforms(u), len(u))
+    checked = np.r_[:len(forced), len(forced):len(u):64]
+    exact = np.array([_cms_at_40_digits(alpha, *u[i]) for i in checked])
+    ulps = np.abs(x[checked] - exact) / np.spacing(np.abs(exact))
+    assert ulps.max() <= 32
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.5, 1.9, 2.0])
+def test_stable_draws_at_the_ends_of_the_uniforms(alpha):
+    # u0 = 0 is T = -pi/2, outside the open interval: the transform's limit
+    # there, -inf at every alpha < 2 and -2 sqrt(W) at alpha = 2. u1 = 0 is
+    # W = 0: the limits sign(T) inf at alpha < 1 and sign(T) 0 at alpha > 1,
+    # and 0 inf = NaN at T = 0 and alpha < 1
+    u = np.array([[0.0, 0.3], [0.0, 0.0], [0.2, 0.0], [0.7, 0.0], [0.5, 0.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = sample_family(FamilySpec(kind="SymStable", alpha=alpha), _FixedUniforms(u), len(u))
+    if alpha == 2.0:
+        assert x[0] == pytest.approx(-2.0 * np.sqrt(-np.log1p(-0.3)), rel=1e-15)
+        expected = [-0.0, -0.0, 0.0, 0.0]
+    elif alpha < 1.0:
+        assert x[0] == -np.inf
+        expected = [-np.inf, -np.inf, np.inf, np.nan]
+    else:
+        assert x[0] == -np.inf
+        expected = [-np.inf, -0.0, 0.0, 0.0]
+    assert [repr(v) for v in x[1:].tolist()] == [repr(v) for v in expected]  # the sign of 0 too
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.5, 1.9, 2.0])
+def test_stable_draws_follow_the_stable_law(alpha):
+    # the lab's sigma = 1 convention, E cos(uX) = exp(-|u|^alpha), within 4
+    # standard errors; the variance of cos(uX) is (1 + phi(2u))/2 - phi(u)^2
+    x = sample_family(FamilySpec(kind="SymStable", alpha=alpha), SeededStream(53), 200_000)
+    for u in (0.5, 1.0, 2.0):
+        phi = np.exp(-u**alpha)
+        se = np.sqrt(((1.0 + np.exp(-(2.0 * u)**alpha)) / 2.0 - phi**2) / x.size)
+        assert abs(np.cos(u * x).mean() - phi) < 4.0 * se
 
 
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
@@ -228,3 +329,17 @@ def test_cauchy_draw_allocates_no_scratch():
     finally:
         tracemalloc.stop()
     assert n * 8 <= peak < n * 8 + 2**16
+
+
+def test_student_t_draw_memory_is_bounded():
+    # the output and the chi-square array, plus three blocks of temporaries:
+    # 1 602 048 B, where the whole-array transform, with several n-sized
+    # temporaries at once, peaked at 4 802 694 B
+    n = 100_000
+    tracemalloc.start()
+    try:
+        sample_family(FamilySpec(kind="StudentT", alpha=3.0), SeededStream(5), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * 8 + 2**20

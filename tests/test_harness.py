@@ -47,47 +47,49 @@ def config(**over) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+# each case names itself, so deleting one renames no other
 @pytest.mark.parametrize("over", [
-    dict(p=0.0),
-    dict(p=2.5),
-    dict(n_grid=()),
-    dict(n_grid=(200, 50)),
-    dict(n_grid=(0, 50)),
-    dict(reps=0),
-    dict(master_seed=-1),
-    dict(master_seed=2**64),
-    dict(experiment="moment_scan"),
-    dict(t_grid=(0.5, 0.25)),
-    dict(t_grid=(0.0, 0.5)),
-    dict(epsilon=0.0),
-    dict(workers=0),
-    dict(experiment="fdd_covariance", reps=1),
+    pytest.param(dict(p=0.0), id="p_zero"),
+    pytest.param(dict(p=2.5), id="p_above_two"),
+    pytest.param(dict(n_grid=()), id="n_grid_empty"),
+    pytest.param(dict(n_grid=(200, 50)), id="n_grid_descending"),
+    pytest.param(dict(n_grid=(0, 50)), id="n_grid_zero"),
+    pytest.param(dict(reps=0), id="reps_zero"),
+    pytest.param(dict(master_seed=-1), id="seed_negative"),
+    pytest.param(dict(master_seed=2**64), id="seed_above_64_bits"),
+    pytest.param(dict(experiment="moment_scan"), id="experiment_unknown"),
+    pytest.param(dict(t_grid=(0.5, 0.25)), id="t_grid_descending"),
+    pytest.param(dict(t_grid=(0.0, 0.5)), id="t_grid_zero"),
+    pytest.param(dict(epsilon=0.0), id="epsilon_zero"),
+    pytest.param(dict(workers=0), id="workers_zero"),
+    pytest.param(dict(experiment="fdd_covariance", reps=1), id="fdd_one_rep"),
     # non-integral values are refused, not truncated
-    dict(n_grid=(100.7,)),
-    dict(n_grid=(50, "200")),
-    dict(reps=1.5),
-    dict(reps="16"),
-    dict(master_seed=1.9),
-    dict(master_seed=float("nan")),
-    dict(workers=2.5),
+    pytest.param(dict(n_grid=(100.7,)), id="n_grid_fraction"),
+    pytest.param(dict(n_grid=(50, "200")), id="n_grid_string"),
+    pytest.param(dict(reps=1.5), id="reps_fraction"),
+    pytest.param(dict(reps="16"), id="reps_string"),
+    pytest.param(dict(master_seed=1.9), id="seed_fraction"),
+    pytest.param(dict(master_seed=float("nan")), id="seed_nan"),
+    pytest.param(dict(workers=2.5), id="workers_fraction"),
     # non-numeric or non-iterable values raise ConfigError, not TypeError or ValueError
-    dict(p="x"),
-    dict(p=None),
-    dict(p=float("nan")),
-    dict(t_grid=("a",)),
-    dict(t_grid=0.5),
-    dict(t_grid=(0.5, float("nan"))),
-    dict(epsilon=None),
-    dict(epsilon="0.1"),
-    dict(epsilon=float("nan")),
-    dict(n_grid=5),
+    pytest.param(dict(p="x"), id="p_string"),
+    pytest.param(dict(p=None), id="p_none"),
+    pytest.param(dict(p=float("nan")), id="p_nan"),
+    pytest.param(dict(t_grid=("a",)), id="t_grid_string"),
+    pytest.param(dict(t_grid=0.5), id="t_grid_scalar"),
+    pytest.param(dict(t_grid=(0.5, float("nan"))), id="t_grid_nan"),
+    pytest.param(dict(epsilon=None), id="epsilon_none"),
+    pytest.param(dict(epsilon="0.1"), id="epsilon_string"),
+    pytest.param(dict(epsilon=float("nan")), id="epsilon_nan"),
+    pytest.param(dict(n_grid=5), id="n_grid_scalar"),
     # a bool is not a number, though Python counts True as 1
-    dict(reps=True),
-    dict(p=True),
-    dict(epsilon=True),
-    dict(n_grid=(True, 200)),
-    dict(master_seed=np.True_),
-    dict(epsilon=math.inf),  # JSON holds no infinity, so no report could be written
+    pytest.param(dict(reps=True), id="reps_bool"),
+    pytest.param(dict(p=True), id="p_bool"),
+    pytest.param(dict(epsilon=True), id="epsilon_bool"),
+    pytest.param(dict(n_grid=(True, 200)), id="n_grid_bool"),
+    pytest.param(dict(master_seed=np.True_), id="seed_numpy_bool"),
+    # JSON holds no infinity, so no report could be written
+    pytest.param(dict(epsilon=math.inf), id="epsilon_inf"),
 ])
 def test_config_validation(over):
     with pytest.raises(ConfigError):
