@@ -32,17 +32,15 @@ its own row. At alpha = 1 the SymStable transform is tan(T) alone (the
 Cauchy case), so SymStable draws only T's uniforms, straight over the
 output block, and reads no scratch, so none is allocated: an n-draw reads
 n uniforms of its stream, where every other alpha reads 2n. At every other
-alpha the transform calls no sin or cos: each sine is read from one SIMD
-half-angle tangent, with cos(T) and cos((1-alpha)T) taken as sines of
-angles built from min(u0, 1 - u0). At alpha 0.5, 0.8, 1.5 and 1.9 the
-variates are within 14 ulps of the formula with exact T, where sin and cos
-of the rounded T were off by up to 4.7e15 ulps near T = +-pi/2, and they
-cost about 0.6 times as much (39 against 64 ns at alpha 1.5 on a 2-vCPU
-Xeon); alpha = 2 computes 2 sin(T) sqrt(W) alone, within 2 ulps (see
-`_fill_sym_stable`). Gaussian and StudentT write their normals
-over the output too, a block of 2**14 pairs at a time through three block
-temporaries, and StudentT its chi ratio over the chi-square array, the one
-n-sized array it allocates.
+alpha the transform calls no sin or cos: each sine is read from one
+half-angle tangent, a SIMD loop where numpy's sin and cos are scalar libm
+calls, with cos(T) and cos((1-alpha)T) taken as sines of angles built from
+min(u0, 1 - u0), so the tails near T = +-pi/2 keep their accuracy (see
+`_fill_sym_stable`; the timings are in CHANGES.md and BENCH_32.json).
+Gaussian and StudentT write their normals over the output too, a block of
+2**14 pairs at a time through three temporaries of the same scratch, and
+StudentT its chi ratio over the chi-square array, the one n-sized array it
+allocates.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ def _block_scratch(scratch: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
     """The (m, 2) uniforms and three length-m temporaries of one block, as views of scratch.
 
     SymStable reads two temporaries at alpha = 2 and no scratch at alpha = 1;
-    SymPareto reads only the uniforms.
+    SymPareto reads only the uniforms, and Box-Muller only the temporaries.
     """
     return (scratch[:2 * m].reshape(m, 2), *(scratch[k * m:(k + 1) * m] for k in (2, 3, 4)))
 
@@ -125,11 +123,10 @@ def _fill_sym_stable(alpha: float, g: np.random.Generator, x: np.ndarray, scale:
 
     Variates are transformed in blocks of `_BLOCK` rows (see the module
     docstring), and no sin or cos is called: each sine comes from one
-    half-angle tangent, sin(a)/2 = t/(1 + t^2) with t = tan(a/2). On an x86-64
-    numpy 2.4 build whose `np.show_runtime()` reports 'found': ['X86_V3',
-    'X86_V4', 'AVX512_ICL', 'AVX512_SPR'], float64 tan is a SIMD loop at
-    about 2.4 ns per value where sin and cos are scalar libm at 7 to 8 ns.
-    With h = min(u0, 1 - u0), which is exact, and |T| = pi (1/2 - h):
+    half-angle tangent, sin(a)/2 = t/(1 + t^2) with t = tan(a/2). numpy's
+    float64 tan is a SIMD loop on x86-64 builds with AVX-512, where its sin
+    and cos are scalar libm calls. With h = min(u0, 1 - u0), which is exact,
+    and |T| = pi (1/2 - h):
 
     - sin(alpha T) is read at alpha pi (u0 - 1/2)/2, whose sign is T's
       (u0 - 1/2 and sign(T) (1/2 - h) are one float);
@@ -146,17 +143,13 @@ def _fill_sym_stable(alpha: float, g: np.random.Generator, x: np.ndarray, scale:
     uniforms are one contiguous draw of m doubles over the output,
     transformed in place, so an m-draw is still a prefix of an n-draw.
 
-    Against the formula at 40 digits with exact T, on the forced tails
-    u = k 2^-53 and 1 - k 2^-53 and on random rows, the variates are within
-    14 ulps at alpha in {0.5, 0.8, 1.5, 1.9} and 2 ulps at alpha = 2; sin and
-    cos of the rounded T were off by up to 4.7e15 ulps on the tails and 737 on
-    random rows. The bound loosens where the arithmetic is ill-conditioned:
-    near alpha = 2, where sin(alpha |T|) nears sin(pi) (143 ulps at alpha
-    1.99), and at small alpha, where the rounding of e is scaled by
-    log(R3/W) (326 ulps at alpha 0.1). On a 2-vCPU Xeon a variate costs
-    33, 43, 39, 37 and 25 ns at alpha 0.5, 0.8, 1.5, 1.9 and 2, against 54,
-    70, 64, 70 and 59 ns with sin and cos (medians of 10 interleaved rounds
-    of 100 x 16 000 draws; two Philox doubles took 18 ns of that).
+    Against the formula at 40 digits with exact T, tails u = k 2^-53 and
+    1 - k 2^-53 included, the variates are within the 32 ulps that
+    `test_stable_draws_within_32_ulps_of_the_formula` asserts at alpha in
+    {0.5, 0.8, 1.5, 1.9, 2}; sin and cos of a rounded T lose all accuracy
+    there. The bound loosens where the arithmetic is ill-conditioned: near
+    alpha = 2, where sin(alpha |T|) is read at an angle near pi, and at small
+    alpha, where the rounding of e is scaled by log(R3/W).
 
     Ends of the uniforms: u0 = 0 is T = -pi/2, outside the open interval,
     and gives the transform's limit there, X = -inf at every alpha < 2 (and
@@ -242,15 +235,14 @@ def _fill_sym_pareto(alpha: float, g: np.random.Generator, x: np.ndarray, scale:
         x *= scale
 
 
-def _polar_pairs(rows: np.ndarray, tmp: np.ndarray) -> None:
+def _polar_pairs(rows: np.ndarray, scratch: np.ndarray) -> None:
     """Turn each row (u0, u1) of rows into the normal pair R cos(A), R sin(A), in place.
 
-    R = sqrt(-2 log1p(-u0)) and A = 2 pi u1 are held in tmp, of at least
-    3 len(rows) values, so every transcendental call reads and writes
-    contiguous values, as the whole-array transform's do.
+    R = sqrt(-2 log1p(-u0)) and A = 2 pi u1 are held in the block
+    temporaries of scratch (`_block_scratch`), so every transcendental call
+    reads and writes contiguous values, as the whole-array transform's do.
     """
-    m = len(rows)
-    rad, ang, c = tmp[:m], tmp[m:2 * m], tmp[2 * m:3 * m]
+    _, rad, ang, c = _block_scratch(scratch, len(rows))
     np.negative(rows[:, 0], out=rad)
     np.log1p(rad, out=rad)
     rad *= -2.0
@@ -262,35 +254,35 @@ def _polar_pairs(rows: np.ndarray, tmp: np.ndarray) -> None:
     np.multiply(rad, ang, out=rows[:, 1])
 
 
-def _box_muller(g: np.random.Generator, z: np.ndarray) -> None:
+def _box_muller(g: np.random.Generator, z: np.ndarray, scratch: np.ndarray) -> None:
     """Standard normal variates over all of z by Box-Muller, a pair per row of two uniforms.
 
     Row i's uniforms are drawn over z[2i], z[2i + 1] and turned into its pair
-    in place, `_BLOCK` rows at a time; an odd n draws its last row into a
-    2-value array and keeps that row's first variate. The values, and the
-    uniforms read, are those of the whole-array transform of
-    g.random(((n + 1)//2, 2)), bit for bit.
+    in place, `_BLOCK` rows at a time, with the temporaries in scratch; an
+    odd n draws its last row into a 2-value array and keeps that row's first
+    variate. The values, and the uniforms read, are those of the whole-array
+    transform of g.random(((n + 1)//2, 2)), bit for bit.
     """
     n = z.size
     pairs = z[:n - n % 2].reshape(-1, 2)
     g.random(out=pairs)
-    tmp = np.empty(3 * min((n + 1) // 2, _BLOCK))
     for lo in range(0, len(pairs), _BLOCK):
-        _polar_pairs(pairs[lo:lo + _BLOCK], tmp)
+        _polar_pairs(pairs[lo:lo + _BLOCK], scratch)
     if n % 2:
         last = g.random((1, 2))
-        _polar_pairs(last, tmp)
+        _polar_pairs(last, scratch)
         z[-1] = last[0, 0]
 
 
-def _fill_gaussian(g: np.random.Generator, x: np.ndarray, scale: float) -> None:
+def _fill_gaussian(g: np.random.Generator, x: np.ndarray, scale: float, scratch: np.ndarray) -> None:
     """Standard normal variates (times scale) by the Box-Muller transform."""
-    _box_muller(g, x)
+    _box_muller(g, x, scratch)
     if scale != 1.0:
         x *= scale
 
 
-def _fill_student_t(nu: float, g: np.random.Generator, x: np.ndarray, scale: float) -> None:
+def _fill_student_t(nu: float, g: np.random.Generator, x: np.ndarray, scale: float,
+                    scratch: np.ndarray) -> None:
     """Student t variates as a normal over chi ratio: Z / sqrt(Q_nu / nu).
 
     The chi-square draws come after all n normals and use rejection sampling,
@@ -298,7 +290,7 @@ def _fill_student_t(nu: float, g: np.random.Generator, x: np.ndarray, scale: flo
     Z is written over x and sqrt(Q_nu / nu) over the chi-square array, the
     one n-sized array a draw allocates.
     """
-    _box_muller(g, x)
+    _box_muller(g, x, scratch)
     q = g.chisquare(nu, x.size)
     q /= nu
     np.sqrt(q, out=q)
@@ -322,17 +314,19 @@ def _sample_into(spec: FamilySpec, stream: SeededStream, x: np.ndarray,
                  scratch: np.ndarray | None = None) -> None:
     """Write `sample_family(spec, stream, x.size)` over all of x, bit for bit.
 
-    SymStable and SymPareto write their block temporaries over `scratch`,
-    of at least `_scratch_size(x.size)` values, or over one they allocate
-    for the call. SymStable at alpha = 1 reads none, and none is allocated.
+    Every family but SymStable at alpha = 1 writes its block temporaries
+    over `scratch`, of at least `_scratch_size(x.size)` values, or over one
+    it allocates for the call; SymStable at alpha = 1 reads none, and none
+    is allocated.
     """
     g = stream.generator()
-    if spec.kind in ("SymStable", "SymPareto"):
-        fill = _fill_sym_stable if spec.kind == "SymStable" else _fill_sym_pareto
-        if scratch is None and not (spec.kind == "SymStable" and spec.alpha == 1.0):
-            scratch = np.empty(_scratch_size(x.size))
-        fill(spec.alpha, g, x, spec.scale, scratch)
+    if scratch is None and not (spec.kind == "SymStable" and spec.alpha == 1.0):
+        scratch = np.empty(_scratch_size(x.size))
+    if spec.kind == "SymStable":
+        _fill_sym_stable(spec.alpha, g, x, spec.scale, scratch)
+    elif spec.kind == "SymPareto":
+        _fill_sym_pareto(spec.alpha, g, x, spec.scale, scratch)
     elif spec.kind == "Gaussian":
-        _fill_gaussian(g, x, spec.scale)
+        _fill_gaussian(g, x, spec.scale, scratch)
     else:
-        _fill_student_t(spec.alpha, g, x, spec.scale)
+        _fill_student_t(spec.alpha, g, x, spec.scale, scratch)

@@ -1,12 +1,11 @@
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfnorm import FAMILY_KINDS, FamilySpec, ParameterDomainError, SeededStream, sample_family
-from selfnorm.families import _BLOCK
+from selfnorm.families import _BLOCK, _sample_into, _scratch_size
 
 
 def test_family_kinds_frozen():
@@ -226,6 +225,7 @@ def test_cauchy_draws_within_one_ulp_of_tan():
 
 def _cms_at_40_digits(alpha, u0, u1):
     # the transform with exact T = pi (u0 - 1/2) and W = -log1p(-u1)
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         a, t = mpmath.mpf(alpha), mpmath.pi * (mpmath.mpf(u0) - 0.5)
         w = -mpmath.log1p(-mpmath.mpf(u1))
@@ -332,9 +332,9 @@ def test_cauchy_draw_allocates_no_scratch():
 
 
 def test_student_t_draw_memory_is_bounded():
-    # the output and the chi-square array, plus three blocks of temporaries:
-    # 1 602 048 B, where the whole-array transform, with several n-sized
-    # temporaries at once, peaked at 4 802 694 B
+    # the output and the chi-square array, plus the block scratch of
+    # 5 * _BLOCK doubles: 2 257 392 B, where the whole-array transform, with
+    # several n-sized temporaries at once, peaked at 4 802 694 B
     n = 100_000
     tracemalloc.start()
     try:
@@ -343,3 +343,22 @@ def test_student_t_draw_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * n * 8 + 2**20
+
+
+@pytest.mark.parametrize("n", [99_999, 100_000])
+@pytest.mark.parametrize("kind,alpha", [("Gaussian", 2.0), ("StudentT", 3.0)])
+def test_normal_draws_write_over_the_callers_scratch(n, kind, alpha):
+    # given a scratch, as a chf_compare block passes its scaled buffer, the
+    # normals take their temporaries from it: a Gaussian draw allocates only
+    # an odd n's last row, StudentT only its chi-square array besides, and
+    # the bytes are those of sample_family whatever the scratch held
+    spec = FamilySpec(kind=kind, alpha=alpha)
+    x, scratch = np.empty(n), np.full(_scratch_size(n), np.nan)
+    tracemalloc.start()
+    try:
+        _sample_into(spec, SeededStream(5), x, scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (n * 8 if kind == "StudentT" else 0) + 2**14
+    assert x.tobytes() == sample_family(spec, SeededStream(5), n).tobytes()
