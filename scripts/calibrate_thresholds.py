@@ -8,9 +8,9 @@ distributions overlap at desk-scale n; widening the window to epsilon = 0.2
 opens a usable gap.  This script reproduces the measurement behind the
 shipped thresholds (exceedance split 0.785, degenerate ceiling 0.755).
 The degenerate regime is a claim about sup_t |Y(t)|, not only the endpoint;
-moving the rule and this script to the sup norm is the ROADMAP item
-"Reps-scaled tests, degenerate on the sup norm, thresholds bound to epsilon,
-clean edges".
+moving the rule and this script to the sup norm is ROADMAP item 7,
+"Finite-n allowance, degenerate on the sup norm, thresholds bound to
+epsilon".
 """
 
 import argparse

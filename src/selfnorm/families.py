@@ -155,8 +155,9 @@ def _fill_sym_stable(alpha: float, g: np.random.Generator, x: np.ndarray, scale:
     and gives the transform's limit there, X = -inf at every alpha < 2 (and
     -2 sqrt(W) at alpha = 2). u1 = 0 is W = 0 and gives the limits as
     W -> 0: sign(T) inf at alpha < 1, sign(T) 0 at alpha > 1, and 0 inf = NaN
-    at T = 0 and alpha < 1. The harness raises every non-finite variate as
-    `NonFiniteSampleError`.
+    at T = 0 and alpha < 1. `_sample_into` writes them under one
+    `np.errstate`, so they raise no numpy warning, and the harness raises
+    every non-finite variate as `NonFiniteSampleError`.
     """
     d = abs(1.0 - alpha)
     e = (1.0 - alpha) / alpha
@@ -323,7 +324,8 @@ def _sample_into(spec: FamilySpec, stream: SeededStream, x: np.ndarray,
     if scratch is None and not (spec.kind == "SymStable" and spec.alpha == 1.0):
         scratch = np.empty(_scratch_size(x.size))
     if spec.kind == "SymStable":
-        _fill_sym_stable(spec.alpha, g, x, spec.scale, scratch)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the ends of the uniforms
+            _fill_sym_stable(spec.alpha, g, x, spec.scale, scratch)
     elif spec.kind == "SymPareto":
         _fill_sym_pareto(spec.alpha, g, x, spec.scale, scratch)
     elif spec.kind == "Gaussian":

@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import operator
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
@@ -87,14 +88,7 @@ __all__ = [
     "build_oracles",
 ]
 
-EXPERIMENT_KINDS = (
-    "degenerate_scan",
-    "ek_functionals",
-    "fdd_covariance",
-    "tightness_scan",
-    "chf_compare",
-)
-# the three scans whose statistics feed the regime decision rules
+# the kinds whose rows feed the regime rules (`_Kind.regime`), in regime_map's report order
 REGIME_SCAN_KINDS = ("degenerate_scan", "tightness_scan", "ek_functionals")
 
 CHF_U_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -144,8 +138,8 @@ def _items(name: str, values) -> tuple:
 class ExperimentConfig:
     """Full description of one Monte Carlo experiment; hashable and immutable.
 
-    Every field is checked on construction, and so is what an experiment
-    needs of the family: chf_compare needs Paretian tails and p > alpha.
+    Every field is checked on construction, and then what the experiment
+    kind needs of them (its `_Kind.check`).
     """
 
     family: FamilySpec
@@ -178,13 +172,6 @@ class ExperimentConfig:
             raise ConfigError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
         if self.experiment not in EXPERIMENT_KINDS:
             raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {self.experiment!r}")
-        if self.experiment == "fdd_covariance" and self.reps < 2:
-            raise ConfigError(f"fdd_covariance estimates covariances and needs reps >= 2, got {self.reps}")
-        if self.experiment == "chf_compare":
-            tail_constants(self.family)  # rejects light-tailed families
-            if not self.p > self.family.alpha:
-                raise ParameterDomainError(
-                    f"chf_compare needs p > alpha, got p={self.p}, alpha={self.family.alpha}")
         ts = tuple(_real("t_grid", t) for t in _items("t_grid", self.t_grid))
         if len(ts) == 0 or any(not 0.0 < t <= 1.0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
             raise ConfigError(f"t_grid must be increasing reals in (0, 1], got {ts}")
@@ -195,6 +182,7 @@ class ExperimentConfig:
         object.__setattr__(self, "workers", _integral("workers", self.workers))
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        _KINDS[self.experiment].check(self)
 
 
 @dataclass(frozen=True)
@@ -280,31 +268,6 @@ def report_payload(report: ExperimentReport) -> dict:
 # back to the kernel on every free, and a replication at n = 1e5 took about
 # 360 minor page faults to refault them.
 
-def _scan_stats(config: ExperimentConfig, x: np.ndarray, path,
-                scaled: np.ndarray | None) -> tuple[float, ...]:
-    kind = config.experiment
-    if kind == "degenerate_scan":
-        return (_endpoint(path),)
-    if kind == "ek_functionals":
-        ek = ek_functionals(path)
-        return (ek.max_sn, ek.max_abs_sn, ek.mean_sq, ek.mean_abs)
-    if kind == "fdd_covariance":
-        return tuple(float(v) for v in y_path(path, config.t_grid))
-    if kind == "tightness_scan":
-        return (path.rescaled.darling_ratio(), path.rescaled.max_ratio(config.p))
-    # chf_compare: the pair (S_n / n^{1/a}, V^p / n^{p/a}), scaled before
-    # summing so heavy-tailed powers cannot overflow. The scaled sample goes
-    # to the block's scaled buffer, never over the draw, whose longer
-    # prefixes the next n reads; |xs|^p is taken in place there (the same
-    # ufuncs as np.abs(xs) ** p), and each sum runs over a whole contiguous
-    # array, so neither reduction order changes
-    xs = np.divide(x, float(x.size) ** (1.0 / config.family.alpha), out=scaled[:x.size])
-    s = float(np.sum(xs))
-    np.abs(xs, out=xs)
-    xs **= config.p
-    return (s, float(np.sum(xs)))
-
-
 def _rep_stats(cell: tuple[ExperimentConfig, ...], rep: int, full: np.ndarray,
                scaled: np.ndarray | None) -> list[list[tuple[float, ...]]]:
     """Statistics of one replication, drawn over `full`, indexed [n][scan]."""
@@ -314,15 +277,15 @@ def _rep_stats(cell: tuple[ExperimentConfig, ...], rep: int, full: np.ndarray,
         # name the smallest n whose prefix holds the first non-finite draw
         first = int(np.argmin(np.isfinite(full)))
         raise _non_finite(config, rep, next(n for n in config.n_grid if n > first), "draw")
-    # every scan but chf_compare reads the path Y_{n,p}
-    path_ps = list(dict.fromkeys(c.p for c in cell if c.experiment != "chf_compare"))
+    kinds = [_KINDS[c.experiment] for c in cell]
+    path_ps = list(dict.fromkeys(c.p for c, kind in zip(cell, kinds) if kind.path))
     out = []
     for n in config.n_grid:
         x = full[:n]
         paths: dict[float, ProcessPath] = {}
         for p in path_ps:
             paths[p] = paths[path_ps[0]].at_p(p) if paths else ProcessPath(x, p)
-        stats = [_scan_stats(c, x, paths.get(c.p), scaled) for c in cell]
+        stats = [kind.stats(c, x, paths.get(c.p), scaled) for c, kind in zip(cell, kinds)]
         bad = [c.experiment for c, row in zip(cell, stats) if not all(map(math.isfinite, row))]
         if bad:
             raise _non_finite(config, rep, n, f"statistic in {', '.join(bad)}")
@@ -345,13 +308,12 @@ def _block_stats(cell: tuple[ExperimentConfig, ...], lo: int, hi: int) -> list[l
     """
     # the buffers every replication of the block writes over (see the kernel
     # comment above). No ProcessPath may outlive its replication: its
-    # `values` are a view of `full`. A cell without chf_compare owns no
-    # scaled buffer: there the sampler frees its scratch before the scans
-    # run, and they reuse that memory while it is still in cache.
+    # `values` are a view of `full`. A cell whose kinds all read the path
+    # owns no scaled buffer: there the sampler frees its scratch before the
+    # scans run, and they reuse that memory while it is still in cache.
     n = cell[0].n_grid[-1]
     full = np.empty(n)
-    chf = any(c.experiment == "chf_compare" for c in cell)
-    scaled = np.empty(max(n, _scratch_size(n))) if chf else None
+    scaled = None if all(_KINDS[c.experiment].path for c in cell) else np.empty(max(n, _scratch_size(n)))
     out: list[list[np.ndarray]] = []
     for i, rep in enumerate(range(lo, hi)):
         stats = _rep_stats(cell, rep, full, scaled)
@@ -393,7 +355,11 @@ def _cell_slots(cells: list[tuple[ExperimentConfig, ...]]) -> list[list[list[np.
 
 
 # ---------------------------------------------------------------------------
-# aggregation
+# experiment kinds and aggregation
+#
+# The harness knows a kind only by its record in `_KINDS`. Its functions
+# look the layer functions up when called, so the benchmark's tracer
+# (perfbench/tracing.py), which rebinds those names here, sees every call.
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -407,8 +373,9 @@ def _median_se(x: np.ndarray) -> tuple[float, float]:
     return float(np.median(x)), se
 
 
-def _binom_se(phat: float, reps: int) -> float:
-    return math.sqrt(phat * (1.0 - phat) / reps)
+def _proportion_se(hits: np.ndarray) -> tuple[float, float]:
+    phat = float(np.mean(hits))
+    return phat, math.sqrt(phat * (1.0 - phat) / hits.size)
 
 
 def _ks_crit(reps: int) -> float:
@@ -416,68 +383,112 @@ def _ks_crit(reps: int) -> float:
     return 1.36 / math.sqrt(reps)
 
 
-def _statistics(config: ExperimentConfig, lagged: bool) -> list[str]:
-    """The statistics of one n's aggregate rows, in the order they are written.
+class _Kind(NamedTuple):
+    """One experiment kind: its statistics, its rows and its check."""
 
-    `lagged` is false at the first n of the grid, which has no previous n to
-    compare with.
-    """
-    kind = config.experiment
-    if kind == "degenerate_scan":
-        return ["mean_sq_self_norm", "exceedance"]
-    if kind == "ek_functionals":
-        return list(_EK_STATISTICS)
-    if kind == "fdd_covariance":
-        ts = config.t_grid
-        return [*(f"cov_t{ti:g}_t{tj:g}" for i, ti in enumerate(ts) for tj in ts[i:]), "cov_dev_max"]
-    if kind == "tightness_scan":
-        return ["darling_median", "mr_median", *(("darling_ks_prev", "mr_ks_prev") if lagged else ())]
-    return [*(f"chf_abs_err_u{u:g}_w{w:g}" for u in CHF_U_GRID for w in CHF_W_GRID), "chf_abs_err_max"]
+    stats: Callable  # (config, x, path, scaled): one replication's values at one n
+    rows: Callable  # (config, lagged): one n's row names; lagged is false at the first n
+    aggregate: Callable  # (config, slots, prev): the (value, stderr) of each row, in `rows` order
+    check: Callable  # (config): what the kind needs of a config whose fields are checked
+    path: bool  # reads the ProcessPath; false: reads the scaled buffer instead
+    regime: bool  # its rows feed the regime decision rules
 
 
-def _aggregate_rows(config: ExperimentConfig, n: int, slots: np.ndarray,
-                    prev: np.ndarray | None) -> list[AggregateRow]:
-    # prev: the previous n's slots (None at the first n), for the lagged KS rows;
-    # each (value, stderr) is written under its name of `_statistics`
-    reps = config.reps
-    kind = config.experiment
-    if kind == "degenerate_scan":
-        snv = slots[:, 0]
-        phat = float(np.mean(np.abs(snv) > config.epsilon))
-        values = [_mean_se(snv * snv), (phat, _binom_se(phat, reps))]
-    elif kind == "ek_functionals":
-        laws = (g1_law(), g2_law(), g3_law(), g4_law())
-        values = [(ks_statistic(slots[:, col], law), _ks_crit(reps)) for col, law in enumerate(laws)]
-    elif kind == "fdd_covariance":
-        disp = dispersion_matrix(config.t_grid)
-        centered = slots - slots.mean(axis=0)
-        emp = centered.T @ centered / (reps - 1)
-        k = len(config.t_grid)
-        values = [(float(emp[i, j]), float((centered[:, i] * centered[:, j]).std(ddof=1) / math.sqrt(reps)))
-                  for i in range(k) for j in range(i, k)]
-        values.append((float(np.abs(emp - disp).max()), None))
-    elif kind == "tightness_scan":
-        values = [_median_se(slots[:, 0]), _median_se(slots[:, 1])]
-        if prev is not None:
-            ks_se = _ks_crit(reps) * math.sqrt(2.0)
-            values += [(ks_two_sample(prev[:, col], slots[:, col]), ks_se) for col in (0, 1)]
-    else:  # chf_compare
-        tails = tail_constants(config.family)
-        values = [(abs(empirical_chf(slots, (u, w)) - limit_chf(u, w, config.family.alpha, config.p, tails)),
-                   1.0 / math.sqrt(reps))
-                  for u in CHF_U_GRID for w in CHF_W_GRID]
-        values.append((max(err for err, _ in values), None))
-    return [AggregateRow(n=n, statistic=name, value=value, stderr=stderr, reps=reps)
-            for name, (value, stderr) in zip(_statistics(config, prev is not None), values, strict=True)]
+def _fdd_aggregate(config, slots, prev):
+    reps, k = config.reps, len(config.t_grid)
+    centered = slots - slots.mean(axis=0)
+    emp = centered.T @ centered / (reps - 1)
+    values = [(float(emp[i, j]), float((centered[:, i] * centered[:, j]).std(ddof=1) / math.sqrt(reps)))
+              for i in range(k) for j in range(i, k)]
+    return [*values, (float(np.abs(emp - dispersion_matrix(config.t_grid)).max()), None)]
+
+
+def _fdd_check(config):
+    if config.reps < 2:
+        raise ConfigError(f"{config.experiment} estimates covariances and needs reps >= 2, got {config.reps}")
+    names = [f"{t:g}" for t in config.t_grid]  # as the rows name them, to 6 significant digits
+    if len(set(names)) < len(names):
+        raise ConfigError(f"t_grid values must differ in their row names, got {config.t_grid} as {names}")
+
+
+def _tightness_aggregate(config, slots, prev):
+    values = [_median_se(slots[:, 0]), _median_se(slots[:, 1])]
+    if prev is not None:
+        ks_se = _ks_crit(config.reps) * math.sqrt(2.0)
+        values += [(ks_two_sample(prev[:, col], slots[:, col]), ks_se) for col in (0, 1)]
+    return values
+
+
+def _chf_stats(config, x, path, scaled):
+    # the pair (S_n / n^{1/a}, V^p / n^{p/a}), scaled before summing so
+    # heavy-tailed powers cannot overflow. The scaled sample goes to the
+    # block's scaled buffer, never over the draw, whose longer prefixes the
+    # next n reads; |xs|^p is taken in place there (the same ufuncs as
+    # np.abs(xs) ** p), and each sum runs over a whole contiguous array, so
+    # neither reduction order changes
+    xs = np.divide(x, float(x.size) ** (1.0 / config.family.alpha), out=scaled[:x.size])
+    s = float(np.sum(xs))
+    np.abs(xs, out=xs)
+    xs **= config.p
+    return (s, float(np.sum(xs)))
+
+
+def _chf_aggregate(config, slots, prev):
+    tails = tail_constants(config.family)
+    values = [(abs(empirical_chf(slots, (u, w)) - limit_chf(u, w, config.family.alpha, config.p, tails)),
+               1.0 / math.sqrt(config.reps))
+              for u in CHF_U_GRID for w in CHF_W_GRID]
+    return [*values, (max(err for err, _ in values), None)]
+
+
+def _chf_check(config):
+    tail_constants(config.family)  # rejects light-tailed families
+    if not config.p > config.family.alpha:
+        raise ParameterDomainError(
+            f"{config.experiment} needs p > alpha, got p={config.p}, alpha={config.family.alpha}")
+
+
+_KINDS: dict[str, _Kind] = {
+    "degenerate_scan": _Kind(
+        stats=lambda config, x, path, scaled: (_endpoint(path),),
+        rows=lambda config, lagged: ["mean_sq_self_norm", "exceedance"],
+        aggregate=lambda config, slots, prev: [_mean_se(slots[:, 0] * slots[:, 0]),
+                                               _proportion_se(np.abs(slots[:, 0]) > config.epsilon)],
+        check=lambda config: None, path=True, regime=True),
+    "ek_functionals": _Kind(
+        stats=lambda config, x, path, scaled: operator.attrgetter(
+            "max_sn", "max_abs_sn", "mean_sq", "mean_abs")(ek_functionals(path)),
+        rows=lambda config, lagged: list(_EK_STATISTICS),
+        aggregate=lambda config, slots, prev: [(ks_statistic(slots[:, col], law()), _ks_crit(config.reps))
+                                               for col, law in enumerate((g1_law, g2_law, g3_law, g4_law))],
+        check=lambda config: None, path=True, regime=True),
+    "fdd_covariance": _Kind(
+        stats=lambda config, x, path, scaled: tuple(float(v) for v in y_path(path, config.t_grid)),
+        rows=lambda config, lagged: [*(f"cov_t{ti:g}_t{tj:g}" for i, ti in enumerate(config.t_grid)
+                                       for tj in config.t_grid[i:]), "cov_dev_max"],
+        aggregate=_fdd_aggregate, check=_fdd_check, path=True, regime=False),
+    "tightness_scan": _Kind(
+        stats=lambda config, x, path, scaled: (path.rescaled.darling_ratio(),
+                                               path.rescaled.max_ratio(config.p)),
+        rows=lambda config, lagged: ["darling_median", "mr_median",
+                                     *(("darling_ks_prev", "mr_ks_prev") if lagged else ())],
+        aggregate=_tightness_aggregate, check=lambda config: None, path=True, regime=True),
+    "chf_compare": _Kind(
+        stats=_chf_stats,
+        rows=lambda config, lagged: [*(f"chf_abs_err_u{u:g}_w{w:g}" for u in CHF_U_GRID for w in CHF_W_GRID),
+                                     "chf_abs_err_max"],
+        aggregate=_chf_aggregate, check=_chf_check, path=False, regime=False),
+}
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def _report(config: ExperimentConfig, slots: list[np.ndarray], thresholds: dict) -> ExperimentReport:
-    rows = [row for n, n_slots, prev in zip(config.n_grid, slots, [None, *slots])
-            for row in _aggregate_rows(config, n, n_slots, prev)]
-    if config.experiment in REGIME_SCAN_KINDS:
-        decision = decide_regime(rows, thresholds)
-    else:
-        decision = "inconclusive"
+    kind = _KINDS[config.experiment]
+    rows = [AggregateRow(n=n, statistic=name, value=value, stderr=stderr, reps=config.reps)
+            for n, n_slots, prev in zip(config.n_grid, slots, [None, *slots])
+            for name, (value, stderr) in zip(kind.rows(config, prev is not None),
+                                             kind.aggregate(config, n_slots, prev), strict=True)]
+    decision = decide_regime(rows, thresholds) if kind.regime else "inconclusive"
     return ExperimentReport(
         config=config,
         run_id=_run_id(config),
@@ -686,16 +697,15 @@ def read_report(path) -> ExperimentReport:
     if report.run_id != _run_id(config):
         raise ConfigError(f"{path}: run_id {report.run_id!r} is not the hash of its config "
                           f"({_run_id(config)!r})")
-    labels = ("degenerate", "brownian", "not_tight", "inconclusive")
-    if config.experiment not in REGIME_SCAN_KINDS:
-        labels = ("inconclusive",)
+    kind = _KINDS[config.experiment]
+    labels = ("degenerate", "brownian", "not_tight", "inconclusive") if kind.regime else ("inconclusive",)
     if report.regime_decision not in labels:
         raise ConfigError(f"{path}: regime_decision {report.regime_decision!r} of a "
                           f"{config.experiment} report is not one of {labels}")
     draws = config.reps * sum(config.n_grid)
     if type(report.draw_count) is not int or report.draw_count != draws:
         raise ConfigError(f"{path}: draw_count {report.draw_count!r} is not reps x sum(n_grid) = {draws}")
-    written = [(n, name) for i, n in enumerate(config.n_grid) for name in _statistics(config, i > 0)]
+    written = [(n, name) for i, n in enumerate(config.n_grid) for name in kind.rows(config, i > 0)]
     if [(row.n, row.statistic) for row in rows] != written:
         raise ConfigError(f"{path}: the aggregate rows are not the {len(written)} (n, statistic) rows "
                           f"that {config.experiment} writes for n_grid {config.n_grid}")

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -257,9 +258,10 @@ def test_stable_draws_at_the_ends_of_the_uniforms(alpha):
     # u0 = 0 is T = -pi/2, outside the open interval: the transform's limit
     # there, -inf at every alpha < 2 and -2 sqrt(W) at alpha = 2. u1 = 0 is
     # W = 0: the limits sign(T) inf at alpha < 1 and sign(T) 0 at alpha > 1,
-    # and 0 inf = NaN at T = 0 and alpha < 1
+    # and 0 inf = NaN at T = 0 and alpha < 1. No limit raises a RuntimeWarning
     u = np.array([[0.0, 0.3], [0.0, 0.0], [0.2, 0.0], [0.7, 0.0], [0.5, 0.0]])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         x = sample_family(FamilySpec(kind="SymStable", alpha=alpha), _FixedUniforms(u), len(u))
     if alpha == 2.0:
         assert x[0] == pytest.approx(-2.0 * np.sqrt(-np.log1p(-0.3)), rel=1e-15)

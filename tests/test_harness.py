@@ -63,6 +63,9 @@ def config(**over) -> ExperimentConfig:
     pytest.param(dict(epsilon=0.0), id="epsilon_zero"),
     pytest.param(dict(workers=0), id="workers_zero"),
     pytest.param(dict(experiment="fdd_covariance", reps=1), id="fdd_one_rep"),
+    # cov_t{t:g} names a t by 6 significant digits: two t that read alike would share rows
+    pytest.param(dict(experiment="fdd_covariance", t_grid=(0.1234561, 0.1234562, 1.0)),
+                 id="fdd_t_grid_names_repeat"),
     # non-integral values are refused, not truncated
     pytest.param(dict(n_grid=(100.7,)), id="n_grid_fraction"),
     pytest.param(dict(n_grid=(50, "200")), id="n_grid_string"),
@@ -184,7 +187,7 @@ def test_chf_stats_leave_the_sample_unchanged():
     full = sample_family(CAUCHY, SeededStream(3, 0), 2000)
     before = full.copy()
     scaled = np.full(2000, np.nan)
-    stats = harness._scan_stats(cfg, full[:1000], None, scaled)
+    stats = harness._KINDS[cfg.experiment].stats(cfg, full[:1000], None, scaled)
     assert np.array_equal(full, before)
     assert np.isnan(scaled[1000:]).all()  # only the prefix it scales is written
     xs = before[:1000] / 1000.0
@@ -297,7 +300,7 @@ def test_rep_stats_read_prefixes_of_one_draw(kind):
         full = sample_family(fam, SeededStream(cell[0].master_seed, rep), 250)
         got = harness._rep_stats(cell, rep, np.empty(250), np.empty(families._scratch_size(250)))
         for n, row in zip(cell[0].n_grid, got):
-            want = [harness._scan_stats(c, full[:n], ProcessPath(full[:n], c.p), np.empty(n))
+            want = [harness._KINDS[c.experiment].stats(c, full[:n], ProcessPath(full[:n], c.p), np.empty(n))
                     for c in cell]
             assert [[v.hex() for v in stats] for stats in row] == \
                 [[v.hex() for v in stats] for stats in want]
@@ -379,6 +382,8 @@ def test_regime_map_rows_share_the_seed_and_each_report_is_pure(workers):
     alphas, ps = (0.8, 1.5, 2.0), (0.8, 1.5, 2.0)
     base = config(n_grid=(50, 120), reps=6, workers=workers)
     reports, matrix = regime_map(base, alphas, ps)
+    # the scans of a cell are the kinds whose rows feed the rules
+    assert set(harness.REGIME_SCAN_KINDS) == {name for name, kind in harness._KINDS.items() if kind.regime}
     assert [(r.config.family.alpha, r.config.p, r.config.experiment) for r in reports] == \
         [(a, p, kind) for a in alphas for p in ps for kind in harness.REGIME_SCAN_KINDS]
     assert list(matrix) == [(a, p) for a in alphas for p in ps]

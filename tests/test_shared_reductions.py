@@ -88,7 +88,7 @@ def test_scan_stats_equal_the_public_functions_bit_for_bit(family, p, n):
     x = sample_family(family, SeededStream(7, n), n)
     configs = _scan_configs(family, p, n)
     path = ProcessPath(x, p)  # one path, shared by every scan as in the kernel
-    got = {kind: harness._scan_stats(cfg, x, path, None) for kind, cfg in configs.items()}
+    got = {kind: harness._KINDS[cfg.experiment].stats(cfg, x, path, None) for kind, cfg in configs.items()}
 
     fresh = ProcessPath(x, p)
     nodes = fresh.sums / fresh.v  # Y(k/n) = S_k/V, divided anew
@@ -190,7 +190,7 @@ def test_degenerate_scan_of_a_tail_index_above_two(family):
     cfg = ExperimentConfig(family=family, p=1.5, n_grid=(50, 200), reps=4, master_seed=1,
                            experiment="degenerate_scan")
     x = sample_family(family, SeededStream(1, 0), 200)
-    assert _hex(harness._scan_stats(cfg, x, ProcessPath(x, 1.5), None)) == \
+    assert _hex(harness._KINDS[cfg.experiment].stats(cfg, x, ProcessPath(x, 1.5), None)) == \
         _hex((y_at(ProcessPath(x, 1.5), 1.0),))
     rows = [(r.n, r.statistic) for r in run_experiment(cfg).aggregates]
     assert rows == [(n, stat) for n in (50, 200) for stat in ("mean_sq_self_norm", "exceedance")]
@@ -206,7 +206,8 @@ def test_path_at_another_p_equals_a_fresh_path_bit_for_bit(family, p, n):
     x = sample_family(family, SeededStream(11, n), n)
     first = ProcessPath(x, 2.0 if p != 2.0 else 0.8)
     for c in _scan_configs(family, first.p, n).values():
-        harness._scan_stats(c, x, first, None)  # the shared reductions exist before the second p reads them
+        # the shared reductions exist before the second p reads them
+        harness._KINDS[c.experiment].stats(c, x, first, None)
     path = first.at_p(p)
     fresh = ProcessPath(x, p)
     assert path.p == p and path.n == n
@@ -215,8 +216,8 @@ def test_path_at_another_p_equals_a_fresh_path_bit_for_bit(family, p, n):
     assert _hex([path.v]) == _hex([fresh.v])
     assert path.sums.tobytes() == fresh.sums.tobytes()
     cfg = _scan_configs(family, p, n)
-    assert [_hex(harness._scan_stats(c, x, path, None)) for c in cfg.values()] == \
-        [_hex(harness._scan_stats(c, x, fresh, None)) for c in cfg.values()]
+    assert [_hex(harness._KINDS[c.experiment].stats(c, x, path, None)) for c in cfg.values()] == \
+        [_hex(harness._KINDS[c.experiment].stats(c, x, fresh, None)) for c in cfg.values()]
 
 
 def test_path_at_another_p_refuses_what_a_fresh_path_refuses():
