@@ -58,14 +58,11 @@ def _add_common(sub: argparse.ArgumentParser, grid: bool = False) -> None:
     sub.add_argument("--reps", type=int, help="Monte Carlo replications per n")
     sub.add_argument("--seed", type=int, help="64-bit master seed")
     sub.add_argument("--experiment", choices=EXPERIMENT_KINDS, help="experiment kind")
-    sub.add_argument("--t-grid", type=_float_list, help="comma-separated times in (0, 1]")
     sub.add_argument("--epsilon", type=float, help="exceedance threshold")
     sub.add_argument("--workers", type=int, help="parallel worker count")
     sub.add_argument("--out", help="output path (run) or directory (sweep)")
     sub.add_argument("--format", choices=("csv", "json"), help="report file format")
     sub.add_argument("--config", help="JSON file whose values override flags")
-    # no flag sets the scale: only a config file's nested family does
-    sub.set_defaults(scale=FamilySpec.scale)
 
 
 def _build_parser() -> _Parser:
@@ -81,7 +78,7 @@ def _build_parser() -> _Parser:
 # config-file keys: flag names with underscores, plus payload-style aliases
 _CONFIG_ALIASES = {"n_grid": "n", "master_seed": "seed"}
 _CONFIG_KEYS = ("family", "alpha", "p", "n", "reps", "seed", "experiment",
-                "t_grid", "epsilon", "workers", "out", "format")
+                "epsilon", "workers", "out", "format")
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
@@ -114,7 +111,6 @@ def _apply_config_file(args: argparse.Namespace) -> None:
                 raise ConfigError(f"config key {f'{raw_key}.{nulls[0]}'!r} cannot be null")
             args.family = value.get("kind")
             args.alpha = value.get("alpha", args.alpha)
-            args.scale = value.get("scale", args.scale)
             continue
         setattr(args, key, value)
 
@@ -123,10 +119,9 @@ def _experiment_config(args: argparse.Namespace, experiment: str) -> ExperimentC
     for key in ("family", "alpha", "p", "n", "reps", "seed"):
         if getattr(args, key) is None:
             raise ConfigError(f"--{key} is required (flag or config file)")
-    kwargs = {key: getattr(args, key) for key in ("t_grid", "epsilon", "workers")
-              if getattr(args, key) is not None}
+    kwargs = {key: getattr(args, key) for key in ("epsilon", "workers") if getattr(args, key) is not None}
     return ExperimentConfig(
-        family=FamilySpec(kind=args.family, alpha=args.alpha, scale=args.scale),
+        family=FamilySpec(kind=args.family, alpha=args.alpha),
         p=args.p, n_grid=args.n, reps=args.reps, master_seed=args.seed,
         experiment=experiment, **kwargs)
 

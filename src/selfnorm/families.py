@@ -2,7 +2,8 @@
 
 Four families cover every regime of the self-normalized limit theory; each
 is declared as a `FamilySpec` and drawn by `sample_family`, the one
-sampling entry point, through its private `_fill_*` transform:
+sampling entry point, through its private transform (`_fill_*`, or
+`_box_muller` for Gaussian):
 
 - SymStable(alpha): exactly alpha-stable, via the angle/exponential transform.
 - SymPareto(alpha): pure Paretian tail P(|X| > x) = x^(-alpha) for x >= 1.
@@ -80,37 +81,34 @@ def _block_scratch(scratch: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Declared generating family: kind, tail/stability index, scale.
+    """Declared generating family: kind and tail/stability index.
 
     alpha is the stability index for SymStable (in (0,2]), fixed at 2 for
     Gaussian, and the tail index for SymPareto / StudentT (any positive
-    value; indices above 2 put those families in the normal domain).
+    value; indices above 2 put those families in the normal domain). There
+    is no scale: Y_{n,p} is unchanged when every X_i is multiplied by c > 0.
     """
 
     kind: str
     alpha: float = 2.0
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ParameterDomainError(f"unknown family kind {self.kind!r}; choose from {FAMILY_KINDS}")
         # stored as float, so 2, 2.0 and np.float64(2.0) give one payload and run_id
-        for name, value in (("alpha", self.alpha), ("scale", self.scale)):
-            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-                raise ParameterDomainError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        a = self.alpha
+        if isinstance(self.alpha, (bool, np.bool_)) or not isinstance(self.alpha, numbers.Real):
+            raise ParameterDomainError(f"alpha must be a real number, got {self.alpha!r}")
+        a = float(self.alpha)
+        object.__setattr__(self, "alpha", a)
         if not np.isfinite(a) or a <= 0:
             raise ParameterDomainError(f"alpha must be a positive finite real, got {a}")
         if self.kind == "SymStable" and a > 2:
             raise ParameterDomainError(f"SymStable needs alpha in (0, 2], got {a}")
         if self.kind == "Gaussian" and a != 2.0:
             raise ParameterDomainError(f"Gaussian fixes alpha = 2, got {a}")
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ParameterDomainError(f"scale must be positive, got {self.scale}")
 
 
-def _fill_sym_stable(alpha: float, g: np.random.Generator, x: np.ndarray, scale: float,
+def _fill_sym_stable(alpha: float, g: np.random.Generator, x: np.ndarray,
                      scratch: np.ndarray | None) -> None:
     """Symmetric alpha-stable variates via the Chambers-Mallows-Stuck transform.
 
@@ -145,11 +143,12 @@ def _fill_sym_stable(alpha: float, g: np.random.Generator, x: np.ndarray, scale:
 
     Against the formula at 40 digits with exact T, tails u = k 2^-53 and
     1 - k 2^-53 included, the variates are within the 32 ulps that
-    `test_stable_draws_within_32_ulps_of_the_formula` asserts at alpha in
+    `test_stable_draws_stay_within_their_ulp_bound` asserts at alpha in
     {0.5, 0.8, 1.5, 1.9, 2}; sin and cos of a rounded T lose all accuracy
     there. The bound loosens where the arithmetic is ill-conditioned: near
-    alpha = 2, where sin(alpha |T|) is read at an angle near pi, and at small
-    alpha, where the rounding of e is scaled by log(R3/W).
+    alpha = 2, where sin(alpha |T|) is read at an angle near pi (143 ulps at
+    alpha 1.99, asserted within 256), and at small alpha, where the rounding
+    of e is scaled by log(R3/W) (326 ulps at alpha 0.1, asserted within 512).
 
     Ends of the uniforms: u0 = 0 is T = -pi/2, outside the open interval,
     and gives the transform's limit there, X = -inf at every alpha < 2 (and
@@ -214,12 +213,9 @@ def _fill_sym_stable(alpha: float, g: np.random.Generator, x: np.ndarray, scale:
         np.multiply(b, c, out=seg)
         if edge:  # R1 = -inf meets (R3/W)^e = 0 at alpha > 1: write the limit
             seg[u0 == 0.0] = -np.inf
-    if scale != 1.0:  # x * 1.0 == x for every float: skip the pass
-        x *= scale
 
 
-def _fill_sym_pareto(alpha: float, g: np.random.Generator, x: np.ndarray, scale: float,
-                     scratch: np.ndarray) -> None:
+def _fill_sym_pareto(alpha: float, g: np.random.Generator, x: np.ndarray, scratch: np.ndarray) -> None:
     """Symmetric Pareto variates: R (1-U)^(-1/alpha), P(|X| > x) = x^(-alpha) for x >= 1.
 
     R is a random sign from the row's second uniform. Variates are
@@ -232,8 +228,6 @@ def _fill_sym_pareto(alpha: float, g: np.random.Generator, x: np.ndarray, scale:
         np.subtract(1.0, u[:, 0], out=seg)
         seg **= -1.0 / alpha
         np.negative(seg, out=seg, where=u[:, 1] < 0.5)
-    if scale != 1.0:
-        x *= scale
 
 
 def _polar_pairs(rows: np.ndarray, scratch: np.ndarray) -> None:
@@ -275,15 +269,7 @@ def _box_muller(g: np.random.Generator, z: np.ndarray, scratch: np.ndarray) -> N
         z[-1] = last[0, 0]
 
 
-def _fill_gaussian(g: np.random.Generator, x: np.ndarray, scale: float, scratch: np.ndarray) -> None:
-    """Standard normal variates (times scale) by the Box-Muller transform."""
-    _box_muller(g, x, scratch)
-    if scale != 1.0:
-        x *= scale
-
-
-def _fill_student_t(nu: float, g: np.random.Generator, x: np.ndarray, scale: float,
-                    scratch: np.ndarray) -> None:
+def _fill_student_t(nu: float, g: np.random.Generator, x: np.ndarray, scratch: np.ndarray) -> None:
     """Student t variates as a normal over chi ratio: Z / sqrt(Q_nu / nu).
 
     The chi-square draws come after all n normals and use rejection sampling,
@@ -295,8 +281,6 @@ def _fill_student_t(nu: float, g: np.random.Generator, x: np.ndarray, scale: flo
     q = g.chisquare(nu, x.size)
     q /= nu
     np.sqrt(q, out=q)
-    if scale != 1.0:
-        x *= scale
     x /= q
 
 
@@ -325,10 +309,10 @@ def _sample_into(spec: FamilySpec, stream: SeededStream, x: np.ndarray,
         scratch = np.empty(_scratch_size(x.size))
     if spec.kind == "SymStable":
         with np.errstate(divide="ignore", invalid="ignore"):  # the ends of the uniforms
-            _fill_sym_stable(spec.alpha, g, x, spec.scale, scratch)
+            _fill_sym_stable(spec.alpha, g, x, scratch)
     elif spec.kind == "SymPareto":
-        _fill_sym_pareto(spec.alpha, g, x, spec.scale, scratch)
+        _fill_sym_pareto(spec.alpha, g, x, scratch)
     elif spec.kind == "Gaussian":
-        _fill_gaussian(g, x, spec.scale, scratch)
+        _box_muller(g, x, scratch)
     else:
-        _fill_student_t(spec.alpha, g, x, spec.scale, scratch)
+        _fill_student_t(spec.alpha, g, x, scratch)

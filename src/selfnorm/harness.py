@@ -74,6 +74,7 @@ __all__ = [
     "REGIME_SCAN_KINDS",
     "CHF_U_GRID",
     "CHF_W_GRID",
+    "FDD_T_GRID",
     "ExperimentConfig",
     "AggregateRow",
     "ExperimentReport",
@@ -93,6 +94,8 @@ REGIME_SCAN_KINDS = ("degenerate_scan", "tightness_scan", "ek_functionals")
 
 CHF_U_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 CHF_W_GRID = (0.0, 0.5, 1.0)
+# the times at which fdd_covariance reads Y_{n,p} and the dispersion min(s, t)
+FDD_T_GRID = (0.25, 0.5, 0.75, 1.0)
 # the KS distances of the four path functionals to their laws G1..G4
 _EK_STATISTICS = ("ks_max_g1", "ks_max_abs_g2", "ks_mean_sq_g3", "ks_mean_abs_g4")
 
@@ -148,7 +151,6 @@ class ExperimentConfig:
     reps: int
     master_seed: int
     experiment: str
-    t_grid: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
     epsilon: float = 0.1
     workers: int = 1
 
@@ -172,10 +174,6 @@ class ExperimentConfig:
             raise ConfigError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
         if self.experiment not in EXPERIMENT_KINDS:
             raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {self.experiment!r}")
-        ts = tuple(_real("t_grid", t) for t in _items("t_grid", self.t_grid))
-        if len(ts) == 0 or any(not 0.0 < t <= 1.0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ConfigError(f"t_grid must be increasing reals in (0, 1], got {ts}")
-        object.__setattr__(self, "t_grid", ts)
         object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon))
         if not 0.0 < self.epsilon < math.inf:  # JSON holds no infinity
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
@@ -395,20 +393,17 @@ class _Kind(NamedTuple):
 
 
 def _fdd_aggregate(config, slots, prev):
-    reps, k = config.reps, len(config.t_grid)
+    reps, k = config.reps, len(FDD_T_GRID)
     centered = slots - slots.mean(axis=0)
     emp = centered.T @ centered / (reps - 1)
     values = [(float(emp[i, j]), float((centered[:, i] * centered[:, j]).std(ddof=1) / math.sqrt(reps)))
               for i in range(k) for j in range(i, k)]
-    return [*values, (float(np.abs(emp - dispersion_matrix(config.t_grid)).max()), None)]
+    return [*values, (float(np.abs(emp - dispersion_matrix(FDD_T_GRID)).max()), None)]
 
 
 def _fdd_check(config):
     if config.reps < 2:
         raise ConfigError(f"{config.experiment} estimates covariances and needs reps >= 2, got {config.reps}")
-    names = [f"{t:g}" for t in config.t_grid]  # as the rows name them, to 6 significant digits
-    if len(set(names)) < len(names):
-        raise ConfigError(f"t_grid values must differ in their row names, got {config.t_grid} as {names}")
 
 
 def _tightness_aggregate(config, slots, prev):
@@ -463,9 +458,9 @@ _KINDS: dict[str, _Kind] = {
                                                for col, law in enumerate((g1_law, g2_law, g3_law, g4_law))],
         check=lambda config: None, path=True, regime=True),
     "fdd_covariance": _Kind(
-        stats=lambda config, x, path, scaled: tuple(float(v) for v in y_path(path, config.t_grid)),
-        rows=lambda config, lagged: [*(f"cov_t{ti:g}_t{tj:g}" for i, ti in enumerate(config.t_grid)
-                                       for tj in config.t_grid[i:]), "cov_dev_max"],
+        stats=lambda config, x, path, scaled: tuple(float(v) for v in y_path(path, FDD_T_GRID)),
+        rows=lambda config, lagged: [*(f"cov_t{ti:g}_t{tj:g}" for i, ti in enumerate(FDD_T_GRID)
+                                       for tj in FDD_T_GRID[i:]), "cov_dev_max"],
         aggregate=_fdd_aggregate, check=_fdd_check, path=True, regime=False),
     "tightness_scan": _Kind(
         stats=lambda config, x, path, scaled: (path.rescaled.darling_ratio(),

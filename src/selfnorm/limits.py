@@ -389,11 +389,11 @@ def tail_constants(spec: FamilySpec) -> float:
     if spec.kind == "SymStable":
         if a >= 2:
             raise ParameterDomainError("alpha = 2 stable is Gaussian: no Paretian tail")
-        r = _gamma(a + 1.0) * math.sin(math.pi * a / 2.0) / math.pi * spec.scale**a
+        r = _gamma(a + 1.0) * math.sin(math.pi * a / 2.0) / math.pi
     elif spec.kind == "SymPareto":
-        r = a / 2.0 * spec.scale**a
+        r = a / 2.0
     elif spec.kind == "StudentT":
-        r = _gamma((a + 1.0) / 2.0) * a ** (a / 2.0) / (math.sqrt(math.pi) * _gamma(a / 2.0)) * spec.scale**a
+        r = _gamma((a + 1.0) / 2.0) * a ** (a / 2.0) / (math.sqrt(math.pi) * _gamma(a / 2.0))
     else:
         raise ParameterDomainError(f"{spec.kind} has no Paretian tail")
     return float(r)

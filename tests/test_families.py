@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from selfnorm import FAMILY_KINDS, FamilySpec, ParameterDomainError, SeededStream, sample_family
 from selfnorm.families import _BLOCK, _sample_into, _scratch_size
@@ -27,15 +26,8 @@ def test_spec_rejects_bad_parameters(kind, alpha):
         FamilySpec(kind=kind, alpha=alpha)
 
 
-@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
-def test_spec_rejects_bad_scale(scale):
-    # the spec is the one place a scale is checked: sample_family takes no other
-    with pytest.raises(ParameterDomainError):
-        FamilySpec(kind="Gaussian", scale=scale)
-
-
 @pytest.mark.parametrize("over", [dict(alpha="x"), dict(alpha=None), dict(alpha="1.5"),
-                                  dict(alpha=True), dict(scale="2"), dict(scale=None)])
+                                  dict(alpha=True)])
 def test_spec_rejects_non_numeric_parameters(over):
     # a typed domain error, not a raw TypeError or ValueError from float()
     with pytest.raises(ParameterDomainError, match="must be a real number"):
@@ -72,14 +64,6 @@ def test_prefix_coherence_along_n(kind):
     for x, n in ((short, 100), (long, 1000)):
         assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (n,)
     assert np.array_equal(short, long[:100]) == (kind != "StudentT")
-
-
-@given(scale=st.floats(0.1, 50.0), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_scale_equivariance(scale, seed):
-    base = sample_family(FamilySpec(kind="SymStable", alpha=1.5), SeededStream(seed), 64)
-    scaled = sample_family(FamilySpec(kind="SymStable", alpha=1.5, scale=scale), SeededStream(seed), 64)
-    assert np.allclose(scaled, scale * base, rtol=1e-12)
 
 
 def test_pareto_support_and_symmetry():
@@ -120,14 +104,14 @@ def test_bad_n_rejected(n):
         sample_family(FamilySpec(kind="Gaussian"), SeededStream(1), n)
 
 
-def _stable_reference(alpha, u, scale):
+def _stable_reference(alpha, u):
     # the whole-array transforms the blocked samplers must reproduce: each sine
     # from its half-angle tangent, sin(a)/2 = t/(1 + t^2) with t = tan(a/2), and
     # cos(T) = sin(pi h), cos((1 - alpha) T) = sin(pi c/2 + |1 - alpha| pi h) with
     # h = min(u0, 1 - u0) and c = min(alpha, 2 - alpha); at alpha = 1 the
     # transform is tan(T) itself and u holds T's uniforms alone
     if alpha == 1.0:
-        return scale * np.tan((u - 0.5) * np.pi)
+        return np.tan((u - 0.5) * np.pi)
     u0, u1 = u[:, 0], u[:, 1]
 
     def half_sine(half_angle):
@@ -135,19 +119,19 @@ def _stable_reference(alpha, u, scale):
         return t / (t * t + 1.0)
 
     if alpha == 2.0:  # 2 sin(T) sqrt(W)
-        return scale * (half_sine((u0 - 0.5) * (np.pi / 2)) * np.sqrt(np.log1p(-u1) * -16.0))
+        return half_sine((u0 - 0.5) * (np.pi / 2)) * np.sqrt(np.log1p(-u1) * -16.0)
     h = np.minimum(u0, 1.0 - u0)
     sin_a = half_sine((u0 - 0.5) * (alpha * np.pi / 2))
     cos_1a = half_sine(h * (abs(1.0 - alpha) * np.pi / 2) + min(alpha, 2.0 - alpha) * np.pi / 4)
     cos_t = half_sine(h * (np.pi / 2))
     x = sin_a / cos_t * (cos_1a / cos_t / -np.log1p(-u1)) ** ((1.0 - alpha) / alpha)
     x[u0 == 0.0] = -np.inf
-    return scale * x
+    return x
 
 
-def _pareto_reference(alpha, u, scale):
+def _pareto_reference(alpha, u):
     mag = (1.0 - u[:, 0]) ** (-1.0 / alpha)
-    return scale * np.where(u[:, 1] < 0.5, -1.0, 1.0) * mag
+    return np.where(u[:, 1] < 0.5, -1.0, 1.0) * mag
 
 
 _BLOCK_NS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 100_000)
@@ -156,16 +140,15 @@ _BLOCK_NS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 100_000)
 @pytest.mark.parametrize("n", _BLOCK_NS)
 @pytest.mark.parametrize("kind,alpha", [("SymStable", 0.5), ("SymStable", 1.0), ("SymStable", 1.5),
                                         ("SymStable", 2.0), ("SymPareto", 0.8), ("SymPareto", 1.5)])
-@pytest.mark.parametrize("scale", [1.0, 2.5])
-def test_blocks_match_whole_array_transform(n, kind, alpha, scale):
+def test_blocks_match_whole_array_transform(n, kind, alpha):
     # the same bytes as one g.random((n, 2)) call through the whole-array formula,
     # or one g.random(n) call for the Cauchy case, on either side of every block
     # boundary
     stream = SeededStream(31, 4)
     u = stream.generator().random(n if (kind, alpha) == ("SymStable", 1.0) else (n, 2))
     reference = _stable_reference if kind == "SymStable" else _pareto_reference
-    expected = reference(alpha, u, scale)
-    got = sample_family(FamilySpec(kind=kind, alpha=alpha, scale=scale), stream, n)
+    expected = reference(alpha, u)
+    got = sample_family(FamilySpec(kind=kind, alpha=alpha), stream, n)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -183,16 +166,15 @@ def _box_muller_reference(g, n):
 @pytest.mark.parametrize("n", [1, 2, 3, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 2 * _BLOCK + 2,
                                100_000, 100_001])
 @pytest.mark.parametrize("kind,alpha", [("Gaussian", 2.0), ("StudentT", 1.5), ("StudentT", 4.0)])
-@pytest.mark.parametrize("scale", [1.0, 2.5])
-def test_normal_draws_match_whole_array_transform(n, kind, alpha, scale):
+def test_normal_draws_match_whole_array_transform(n, kind, alpha):
     # the normals are written over the output a block of 2**14 rows (pairs) at
     # a time, the chi ratio over the chi-square array: the bytes of the
     # whole-array transforms, odd n and every row-block edge included
     stream = SeededStream(37, 2)
     g = stream.generator()
     z = _box_muller_reference(g, n)
-    expected = scale * z if kind == "Gaussian" else scale * z / np.sqrt(g.chisquare(alpha, n) / alpha)
-    got = sample_family(FamilySpec(kind=kind, alpha=alpha, scale=scale), stream, n)
+    expected = z if kind == "Gaussian" else z / np.sqrt(g.chisquare(alpha, n) / alpha)
+    got = sample_family(FamilySpec(kind=kind, alpha=alpha), stream, n)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -234,8 +216,12 @@ def _cms_at_40_digits(alpha, u0, u1):
                      * (mpmath.cos((1 - a) * t) / w) ** ((1 - a) / a))
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.5, 1.9, 2.0])
-def test_stable_draws_within_32_ulps_of_the_formula(alpha):
+# 32 ulps where the transform is well conditioned; near alpha = 2 a rounded
+# angle near pi, and at small alpha the rounding of e = (1 - alpha)/alpha
+# times log(R3/W), cost more (143 ulps measured at alpha 1.99, 326 at 0.1)
+@pytest.mark.parametrize("alpha, bound", [(0.5, 32), (0.8, 32), (1.5, 32), (1.9, 32), (2.0, 32),
+                                          (0.1, 512), (1.99, 256)])
+def test_stable_draws_stay_within_their_ulp_bound(alpha, bound):
     # the forced tails u = k 2^-53 and 1 - k 2^-53 (1 <= k <= 300) for u0 and
     # for u1, where sin and cos of a rounded T lose all accuracy, then three
     # blocks of random rows, every 64th of them checked
@@ -250,7 +236,7 @@ def test_stable_draws_within_32_ulps_of_the_formula(alpha):
     checked = np.r_[:len(forced), len(forced):len(u):64]
     exact = np.array([_cms_at_40_digits(alpha, *u[i]) for i in checked])
     ulps = np.abs(x[checked] - exact) / np.spacing(np.abs(exact))
-    assert ulps.max() <= 32
+    assert ulps.max() <= bound
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.5, 1.9, 2.0])

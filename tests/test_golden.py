@@ -117,21 +117,38 @@ OLD_DEGENERATE_SCAN = (
 )
 
 
-def test_read_report_refuses_a_report_that_carries_delta_grid(tmp_path):
+# tests/golden/degenerate_scan.json as written while FamilySpec held a scale
+# and ExperimentConfig a t_grid: the rows, label and draw count are today's
+SCALE_DEGENERATE_SCAN = (
+    '{"aggregates":[{"n":50,"reps":8,"statistic":"mean_sq_self_norm","stderr":0.09643383238863386,"valu'
+    'e":0.3390667699401},{"n":50,"reps":8,"statistic":"exceedance","stderr":0.11692679333668567,"value"'
+    ':0.875},{"n":200,"reps":8,"statistic":"mean_sq_self_norm","stderr":0.06528698295672276,"value":0.1'
+    '164191368890575},{"n":200,"reps":8,"statistic":"exceedance","stderr":0.15309310892394862,"value":0'
+    '.75}],"config":{"epsilon":0.1,"experiment":"degenerate_scan","family":{"alpha":1.5,"kind":"SymStab'
+    'le","scale":1.0},"master_seed":101,"n_grid":[50,200],"p":1.2,"reps":8,"t_grid":[0.25,0.5,0.75,1.0]'
+    '},"draw_count":2000,"regime_decision":"degenerate","run_id":"b3416a2e36fb"}'
+)
+
+
+@pytest.mark.parametrize("old, rel", [(OLD_DEGENERATE_SCAN, 5e-15), (SCALE_DEGENERATE_SCAN, 0.0)],
+                         ids=["delta_grid", "scale"])
+def test_read_report_refuses_older_payloads(old, rel, tmp_path):
+    # both carry FamilySpec.scale, whose key the refusal names
     dest = tmp_path / "old.json"
-    dest.write_text(OLD_DEGENERATE_SCAN + "\n")
-    with pytest.raises(ConfigError, match="delta_grid"):
+    dest.write_text(old + "\n")
+    with pytest.raises(ConfigError, match="scale"):
         read_report(dest)
-    # every row the scan still writes is the old file's to within rounding (the
-    # half-angle SymStable transform moved them by at most 4.3e-15 relative),
-    # and its label is the old file's
-    old = json.loads(OLD_DEGENERATE_SCAN)
+    # every row the scan still writes is the old file's: to within rounding
+    # where the half-angle SymStable transform moved them (by at most 4.3e-15
+    # relative), exactly where only config keys were deleted; the label and
+    # the draw count are the old file's
+    old = json.loads(old)
     new = json.loads((GOLDEN / "degenerate_scan.json").read_text())
     kept = [r for r in old["aggregates"] if r["statistic"] != "mean_sum_sq_ratio"]
     for got, want in zip(new["aggregates"], kept, strict=True):
-        assert got == {**want, "value": pytest.approx(want["value"], rel=5e-15, abs=0),
-                       "stderr": pytest.approx(want["stderr"], rel=5e-15, abs=0)}
-    assert new["regime_decision"] == old["regime_decision"]
+        assert got == {**want, "value": pytest.approx(want["value"], rel=rel, abs=0),
+                       "stderr": pytest.approx(want["stderr"], rel=rel, abs=0)}
+    assert (new["regime_decision"], new["draw_count"]) == (old["regime_decision"], old["draw_count"])
 
 
 def test_read_report_refuses_rows_the_experiment_never_writes(tmp_path):

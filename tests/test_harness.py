@@ -17,6 +17,7 @@ from selfnorm import (
     ConfigError,
     ExperimentConfig,
     FAMILY_KINDS,
+    FDD_T_GRID,
     FamilySpec,
     MissingStatisticsError,
     NonFiniteSampleError,
@@ -58,14 +59,9 @@ def config(**over) -> ExperimentConfig:
     pytest.param(dict(master_seed=-1), id="seed_negative"),
     pytest.param(dict(master_seed=2**64), id="seed_above_64_bits"),
     pytest.param(dict(experiment="moment_scan"), id="experiment_unknown"),
-    pytest.param(dict(t_grid=(0.5, 0.25)), id="t_grid_descending"),
-    pytest.param(dict(t_grid=(0.0, 0.5)), id="t_grid_zero"),
     pytest.param(dict(epsilon=0.0), id="epsilon_zero"),
     pytest.param(dict(workers=0), id="workers_zero"),
     pytest.param(dict(experiment="fdd_covariance", reps=1), id="fdd_one_rep"),
-    # cov_t{t:g} names a t by 6 significant digits: two t that read alike would share rows
-    pytest.param(dict(experiment="fdd_covariance", t_grid=(0.1234561, 0.1234562, 1.0)),
-                 id="fdd_t_grid_names_repeat"),
     # non-integral values are refused, not truncated
     pytest.param(dict(n_grid=(100.7,)), id="n_grid_fraction"),
     pytest.param(dict(n_grid=(50, "200")), id="n_grid_string"),
@@ -78,9 +74,6 @@ def config(**over) -> ExperimentConfig:
     pytest.param(dict(p="x"), id="p_string"),
     pytest.param(dict(p=None), id="p_none"),
     pytest.param(dict(p=float("nan")), id="p_nan"),
-    pytest.param(dict(t_grid=("a",)), id="t_grid_string"),
-    pytest.param(dict(t_grid=0.5), id="t_grid_scalar"),
-    pytest.param(dict(t_grid=(0.5, float("nan"))), id="t_grid_nan"),
     pytest.param(dict(epsilon=None), id="epsilon_none"),
     pytest.param(dict(epsilon="0.1"), id="epsilon_string"),
     pytest.param(dict(epsilon=float("nan")), id="epsilon_nan"),
@@ -100,9 +93,8 @@ def test_config_validation(over):
 
 
 def test_config_coerces_types():
-    cfg = config(n_grid=[50, 200], t_grid=[0.5, 1.0], reps=np.int64(16))
+    cfg = config(n_grid=[50, 200], reps=np.int64(16))
     assert cfg.n_grid == (50, 200) and isinstance(cfg.n_grid[0], int)
-    assert cfg.t_grid == (0.5, 1.0)
     assert cfg.reps == 16
     # integral floats are exact integers
     cfg = config(n_grid=(5e1, 2e2), reps=1e3, master_seed=7.0, workers=np.float64(2.0))
@@ -165,11 +157,13 @@ def test_tightness_rows_include_lagged_ks():
 
 
 def test_fdd_covariance_row_names():
-    cfg = config(experiment="fdd_covariance", p=2.0, family=FamilySpec(kind="Gaussian"),
-                 n_grid=(100,), t_grid=(0.25, 0.75))
+    cfg = config(experiment="fdd_covariance", p=2.0, family=FamilySpec(kind="Gaussian"), n_grid=(100,))
     r = run_experiment(cfg)
-    names = {row.statistic for row in r.aggregates}
-    assert names == {"cov_t0.25_t0.25", "cov_t0.25_t0.75", "cov_t0.75_t0.75", "cov_dev_max"}
+    # the upper triangle of the fixed times, row by row, then the largest deviation
+    assert FDD_T_GRID == (0.25, 0.5, 0.75, 1.0)
+    assert [row.statistic for row in r.aggregates] == [
+        "cov_t0.25_t0.25", "cov_t0.25_t0.5", "cov_t0.25_t0.75", "cov_t0.25_t1", "cov_t0.5_t0.5",
+        "cov_t0.5_t0.75", "cov_t0.5_t1", "cov_t0.75_t0.75", "cov_t0.75_t1", "cov_t1_t1", "cov_dev_max"]
 
 
 def test_chf_compare_needs_heavy_tails_and_p_above_alpha():
@@ -473,8 +467,7 @@ def test_cli_passes_n_through_unchanged(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: n_grid must be an integer, got 100.7\n"
 
 
-@pytest.mark.parametrize("command, flag, text", [("run", "--t-grid", "0.5,x"),
-                                                  ("run", "--n", "100,2e"),
+@pytest.mark.parametrize("command, flag, text", [("run", "--n", "100,2e"),
                                                   ("sweep", "--alpha", "1.5,one")])
 def test_cli_list_errors_quote_the_bad_text(command, flag, text, capsys):
     # the usage error quotes the text; it does not name the private parser function
@@ -1004,16 +997,16 @@ def test_cli_config_file_overrides_flags(tmp_path, capsys):
 
 
 def test_cli_reruns_a_reports_own_config(tmp_path, capsys):
-    # a report's config object, nested family and scale included, run through
-    # --config gives the report back byte for byte
+    # a report's config object, nested family included, run through --config
+    # gives the report back byte for byte
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": {"kind": "SymStable", "alpha": 1.5, "scale": 3.0},
+    cfg.write_text(json.dumps({"family": {"kind": "SymStable", "alpha": 1.5},
                                "p": 2.0, "n_grid": [50], "reps": 4, "master_seed": 5,
                                "experiment": "degenerate_scan"}))
     assert cli.main(["run", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     report = json.loads(out)
-    assert report["config"]["family"] == {"kind": "SymStable", "alpha": 1.5, "scale": 3.0}
+    assert report["config"]["family"] == {"kind": "SymStable", "alpha": 1.5}
     cfg.write_text(json.dumps(report["config"]))
     assert cli.main(["run", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out == out
@@ -1047,13 +1040,11 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     sweep_args = ["sweep", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0", "--n", "50",
                   "--reps", "4", "--seed", "1"]
     bad = [(run_args, data) for data in (
-        {"n": ["x"]}, {"n": 5}, {"t_grid": "0.5"}, {"n_grid": [100.7]}, {"reps": 1.5},
+        {"n": ["x"]}, {"n": 5}, {"n_grid": [100.7]}, {"reps": 1.5},
         {"seed": "1"}, {"alpha": [1.0]},
         {"family": {"kind": "SymStable", "alpha": "x"}},
-        {"family": {"kind": "SymStable", "alpha": 1.0, "bogus": 1}},
-        {"family": {"kind": "SymStable", "alpha": 1.0, "scale": None}},
-        {"family": {"kind": "SymStable", "alpha": 1.0, "scale": 0.0}}, {"out": 3}, {"format": 3},
-        {"reps": True}, {"alpha": True}, {"t_grid": None})]
+        {"family": {"kind": "SymStable", "alpha": 1.0, "bogus": 1}}, {"out": 3}, {"format": 3},
+        {"reps": True}, {"alpha": True})]
     bad += [(sweep_args, data) for data in (
         {"alpha": ["1.5"]}, {"p": [1.0, "2"]}, {"experiment": False})]
     for i, (args, data) in enumerate(bad):
@@ -1063,10 +1054,13 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert cli.main(args + ["--config", str(cfg_file)]) == 1, data
         assert capsys.readouterr().err.startswith("error: "), data
     # a null inside the nested family is refused by name, as a top-level one
-    # is, not read as the --alpha flag left unset
+    # is, not read as the --alpha flag left unset; so is a key no field holds
     named = [({"family": {"kind": "SymStable", "alpha": None}}, "config key 'family.alpha' cannot be null"),
              ({"alpha": None}, "config key 'alpha' cannot be null"),
-             ({"delta_grid": [0.5]}, "unknown config key 'delta_grid'")]
+             ({"delta_grid": [0.5]}, "unknown config key 'delta_grid'"),
+             ({"t_grid": [0.5, 1.0]}, "unknown config key 't_grid'"),
+             ({"family": {"kind": "SymStable", "alpha": 1.0, "scale": 2.0}},
+              "unknown family config key 'scale'")]
     for data, message in named:
         cfg_file = tmp_path / "named.json"
         cfg_file.write_text(json.dumps(data))
@@ -1075,6 +1069,8 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err == f"error: {message}\n", data
     assert cli.main(run_args + ["--delta-grid", "0.5"]) == 1
     assert capsys.readouterr().err == "error: unrecognized arguments: --delta-grid 0.5\n"
+    assert cli.main(run_args + ["--t-grid", "0.5,1"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --t-grid 0.5,1\n"
     # no trustworthy number: a draw overflows to inf
     non_finite = ["run", "--family", "SymPareto", "--alpha", "0.005", "--p", "1", "--n", "200",
                   "--reps", "20", "--seed", "1", "--experiment", "degenerate_scan"]

@@ -131,9 +131,6 @@ def test_tail_constants_values():
     # SymPareto: P(|X| > x) = x^-a, so each side has r = a/2
     r = tail_constants(FamilySpec(kind="SymPareto", alpha=1.6))
     assert type(r) is float and r == pytest.approx(0.8, rel=1e-14)
-    # scale enters as scale^alpha
-    r2 = tail_constants(FamilySpec(kind="SymPareto", alpha=1.6, scale=2.0))
-    assert r2 == pytest.approx(0.8 * 2.0**1.6, rel=1e-13)
     # StudentT(1) is the Cauchy: r = 1/pi
     rt = tail_constants(FamilySpec(kind="StudentT", alpha=1.0))
     assert rt == pytest.approx(1.0 / np.pi, rel=1e-12)

@@ -17,6 +17,7 @@ import pytest
 
 from selfnorm import (
     DegenerateSampleError,
+    FDD_T_GRID,
     ExperimentConfig,
     FamilySpec,
     ParameterDomainError,
@@ -106,7 +107,7 @@ def test_scan_stats_equal_the_public_functions_bit_for_bit(family, p, n):
     s = fresh.sums[1:] / fresh.v  # reference: S_k/V divided anew
     assert _hex(got["ek_functionals"]) == _hex(
         (s.max(), np.abs(s).max(), np.mean(s * s), np.abs(s).mean()))
-    assert _hex(got["fdd_covariance"]) == _hex(y_path(fresh, configs["fdd_covariance"].t_grid))
+    assert _hex(got["fdd_covariance"]) == _hex(y_path(fresh, FDD_T_GRID))
 
     # one power sum per distinct exponent: the scans read S_p and S_2, and
     # sum_sq_ratio adds S_alpha only where alpha != p
