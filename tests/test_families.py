@@ -20,6 +20,11 @@ def test_family_kinds_frozen():
     ("SymPareto", 0.0),
     ("StudentT", -3.0),
     ("Levy", 1.0),
+    # alpha must be finite, whatever the kind
+    ("SymStable", float("nan")),
+    ("SymPareto", float("nan")),
+    ("SymPareto", float("inf")),
+    ("StudentT", float("inf")),
 ])
 def test_spec_rejects_bad_parameters(kind, alpha):
     with pytest.raises(ParameterDomainError):
@@ -27,7 +32,7 @@ def test_spec_rejects_bad_parameters(kind, alpha):
 
 
 @pytest.mark.parametrize("over", [dict(alpha="x"), dict(alpha=None), dict(alpha="1.5"),
-                                  dict(alpha=True)])
+                                  dict(alpha=True), dict(alpha=np.True_), dict(alpha=1.5 + 0j)])
 def test_spec_rejects_non_numeric_parameters(over):
     # a typed domain error, not a raw TypeError or ValueError from float()
     with pytest.raises(ParameterDomainError, match="must be a real number"):
@@ -137,18 +142,29 @@ def _pareto_reference(alpha, u):
 _BLOCK_NS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 100_000)
 
 
+def _draw(spec, stream, n, through):
+    if through == "sample_family":
+        return sample_family(spec, stream, n)
+    # as a chf_compare block draws: over the caller's buffer, longer than the
+    # scratch the draw needs and holding the values of an earlier draw
+    x, scratch = np.empty(n), np.full(max(n, _scratch_size(n)) + 1, np.nan)
+    _sample_into(spec, stream, x, scratch)
+    return x
+
+
+@pytest.mark.parametrize("through", ["sample_family", "callers_scratch"])
 @pytest.mark.parametrize("n", _BLOCK_NS)
 @pytest.mark.parametrize("kind,alpha", [("SymStable", 0.5), ("SymStable", 1.0), ("SymStable", 1.5),
                                         ("SymStable", 2.0), ("SymPareto", 0.8), ("SymPareto", 1.5)])
-def test_blocks_match_whole_array_transform(n, kind, alpha):
+def test_blocks_match_whole_array_transform(n, kind, alpha, through):
     # the same bytes as one g.random((n, 2)) call through the whole-array formula,
     # or one g.random(n) call for the Cauchy case, on either side of every block
-    # boundary
+    # boundary, whether the draw allocates its scratch or writes over the caller's
     stream = SeededStream(31, 4)
     u = stream.generator().random(n if (kind, alpha) == ("SymStable", 1.0) else (n, 2))
     reference = _stable_reference if kind == "SymStable" else _pareto_reference
     expected = reference(alpha, u)
-    got = sample_family(FamilySpec(kind=kind, alpha=alpha), stream, n)
+    got = _draw(FamilySpec(kind=kind, alpha=alpha), stream, n, through)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -166,15 +182,17 @@ def _box_muller_reference(g, n):
 @pytest.mark.parametrize("n", [1, 2, 3, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 2 * _BLOCK + 2,
                                100_000, 100_001])
 @pytest.mark.parametrize("kind,alpha", [("Gaussian", 2.0), ("StudentT", 1.5), ("StudentT", 4.0)])
-def test_normal_draws_match_whole_array_transform(n, kind, alpha):
+@pytest.mark.parametrize("through", ["sample_family", "callers_scratch"])
+def test_normal_draws_match_whole_array_transform(n, kind, alpha, through):
     # the normals are written over the output a block of 2**14 rows (pairs) at
     # a time, the chi ratio over the chi-square array: the bytes of the
-    # whole-array transforms, odd n and every row-block edge included
+    # whole-array transforms, odd n and every row-block edge included, with
+    # the temporaries in a scratch of the draw's own or in the caller's
     stream = SeededStream(37, 2)
     g = stream.generator()
     z = _box_muller_reference(g, n)
     expected = z if kind == "Gaussian" else z / np.sqrt(g.chisquare(alpha, n) / alpha)
-    got = sample_family(FamilySpec(kind=kind, alpha=alpha), stream, n)
+    got = _draw(FamilySpec(kind=kind, alpha=alpha), stream, n, through)
     assert got.tobytes() == expected.tobytes()
 
 

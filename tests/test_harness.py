@@ -86,6 +86,12 @@ def config(**over) -> ExperimentConfig:
     pytest.param(dict(master_seed=np.True_), id="seed_numpy_bool"),
     # JSON holds no infinity, so no report could be written
     pytest.param(dict(epsilon=math.inf), id="epsilon_inf"),
+    pytest.param(dict(family="SymStable"), id="family_not_a_spec"),
+    pytest.param(dict(p=-1.0), id="p_negative"),
+    pytest.param(dict(n_grid=(50, 50)), id="n_grid_repeat"),
+    pytest.param(dict(n_grid=None), id="n_grid_none"),
+    pytest.param(dict(epsilon=-0.1), id="epsilon_negative"),
+    pytest.param(dict(workers=None), id="workers_none"),
 ])
 def test_config_validation(over):
     with pytest.raises(ConfigError):
@@ -468,7 +474,8 @@ def test_cli_passes_n_through_unchanged(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command, flag, text", [("run", "--n", "100,2e"),
-                                                  ("sweep", "--alpha", "1.5,one")])
+                                                  ("sweep", "--alpha", "1.5,one"),
+                                                  ("sweep", "--p", "1,x")])
 def test_cli_list_errors_quote_the_bad_text(command, flag, text, capsys):
     # the usage error quotes the text; it does not name the private parser function
     assert cli.main([command, flag, text]) == 1
