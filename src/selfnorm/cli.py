@@ -61,7 +61,6 @@ def _add_common(sub: argparse.ArgumentParser, grid: bool = False) -> None:
     sub.add_argument("--epsilon", type=float, help="exceedance threshold")
     sub.add_argument("--workers", type=int, help="parallel worker count")
     sub.add_argument("--out", help="output path (run) or directory (sweep)")
-    sub.add_argument("--format", choices=("csv", "json"), help="report file format")
     sub.add_argument("--config", help="JSON file whose values override flags")
 
 
@@ -78,7 +77,7 @@ def _build_parser() -> _Parser:
 # config-file keys: flag names with underscores, plus payload-style aliases
 _CONFIG_ALIASES = {"n_grid": "n", "master_seed": "seed"}
 _CONFIG_KEYS = ("family", "alpha", "p", "n", "reps", "seed", "experiment",
-                "epsilon", "workers", "out", "format")
+                "epsilon", "workers", "out")
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
@@ -89,17 +88,17 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {args.config}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {args.config} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {args.config} must hold a JSON object")
     # values are set as read, for ExperimentConfig and FamilySpec to check; out
-    # and format reach neither, and a null would read as a flag left unset
+    # reaches neither, and a null would read as a flag left unset
     for raw_key, value in data.items():
         key = _CONFIG_ALIASES.get(raw_key, raw_key)
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {raw_key!r}")
-        if value is None or (key in ("out", "format") and not isinstance(value, str)):
+        if value is None or (key == "out" and not isinstance(value, str)):
             raise ConfigError(f"config key {raw_key!r} cannot be {json.dumps(value)}")
         if key == "family" and isinstance(value, dict):
             # payload-style nested family spec: its keys are FamilySpec's fields
@@ -130,21 +129,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.experiment is None:
         raise ConfigError("--experiment is required (flag or config file)")
     report = run_experiment(_experiment_config(args, args.experiment))
-    fmt = args.format or "json"
     if args.out:
-        write_report(report, fmt, args.out)
+        write_report(report, args.out)
         print(f"{report.run_id} {report.config.experiment} "
               f"regime={report.regime_decision} draws={report.draw_count} -> {args.out}")
     else:
-        sys.stdout.write(_report_text(report, "json"))  # the bytes write_report writes
+        sys.stdout.write(_report_text(report))  # the bytes write_report writes
     return 0
 
 
-def _write_sweep_reports(reports, out, fmt: str) -> None:
+def _write_sweep_reports(reports, out) -> None:
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for report in reports:
-        write_report(report, fmt, out_dir / f"{report.run_id}.{fmt}")
+        write_report(report, out_dir / f"{report.run_id}.json")
 
 
 def _print_matrix(matrix) -> None:
@@ -165,7 +163,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.alpha_list is None or args.p_list is None:
         raise ConfigError("sweep needs --alpha and --p as comma-separated lists")
     base = _experiment_config(args, "degenerate_scan" if args.experiment is None else args.experiment)
-    fmt = args.format or "json"
     if args.experiment is not None:
         reports = sweep(base, args.alpha_list, args.p_list)
         for report in reports:
@@ -176,7 +173,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         reports, matrix = regime_map(base, args.alpha_list, args.p_list)
         _print_matrix(matrix)
     if args.out:
-        _write_sweep_reports(reports, args.out, fmt)
+        _write_sweep_reports(reports, args.out)
         print(f"wrote {len(reports)} report(s) to {args.out}")
     return 0
 

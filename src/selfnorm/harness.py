@@ -89,7 +89,7 @@ __all__ = [
     "build_oracles",
 ]
 
-# the kinds whose rows feed the regime rules (`_Kind.regime`), in regime_map's report order
+# the kinds whose rows feed the regime rules, in regime_map's report order
 REGIME_SCAN_KINDS = ("degenerate_scan", "tightness_scan", "ek_functionals")
 
 CHF_U_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -389,7 +389,6 @@ class _Kind(NamedTuple):
     aggregate: Callable  # (config, slots, prev): the (value, stderr) of each row, in `rows` order
     check: Callable  # (config): what the kind needs of a config whose fields are checked
     path: bool  # reads the ProcessPath; false: reads the scaled buffer instead
-    regime: bool  # its rows feed the regime decision rules
 
 
 def _fdd_aggregate(config, slots, prev):
@@ -449,30 +448,30 @@ _KINDS: dict[str, _Kind] = {
         rows=lambda config, lagged: ["mean_sq_self_norm", "exceedance"],
         aggregate=lambda config, slots, prev: [_mean_se(slots[:, 0] * slots[:, 0]),
                                                _proportion_se(np.abs(slots[:, 0]) > config.epsilon)],
-        check=lambda config: None, path=True, regime=True),
+        check=lambda config: None, path=True),
     "ek_functionals": _Kind(
         stats=lambda config, x, path, scaled: operator.attrgetter(
             "max_sn", "max_abs_sn", "mean_sq", "mean_abs")(ek_functionals(path)),
         rows=lambda config, lagged: list(_EK_STATISTICS),
         aggregate=lambda config, slots, prev: [(ks_statistic(slots[:, col], law()), _ks_crit(config.reps))
                                                for col, law in enumerate((g1_law, g2_law, g3_law, g4_law))],
-        check=lambda config: None, path=True, regime=True),
+        check=lambda config: None, path=True),
     "fdd_covariance": _Kind(
         stats=lambda config, x, path, scaled: tuple(float(v) for v in y_path(path, FDD_T_GRID)),
         rows=lambda config, lagged: [*(f"cov_t{ti:g}_t{tj:g}" for i, ti in enumerate(FDD_T_GRID)
                                        for tj in FDD_T_GRID[i:]), "cov_dev_max"],
-        aggregate=_fdd_aggregate, check=_fdd_check, path=True, regime=False),
+        aggregate=_fdd_aggregate, check=_fdd_check, path=True),
     "tightness_scan": _Kind(
         stats=lambda config, x, path, scaled: (path.rescaled.darling_ratio(),
                                                path.rescaled.max_ratio(config.p)),
         rows=lambda config, lagged: ["darling_median", "mr_median",
                                      *(("darling_ks_prev", "mr_ks_prev") if lagged else ())],
-        aggregate=_tightness_aggregate, check=lambda config: None, path=True, regime=True),
+        aggregate=_tightness_aggregate, check=lambda config: None, path=True),
     "chf_compare": _Kind(
         stats=_chf_stats,
         rows=lambda config, lagged: [*(f"chf_abs_err_u{u:g}_w{w:g}" for u in CHF_U_GRID for w in CHF_W_GRID),
                                      "chf_abs_err_max"],
-        aggregate=_chf_aggregate, check=_chf_check, path=False, regime=False),
+        aggregate=_chf_aggregate, check=_chf_check, path=False),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 
@@ -483,7 +482,7 @@ def _report(config: ExperimentConfig, slots: list[np.ndarray], thresholds: dict)
             for n, n_slots, prev in zip(config.n_grid, slots, [None, *slots])
             for name, (value, stderr) in zip(kind.rows(config, prev is not None),
                                              kind.aggregate(config, n_slots, prev), strict=True)]
-    decision = decide_regime(rows, thresholds) if kind.regime else "inconclusive"
+    decision = decide_regime(rows, thresholds) if config.experiment in REGIME_SCAN_KINDS else "inconclusive"
     return ExperimentReport(
         config=config,
         run_id=_run_id(config),
@@ -612,39 +611,18 @@ def decide_regime(aggregates, thresholds: dict) -> str:
 # reports on disk
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} cannot be written to a report")
-    return repr(float(x))
+def _report_text(report: ExperimentReport) -> str:
+    """The bytes of a report file: `write_report` writes them, `selfnorm run` prints them."""
+    return _canonical_json(report_payload(report)) + "\n"
 
 
-def _report_text(report: ExperimentReport, format: str) -> str:
-    """The bytes of a report file: `write_report` writes them, `selfnorm run` prints the JSON."""
-    if format not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {format!r}")
-    if format == "json":
-        return _canonical_json(report_payload(report)) + "\n"
-    cfg = report.config
-    header = "run_id,experiment,family,alpha,p,n,statistic,value,stderr,reps,seed"
-    lines = [header]
-    for row in report.aggregates:
-        lines.append(",".join((
-            report.run_id, cfg.experiment, cfg.family.kind,
-            _fmt(cfg.family.alpha), _fmt(cfg.p), str(row.n), row.statistic,
-            _fmt(row.value), _fmt(row.stderr), str(row.reps), str(cfg.master_seed),
-        )))
-    return "\n".join(lines) + "\n"
-
-
-def write_report(report: ExperimentReport, format: str, path) -> None:
-    """CSV (one row per (n, statistic)) or JSON (full payload), byte-deterministic.
+def write_report(report: ExperimentReport, path) -> None:
+    """The report's JSON payload (`report_payload`), byte-deterministic.
 
     A non-finite value raises ValueError instead of being written; the file
     is replaced atomically, so a failed write leaves any previous file whole.
     """
-    text = _report_text(report, format)
+    text = _report_text(report)
     try:
         write_text_atomic(path, text)
     except OSError as exc:
@@ -693,7 +671,8 @@ def read_report(path) -> ExperimentReport:
         raise ConfigError(f"{path}: run_id {report.run_id!r} is not the hash of its config "
                           f"({_run_id(config)!r})")
     kind = _KINDS[config.experiment]
-    labels = ("degenerate", "brownian", "not_tight", "inconclusive") if kind.regime else ("inconclusive",)
+    labels = (("degenerate", "brownian", "not_tight", "inconclusive") if config.experiment in REGIME_SCAN_KINDS
+              else ("inconclusive",))
     if report.regime_decision not in labels:
         raise ConfigError(f"{path}: regime_decision {report.regime_decision!r} of a "
                           f"{config.experiment} report is not one of {labels}")

@@ -405,6 +405,7 @@ _PHASE_PER_PANEL = 1.5  # largest phase change across one panel
 _GROWTH_PER_PANEL = 0.25  # largest panel width relative to its left edge
 _CUTOFF_FLOOR = 12.0  # cutoff of the first pass
 _IBP_PHASE_FLOOR = 40.0  # least |phase'| y at the cutoff for the tail expansion
+_IBP_TERMS = 6  # integration-by-parts orders summed in the tail expansion
 _MAX_REFINEMENTS = 7  # passes, each doubling the cutoff
 _PANEL_BUDGET = 300_000
 
@@ -485,16 +486,17 @@ def _head_edges(y_lo: float, y_hi: float, beta: float, gamma: float, p: float) -
 
 
 def _ibp_tail(coef: complex, sign: float, beta: float, gamma: float,
-              alpha: float, p: float, y0: float, n_terms: int = 6) -> tuple[complex, float]:
+              alpha: float, p: float, y0: float) -> tuple[complex, float]:
     """Integration-by-parts tail of coef * int_{y0}^inf e^{i phi} y^(-a-1) dy.
 
     phi(y) = beta y^p + sign * gamma y. Iterates B_{j+1} = i (B_j / phi')'
     symbolically: each B_j is a sum of c * y^e / phi'^m terms, closed under
     differentiation since phi'' = (p - 1)(phi' - sign gamma) / y.
     Returns (value, error estimate). The omitted remainder is
-    int_{y0}^inf B_n e^{i phi} dy; each order multiplies |B_j| by at least
-    y^(-min(p, 1)) at large y (phi' tends to p beta y^(p-1) or to sign gamma),
-    so |B_n| y0 / (a + n min(p, 1)) bounds it without using the oscillation.
+    int_{y0}^inf B_n e^{i phi} dy, n = _IBP_TERMS; each order multiplies
+    |B_j| by at least y^(-min(p, 1)) at large y (phi' tends to p beta
+    y^(p-1) or to sign gamma), so |B_n| y0 / (a + n min(p, 1)) bounds it
+    without using the oscillation.
     """
     sg = sign * gamma
     phi = beta * y0**p + sg * y0
@@ -509,7 +511,7 @@ def _ibp_tail(coef: complex, sign: float, beta: float, gamma: float,
     e_iphi = complex(math.cos(phi), math.sin(phi))
     terms: dict = {(-alpha - 1.0, 0): 1.0 + 0.0j}
     total = 0.0 + 0.0j
-    for _ in range(n_terms):
+    for _ in range(_IBP_TERMS):
         quot = over_dphi(terms)
         total += 1j * ev(quot) * e_iphi
         nxt: dict = {}
@@ -517,7 +519,7 @@ def _ibp_tail(coef: complex, sign: float, beta: float, gamma: float,
             nxt[(e - 1.0, m)] = nxt.get((e - 1.0, m), 0.0) + 1j * c * (e - m * (p - 1.0))
             nxt[(e - 1.0, m + 1)] = nxt.get((e - 1.0, m + 1), 0.0) + 1j * c * m * (p - 1.0) * sg
         terms = nxt
-    err = abs(ev(terms)) * y0 / (alpha + n_terms * min(p, 1.0))
+    err = abs(ev(terms)) * y0 / (alpha + _IBP_TERMS * min(p, 1.0))
     return coef * total, abs(coef) * err
 
 

@@ -1,4 +1,4 @@
-"""Golden reports: frozen JSON and CSV bytes for small fixed configurations.
+"""Golden reports: frozen JSON bytes for small fixed configurations.
 
 Each case is run at workers 1 and 2 and written with `write_report`; the
 bytes must equal the files under tests/golden/. A change that moves any
@@ -74,11 +74,10 @@ def test_reports_match_golden_bytes(workers, tmp_path):
     assert sorted(reports) == sorted(NAMES)
     mismatched = []
     for name, report in reports.items():
-        for fmt in ("json", "csv"):
-            dest = tmp_path / f"{name}.{fmt}"
-            write_report(report, fmt, dest)
-            if dest.read_bytes() != (GOLDEN / f"{name}.{fmt}").read_bytes():
-                mismatched.append(dest.name)
+        dest = tmp_path / f"{name}.json"
+        write_report(report, dest)
+        if dest.read_bytes() != (GOLDEN / f"{name}.json").read_bytes():
+            mismatched.append(dest.name)
     assert not mismatched, f"reports differ from tests/golden at workers={workers}: {mismatched}"
 
 
@@ -96,7 +95,7 @@ def test_two_n_chf_rows_equal_the_one_n_runs(workers):
 @pytest.mark.parametrize("name", NAMES)
 def test_golden_payloads_read_back_to_their_bytes(name, tmp_path):
     report = read_report(GOLDEN / f"{name}.json")
-    write_report(report, "json", tmp_path / "back.json")
+    write_report(report, tmp_path / "back.json")
     assert (tmp_path / "back.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
@@ -167,6 +166,5 @@ def test_read_report_refuses_rows_the_experiment_never_writes(tmp_path):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, report in _reports(workers=1).items():
-        for fmt in ("json", "csv"):
-            write_report(report, fmt, GOLDEN / f"{name}.{fmt}")
+        write_report(report, GOLDEN / f"{name}.json")
     sys.exit(0)

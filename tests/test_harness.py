@@ -382,8 +382,6 @@ def test_regime_map_rows_share_the_seed_and_each_report_is_pure(workers):
     alphas, ps = (0.8, 1.5, 2.0), (0.8, 1.5, 2.0)
     base = config(n_grid=(50, 120), reps=6, workers=workers)
     reports, matrix = regime_map(base, alphas, ps)
-    # the scans of a cell are the kinds whose rows feed the rules
-    assert set(harness.REGIME_SCAN_KINDS) == {name for name, kind in harness._KINDS.items() if kind.regime}
     assert [(r.config.family.alpha, r.config.p, r.config.experiment) for r in reports] == \
         [(a, p, kind) for a in alphas for p in ps for kind in harness.REGIME_SCAN_KINDS]
     assert list(matrix) == [(a, p) for a in alphas for p in ps]
@@ -507,25 +505,10 @@ def test_benchmark_trace_installs_and_restores():
 # reports on disk
 
 
-def test_csv_schema(tmp_path):
-    r = run_experiment(config())
-    dest = tmp_path / "r.csv"
-    write_report(r, "csv", dest)
-    lines = dest.read_text().splitlines()
-    assert lines[0] == "run_id,experiment,family,alpha,p,n,statistic,value,stderr,reps,seed"
-    assert len(lines) == 1 + len(r.aggregates)
-    first = lines[1].split(",")
-    assert first[0] == r.run_id
-    assert first[1] == "degenerate_scan"
-    assert first[2] == "SymStable"
-    assert float(first[3]) == 1.0 and float(first[4]) == 1.0
-    assert int(first[10]) == 12345
-
-
 def test_json_round_trip(tmp_path):
     r = run_experiment(config())
     dest = tmp_path / "r.json"
-    write_report(r, "json", dest)
+    write_report(r, dest)
     back = read_report(dest)
     blob = lambda x: json.dumps(report_payload(x), sort_keys=True, separators=(",", ":"))
     assert blob(back) == blob(r)
@@ -590,25 +573,23 @@ def test_read_report_refuses_a_label_on_a_scan_no_rule_reads(experiment, tmp_pat
 
 
 def test_report_files_byte_identical_across_workers(tmp_path):
-    for fmt in ("csv", "json"):
-        a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
-        write_report(run_experiment(config(workers=1)), fmt, a)
-        write_report(run_experiment(config(workers=4)), fmt, b)
-        assert a.read_bytes() == b.read_bytes()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    write_report(run_experiment(config(workers=1)), a)
+    write_report(run_experiment(config(workers=4)), b)
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_write_report_rejects_non_finite(tmp_path):
     r = run_experiment(config())
     bad = dataclasses.replace(r, aggregates=(dataclasses.replace(r.aggregates[0], value=math.nan),))
-    for fmt in ("json", "csv"):
-        with pytest.raises(ValueError):
-            write_report(bad, fmt, tmp_path / f"r.{fmt}")
+    with pytest.raises(ValueError):
+        write_report(bad, tmp_path / "r.json")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_write_report_is_atomic(tmp_path, monkeypatch):
     dest = tmp_path / "r.json"
-    write_report(run_experiment(config()), "json", dest)
+    write_report(run_experiment(config()), dest)
     before = dest.read_bytes()
 
     def fail(src, dst):
@@ -616,7 +597,7 @@ def test_write_report_is_atomic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError):
-        write_report(run_experiment(config(master_seed=1)), "json", dest)
+        write_report(run_experiment(config(master_seed=1)), dest)
     assert dest.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == [dest.name]
 
@@ -624,9 +605,7 @@ def test_write_report_is_atomic(tmp_path, monkeypatch):
 def test_write_report_wraps_os_errors(tmp_path):
     r = run_experiment(config())
     with pytest.raises(OSError):
-        write_report(r, "json", tmp_path / "no_such_dir" / "r.json")
-    with pytest.raises(ConfigError):
-        write_report(r, "parquet", tmp_path / "r.parquet")
+        write_report(r, tmp_path / "no_such_dir" / "r.json")
 
 
 # ---------------------------------------------------------------------------
@@ -973,13 +952,12 @@ def test_grids_refuse_a_repeated_value(alphas, ps, capsys):
 
 
 def test_cli_run_writes_report(tmp_path, capsys):
-    dest = tmp_path / "out.csv"
+    dest = tmp_path / "out.json"
     code = cli.main(["run", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0",
                      "--n", "50,200", "--reps", "8", "--seed", "3",
-                     "--experiment", "degenerate_scan", "--out", str(dest),
-                     "--format", "csv"])
+                     "--experiment", "degenerate_scan", "--out", str(dest)])
     assert code == 0
-    assert dest.read_text().startswith("run_id,experiment,family,")
+    assert read_report(dest).config.n_grid == (50, 200)
 
 
 def test_cli_run_stdout_json(tmp_path, capsys):
@@ -1050,13 +1028,13 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         {"n": ["x"]}, {"n": 5}, {"n_grid": [100.7]}, {"reps": 1.5},
         {"seed": "1"}, {"alpha": [1.0]},
         {"family": {"kind": "SymStable", "alpha": "x"}},
-        {"family": {"kind": "SymStable", "alpha": 1.0, "bogus": 1}}, {"out": 3}, {"format": 3},
-        {"reps": True}, {"alpha": True})]
+        {"family": {"kind": "SymStable", "alpha": 1.0, "bogus": 1}}, {"out": 3},
+        {"reps": True}, {"alpha": True}, b"\xff\xfe{")]  # the last is not UTF-8
     bad += [(sweep_args, data) for data in (
         {"alpha": ["1.5"]}, {"p": [1.0, "2"]}, {"experiment": False})]
     for i, (args, data) in enumerate(bad):
         cfg_file = tmp_path / f"bad{i}.json"
-        cfg_file.write_text(json.dumps(data))
+        cfg_file.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
         capsys.readouterr()
         assert cli.main(args + ["--config", str(cfg_file)]) == 1, data
         assert capsys.readouterr().err.startswith("error: "), data
@@ -1066,6 +1044,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
              ({"alpha": None}, "config key 'alpha' cannot be null"),
              ({"delta_grid": [0.5]}, "unknown config key 'delta_grid'"),
              ({"t_grid": [0.5, 1.0]}, "unknown config key 't_grid'"),
+             ({"format": "json"}, "unknown config key 'format'"),
              ({"family": {"kind": "SymStable", "alpha": 1.0, "scale": 2.0}},
               "unknown family config key 'scale'")]
     for data, message in named:
@@ -1078,6 +1057,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: unrecognized arguments: --delta-grid 0.5\n"
     assert cli.main(run_args + ["--t-grid", "0.5,1"]) == 1
     assert capsys.readouterr().err == "error: unrecognized arguments: --t-grid 0.5,1\n"
+    # a report has one encoding, JSON: no flag picks another
+    assert cli.main(run_args + ["--format", "csv"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --format csv\n"
     # no trustworthy number: a draw overflows to inf
     non_finite = ["run", "--family", "SymPareto", "--alpha", "0.005", "--p", "1", "--n", "200",
                   "--reps", "20", "--seed", "1", "--experiment", "degenerate_scan"]
@@ -1117,3 +1099,19 @@ def test_cli_sweep_prints_matrix(tmp_path, capsys, monkeypatch):
     assert "alpha \\ p" in out
     written = list((tmp_path / "reports").glob("*.json"))
     assert len(written) == 3  # three scans for the single cell
+
+
+def test_cli_sweep_writes_one_json_report_per_run_id(tmp_path, capsys):
+    out_dir = tmp_path / "reports"
+    code = cli.main(["sweep", "--family", "SymStable", "--alpha", "1.0,1.5", "--p", "1.0",
+                     "--n", "50", "--reps", "4", "--seed", "3",
+                     "--experiment", "degenerate_scan", "--out", str(out_dir)])
+    assert code == 0
+    run_ids = [tok.split("=", 1)[1] for line in capsys.readouterr().out.splitlines()
+               for tok in line.split() if tok.startswith("run_id=")]
+    assert len(run_ids) == 2
+    assert sorted(f.name for f in out_dir.iterdir()) == sorted(f"{r}.json" for r in run_ids)
+    for run_id in run_ids:
+        report = read_report(out_dir / f"{run_id}.json")
+        assert report.run_id == run_id
+        assert report.config.experiment == "degenerate_scan"
