@@ -9,8 +9,8 @@ opens a usable gap.  This script reproduces the measurement behind the
 shipped thresholds (exceedance split 0.785, degenerate ceiling 0.755).
 The degenerate regime is a claim about sup_t |Y(t)|, not only the endpoint;
 moving the rule and this script to the sup norm is ROADMAP item 7,
-"Finite-n allowance, degenerate on the sup norm, thresholds bound to
-epsilon".
+"Finite-n allowance, and degenerate on the sup norm"; binding the
+thresholds to their epsilon is item 18.
 """
 
 import argparse

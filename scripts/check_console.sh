@@ -66,6 +66,17 @@ sed 's/"reps": 8,/"reps": 8, "format": "json",/' "$HOME/cfg.json" > "$HOME/forma
 status=0; selfnorm run --config "$HOME/format.json" 2> "$HOME/format.err" || status=$?
 test "$status" -eq 1
 grep -qx "error: unknown config key 'format'" "$HOME/format.err"
+# a sweep always runs the three regime scans: --experiment is a usage error
+# there, and a sweep config file's "experiment" key is refused by name
+status=0; selfnorm sweep --family SymStable --alpha 0.8,2.0 --p 1.5,2.0 --n 100,200 --reps 8 \
+  --seed 42 --experiment degenerate_scan 2> "$HOME/experiment.err" || status=$?
+test "$status" -eq 1
+grep -qx "error: unrecognized arguments: --experiment degenerate_scan" "$HOME/experiment.err"
+printf '%s\n' '{"family": "SymStable", "alpha": [0.8, 2.0], "p": [1.5, 2.0], "n": [100, 200],' \
+  '"reps": 8, "seed": 42, "experiment": "degenerate_scan"}' > "$HOME/sweep.json"
+status=0; selfnorm sweep --config "$HOME/sweep.json" 2> "$HOME/experiment.err" || status=$?
+test "$status" -eq 1
+grep -qx "error: unknown config key 'experiment'" "$HOME/experiment.err"
 # a family has no scale, which cannot move Y_{n,p}: the nested key is refused by name
 printf '%s\n' '{"family": {"kind": "StudentT", "alpha": 1.5, "scale": 2.0}, "p": 2, "n": [100, 300],' \
   '"reps": 8, "seed": 106, "experiment": "tightness_scan"}' > "$HOME/scale.json"

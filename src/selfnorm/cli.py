@@ -1,4 +1,4 @@
-"""Command-line front end: run one experiment or sweep an (alpha, p) grid."""
+"""Command-line front end: `run` runs one experiment; `sweep` maps the regime of an (alpha, p) grid."""
 from __future__ import annotations
 
 import argparse
@@ -23,7 +23,6 @@ from .harness import (
     _report_text,
     regime_map,
     run_experiment,
-    sweep,
     write_report,
 )
 
@@ -53,11 +52,11 @@ def _add_common(sub: argparse.ArgumentParser, grid: bool = False) -> None:
     else:
         sub.add_argument("--alpha", type=float, help="tail index of the family")
         sub.add_argument("--p", type=float, help="norm order in (0, 2]")
+        sub.add_argument("--experiment", choices=EXPERIMENT_KINDS, help="experiment kind")
     # integrality of n is left to ExperimentConfig, as for the config file
     sub.add_argument("--n", type=_float_list, help="comma-separated increasing sample sizes")
     sub.add_argument("--reps", type=int, help="Monte Carlo replications per n")
     sub.add_argument("--seed", type=int, help="64-bit master seed")
-    sub.add_argument("--experiment", choices=EXPERIMENT_KINDS, help="experiment kind")
     sub.add_argument("--epsilon", type=float, help="exceedance threshold")
     sub.add_argument("--workers", type=int, help="parallel worker count")
     sub.add_argument("--out", help="output path (run) or directory (sweep)")
@@ -69,15 +68,14 @@ def _build_parser() -> _Parser:
                      description="Monte Carlo laboratory for self-normalized partial-sum processes")
     subs = parser.add_subparsers(dest="command", required=True)
     _add_common(subs.add_parser("run", help="run one experiment"))
-    sw = subs.add_parser("sweep", help="run a cartesian (alpha, p) grid")
+    sw = subs.add_parser("sweep", help="map the regime of each cell of an (alpha, p) grid")
     _add_common(sw, grid=True)
     return parser
 
 
-# config-file keys: flag names with underscores, plus payload-style aliases
+# config-file keys are the subcommand's flag names with underscores, plus
+# payload-style aliases
 _CONFIG_ALIASES = {"n_grid": "n", "master_seed": "seed"}
-_CONFIG_KEYS = ("family", "alpha", "p", "n", "reps", "seed", "experiment",
-                "epsilon", "workers", "out")
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
@@ -94,9 +92,10 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise ConfigError(f"config file {args.config} must hold a JSON object")
     # values are set as read, for ExperimentConfig and FamilySpec to check; out
     # reaches neither, and a null would read as a flag left unset
+    keys = set(vars(args)) - {"command", "config"}
     for raw_key, value in data.items():
         key = _CONFIG_ALIASES.get(raw_key, raw_key)
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError(f"unknown config key {raw_key!r}")
         if value is None or (key == "out" and not isinstance(value, str)):
             raise ConfigError(f"config key {raw_key!r} cannot be {json.dumps(value)}")
@@ -138,13 +137,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_sweep_reports(reports, out) -> None:
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for report in reports:
-        write_report(report, out_dir / f"{report.run_id}.json")
-
-
 def _print_matrix(matrix) -> None:
     # regime_map keys the matrix in (alpha, p) order
     alphas = list(dict.fromkeys(a for a, _ in matrix))
@@ -159,21 +151,27 @@ def _print_matrix(matrix) -> None:
         print(f"{a:<10g}{cells}")
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.alpha_list is None or args.p_list is None:
+def _grid_list(values, flag: str) -> tuple:
+    # a flag gives a tuple, a config file a list or a single value
+    if values is None:
         raise ConfigError("sweep needs --alpha and --p as comma-separated lists")
-    base = _experiment_config(args, "degenerate_scan" if args.experiment is None else args.experiment)
-    if args.experiment is not None:
-        reports = sweep(base, args.alpha_list, args.p_list)
-        for report in reports:
-            fam = report.config.family
-            print(f"alpha={fam.alpha:g} p={report.config.p:g} run_id={report.run_id} "
-                  f"regime={report.regime_decision}")
-    else:
-        reports, matrix = regime_map(base, args.alpha_list, args.p_list)
-        _print_matrix(matrix)
+    values = tuple(values) if isinstance(values, (list, tuple)) else (values,)
+    if not values:
+        raise ConfigError(f"{flag} is an empty list")
+    return values
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    alphas, ps = _grid_list(args.alpha, "--alpha"), _grid_list(args.p, "--p")
+    # the base config takes the first cell; regime_map sets each cell's own
+    args.alpha, args.p = alphas[0], ps[0]
+    reports, matrix = regime_map(_experiment_config(args, "degenerate_scan"), alphas, ps)
+    _print_matrix(matrix)
     if args.out:
-        _write_sweep_reports(reports, args.out)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for report in reports:
+            write_report(report, out_dir / f"{report.run_id}.json")
         print(f"wrote {len(reports)} report(s) to {args.out}")
     return 0
 
@@ -183,14 +181,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         _apply_config_file(args)
         if args.command == "sweep":
-            # alpha/p carry grid lists here; the base config takes the first cell
-            def as_list(v):
-                if v is None:
-                    return None
-                return tuple(v) if isinstance(v, (list, tuple)) else (v,)
-            args.alpha_list, args.p_list = as_list(args.alpha), as_list(args.p)
-            args.alpha = args.alpha_list[0] if args.alpha_list else None
-            args.p = args.p_list[0] if args.p_list else None
             return _cmd_sweep(args)
         return _cmd_run(args)
     except (ConfigError, ParameterDomainError) as exc:

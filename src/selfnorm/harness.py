@@ -84,7 +84,6 @@ __all__ = [
     "write_report",
     "read_report",
     "report_payload",
-    "sweep",
     "regime_map",
     "build_oracles",
 ]
@@ -700,13 +699,13 @@ def read_report(path) -> ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# the regime map
 
 
 def _cell_config(base: ExperimentConfig, alpha: float, p: float, seed: int,
-                 experiment: str | None = None) -> ExperimentConfig:
+                 experiment: str) -> ExperimentConfig:
     return replace(base, family=replace(base.family, alpha=alpha), p=p, master_seed=seed,
-                   experiment=experiment or base.experiment)
+                   experiment=experiment)
 
 
 def _grid(alpha_list, p_list) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -718,14 +717,6 @@ def _grid(alpha_list, p_list) -> tuple[tuple[float, ...], tuple[float, ...]]:
         if len(set(values)) < len(values):
             raise ConfigError(f"{name} repeats a value: {values}")
     return alphas, ps
-
-
-def sweep(base: ExperimentConfig, alpha_list, p_list) -> tuple[ExperimentReport, ...]:
-    """Cartesian product of runs; cell seeds derived from the base seed and index."""
-    alphas, ps = _grid(alpha_list, p_list)
-    cells = [(_cell_config(base, alpha, p, derive_seed(base.master_seed, idx)),)
-             for idx, (alpha, p) in enumerate((a, p) for a in alphas for p in ps)]
-    return tuple(r for (r,) in _run_cells(cells, load_default_thresholds()))
 
 
 def regime_map(base: ExperimentConfig, alpha_list, p_list,

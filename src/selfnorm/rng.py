@@ -44,8 +44,8 @@ class SeededStream:
 def derive_seed(base_seed: int, *levels: int) -> int:
     """Mix a base seed with one or more index levels into a fresh 64-bit seed.
 
-    Used for sweep cells and other derived experiments so that sub-runs get
-    seeds that are decorrelated from each other and from the base run.
+    Used for the alpha rows of a regime map, so that each row gets a seed
+    decorrelated from the other rows and from the base run.
     """
     ss = np.random.SeedSequence([int(base_seed), *[int(x) for x in levels]])
     return int(ss.generate_state(1, np.uint64)[0])

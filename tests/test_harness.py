@@ -33,7 +33,6 @@ from selfnorm import (
     report_payload,
     run_experiment,
     sample_family,
-    sweep,
     write_report,
 )
 from selfnorm import cli, diagnostics, families, harness, limits, process
@@ -886,25 +885,7 @@ def test_each_bound_decides_as_the_frozen_rules(label, statistic, at, bound):
 
 
 # ---------------------------------------------------------------------------
-# sweeps
-
-
-def test_one_by_one_sweep_equals_run_with_derived_seed():
-    base = config()
-    (swept,) = sweep(base, (1.0,), (1.0,))
-    direct = run_experiment(dataclasses.replace(base, master_seed=derive_seed(12345, 0)))
-    blob = lambda r: json.dumps(report_payload(r), sort_keys=True, separators=(",", ":"))
-    assert blob(swept) == blob(direct)
-
-
-def test_sweep_covers_grid_row_major():
-    base = config(n_grid=(50,), reps=8)
-    reports = sweep(base, (1.0, 1.5), (0.5, 1.0))
-    cells = [(r.config.family.alpha, r.config.p) for r in reports]
-    assert cells == [(1.0, 0.5), (1.0, 1.0), (1.5, 0.5), (1.5, 1.0)]
-    seeds = [r.config.master_seed for r in reports]
-    assert seeds == [derive_seed(12345, i) for i in range(4)]
-    assert len(set(seeds)) == 4
+# the regime map
 
 
 def test_regime_map_runs_three_scans_per_cell():
@@ -917,9 +898,9 @@ def test_regime_map_runs_three_scans_per_cell():
     assert matrix[(1.0, 1.0)] in ("degenerate", "not_tight", "brownian", "inconclusive")
 
 
-def test_sweep_rejects_empty_grid():
-    with pytest.raises(ConfigError):
-        sweep(config(), (), (1.0,))
+def test_regime_map_rejects_empty_grid():
+    with pytest.raises(ConfigError, match="nonempty"):
+        regime_map(config(), (), (1.0,))
 
 
 @pytest.mark.parametrize("alphas, ps, message", [
@@ -930,17 +911,15 @@ def test_sweep_rejects_empty_grid():
 ])
 def test_grids_check_each_value(alphas, ps, message):
     # a grid value is checked like a config field: a string is refused, not parsed
-    for run in (sweep, regime_map):
-        with pytest.raises(ConfigError, match=message):
-            run(config(), alphas, ps)
+    with pytest.raises(ConfigError, match=message):
+        regime_map(config(), alphas, ps)
 
 
 @pytest.mark.parametrize("alphas, ps", [((1.5, 1.5), (2.0,)), ((1.5,), (2.0, 1.0, 2.0))])
 def test_grids_refuse_a_repeated_value(alphas, ps, capsys):
     # a repeated value would fold cells into one matrix entry
-    for run in (sweep, regime_map):
-        with pytest.raises(ConfigError, match="repeats"):
-            run(config(), alphas, ps)
+    with pytest.raises(ConfigError, match="repeats"):
+        regime_map(config(), alphas, ps)
     flags = ["--alpha", ",".join(map(str, alphas)), "--p", ",".join(map(str, ps))]
     assert cli.main(["sweep", "--family", "SymStable", *flags, "--n", "50", "--reps", "4",
                      "--seed", "1"]) == 1
@@ -1103,15 +1082,36 @@ def test_cli_sweep_prints_matrix(tmp_path, capsys, monkeypatch):
 
 def test_cli_sweep_writes_one_json_report_per_run_id(tmp_path, capsys):
     out_dir = tmp_path / "reports"
-    code = cli.main(["sweep", "--family", "SymStable", "--alpha", "1.0,1.5", "--p", "1.0",
-                     "--n", "50", "--reps", "4", "--seed", "3",
-                     "--experiment", "degenerate_scan", "--out", str(out_dir)])
-    assert code == 0
-    run_ids = [tok.split("=", 1)[1] for line in capsys.readouterr().out.splitlines()
-               for tok in line.split() if tok.startswith("run_id=")]
-    assert len(run_ids) == 2
-    assert sorted(f.name for f in out_dir.iterdir()) == sorted(f"{r}.json" for r in run_ids)
-    for run_id in run_ids:
-        report = read_report(out_dir / f"{run_id}.json")
-        assert report.run_id == run_id
-        assert report.config.experiment == "degenerate_scan"
+    flags = ["--family", "SymStable", "--alpha", "1.0,1.5", "--p", "1.0", "--n", "50",
+             "--reps", "4", "--seed", "3"]
+    assert cli.main(["sweep", *flags, "--out", str(out_dir)]) == 0
+    reports, _ = regime_map(config(n_grid=(50,), reps=4, master_seed=3), (1.0, 1.5), (1.0,))
+    assert len(reports) == 6
+    assert sorted(f.name for f in out_dir.iterdir()) == sorted(f"{r.run_id}.json" for r in reports)
+    for report in reports:
+        assert read_report(out_dir / f"{report.run_id}.json") == report
+
+
+def test_cli_sweep_refuses_an_experiment(tmp_path, capsys):
+    # a sweep always runs the three regime scans: no flag or key picks one kind
+    flags = ["sweep", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0", "--n", "50",
+             "--reps", "4", "--seed", "3"]
+    assert cli.main([*flags, "--experiment", "degenerate_scan"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --experiment degenerate_scan\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "degenerate_scan"}))
+    assert cli.main([*flags, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: unknown config key 'experiment'\n"
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--p"])
+def test_cli_sweep_names_an_empty_grid(flag, tmp_path, capsys):
+    # the list is given, so the error names it empty, not missing
+    flags = ["sweep", "--family", "SymStable", "--alpha", "1.0", "--p", "1.0", "--n", "50",
+             "--reps", "4", "--seed", "3"]
+    assert cli.main([*flags, flag, ""]) == 1
+    assert capsys.readouterr().err == f"error: {flag} is an empty list\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: []}))
+    assert cli.main([*flags, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {flag} is an empty list\n"
